@@ -1,0 +1,171 @@
+"""One codec for every dataclass the harness writes to disk or reads back.
+
+``dump`` turns a dataclass into a JSON-ready dict in field declaration
+order: enums become their values, tuples become lists, and nested
+dataclasses recurse. ``load`` reads such a dict back, strict in keys
+and in value types, and raises the caller's error class naming the key
+and the line. Data files (``DataError``) must carry every key; configs
+(the ``UsageError`` family) may omit keys that have a dataclass default.
+
+Per-class tables are built once, on first use, from the resolved field
+annotations. The supported annotations are ``str``, ``int``, ``float``
+(an int is accepted and kept as given), ``bool``, ``dict``, an ``Enum``,
+``tuple[Enum, ...]`` (read from a JSON list), a nested dataclass, and
+any of these ``| None``. A bool is never accepted as a number.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import operator
+import types
+import typing
+from enum import Enum
+from typing import Any, Callable, NamedTuple
+
+from .errors import HarnessError, UsageError
+
+_NONE = type(None)
+
+_JSON_KINDS = {
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    dict: "an object",
+    list: "a list",
+    _NONE: "null",
+}
+
+_Codec = tuple[frozenset[type], str, Any, Callable[[Any], Any] | None]
+
+
+class _Schema(NamedTuple):
+    order: tuple[str, ...]
+    names: frozenset[str]
+    required: frozenset[str]  # keys without a dataclass default
+    accepted: dict[str, frozenset[type]]  # JSON types allowed per key
+    expected: dict[str, str]  # the same, in words, for messages
+    decoders: tuple[tuple[str, Any], ...]  # an enum, a tuple reader or a dataclass
+    encoders: tuple[tuple[str, Callable[[Any], Any]], ...]
+
+
+def dump(obj: Any) -> dict[str, Any]:
+    """The dataclass as a JSON-ready dict, keys in field order."""
+    schema = _schema(type(obj))
+    payload = {name: getattr(obj, name) for name in schema.order}
+    for name, encode in schema.encoders:
+        if payload[name] is not None:
+            payload[name] = encode(payload[name])
+    return payload
+
+
+def load(
+    cls: type[Any],
+    payload: Any,
+    what: str,
+    error: type[HarnessError],
+    where: str = "",
+) -> Any:
+    """Build cls from a decoded JSON payload, or raise error.
+
+    what names the thing in messages ("run record", "config"); where
+    locates it (" at line 3").
+    """
+    schema = _schema(cls)
+    if not isinstance(payload, dict):
+        raise error(f"{what}{where} is not a JSON object, got {_kind(payload)}")
+    keys = payload.keys()
+    if keys != schema.names:
+        extra = sorted(keys - schema.names)
+        if extra:
+            raise error(
+                f"unknown {what} keys{where}: unexpected {extra}, "
+                f"expected {sorted(schema.names)}"
+            )
+        needed = schema.required if issubclass(error, UsageError) else schema.names
+        missing = sorted(needed - keys)
+        if missing:
+            raise error(f"{what}{where} is missing required keys {missing}")
+    accepted = schema.accepted
+    for name, value in payload.items():
+        if type(value) not in accepted[name]:
+            raise error(_bad_value(schema, name, value, what, where))
+    if schema.decoders:
+        payload = dict(payload)
+        for name, decode in schema.decoders:
+            value = payload.get(name)
+            if value is None:
+                continue
+            if dataclasses.is_dataclass(decode):
+                try:
+                    payload[name] = load(decode, value, name, error, where)
+                except error as exc:
+                    raise error(f"bad {what}: {exc}") from None
+                continue
+            try:
+                payload[name] = decode(value)
+            except ValueError:
+                raise error(_bad_value(schema, name, value, what, where)) from None
+    return cls(**payload)
+
+
+def _kind(value: Any) -> str:
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
+def _bad_value(schema: _Schema, name: str, value: Any, what: str, where: str) -> str:
+    return (
+        f"{what}{where}: {name!r} must be {schema.expected[name]}, "
+        f"got {_kind(value)} {value!r:.60}"
+    )
+
+
+@functools.cache
+def _schema(cls: type[Any]) -> _Schema:
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    codecs = {f.name: _codec(hints[f.name], f"{cls.__name__}.{f.name}") for f in fields}
+    return _Schema(
+        order=tuple(codecs),
+        names=frozenset(codecs),
+        required=frozenset(
+            f.name
+            for f in fields
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        ),
+        accepted={name: codec[0] for name, codec in codecs.items()},
+        expected={name: codec[1] for name, codec in codecs.items()},
+        decoders=tuple((name, c[2]) for name, c in codecs.items() if c[2] is not None),
+        encoders=tuple((name, c[3]) for name, c in codecs.items() if c[3] is not None),
+    )
+
+
+def _codec(hint: Any, where: str) -> _Codec:
+    """(accepted JSON types, description, decoder, encoder) for one annotation."""
+    origin = typing.get_origin(hint) or hint
+    args = typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union) and len(args) == 2 and _NONE in args:
+        inner = args[0] if args[1] is _NONE else args[1]
+        kinds, description, decode, encode = _codec(inner, where)
+        return kinds | {_NONE}, f"{description} or null", decode, encode
+    if origin is float:
+        return frozenset({float, int}), _JSON_KINDS[float], None, None
+    if origin in (str, int, bool, dict):
+        return frozenset({origin}), _JSON_KINDS[origin], None, None
+    if isinstance(origin, type) and issubclass(origin, Enum):
+        values = [member.value for member in origin]
+        kinds = frozenset(type(value) for value in values)
+        return kinds, f"one of {values}", origin, operator.attrgetter("value")
+    if origin is tuple and args[1:] == (Ellipsis,) and issubclass(args[0], Enum):
+        enum = args[0]
+        return (
+            frozenset({list}),
+            f"a list drawn from {[member.value for member in enum]}",
+            lambda items: tuple(map(enum, items)),
+            lambda members: [member.value for member in members],
+        )
+    if dataclasses.is_dataclass(origin):
+        return frozenset({dict}), _JSON_KINDS[dict], origin, dump
+    raise TypeError(f"{where}: unsupported annotation {hint!r}")

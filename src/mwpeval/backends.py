@@ -24,6 +24,7 @@ from typing import Any, Callable, Protocol
 
 import requests
 
+from ._schema import dump, load
 from .errors import BackendError, ConfigurationError, DataError, ScriptedLookupError
 from .prompting import GenerationParams, RenderedPrompt
 
@@ -50,12 +51,7 @@ class RetryPolicy:
         return min(self.base_delay * self.multiplier ** (attempt - 2), self.max_delay)
 
     def to_dict(self) -> dict[str, float | int]:
-        return {
-            "max_attempts": self.max_attempts,
-            "base_delay": self.base_delay,
-            "multiplier": self.multiplier,
-            "max_delay": self.max_delay,
-        }
+        return dump(self)
 
 
 @dataclass(frozen=True)
@@ -89,50 +85,11 @@ class ModelSpec:
         return None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "endpoint": self.endpoint,
-            "auth_env": self.auth_env,
-            "params": self.params.to_dict(),
-            "timeout": self.timeout,
-            "retry": self.retry.to_dict(),
-            "requests_per_second": self.requests_per_second,
-        }
+        return dump(self)
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ModelSpec":
-        if not isinstance(payload, dict):
-            raise ConfigurationError("model config must be a JSON object")
-        known = {
-            "name",
-            "endpoint",
-            "auth_env",
-            "params",
-            "timeout",
-            "retry",
-            "requests_per_second",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown model config keys: {sorted(unknown)}; known: {sorted(known)}"
-            )
-        if "name" not in payload or "endpoint" not in payload:
-            raise ConfigurationError("model config needs at least name and endpoint")
-        try:
-            params = GenerationParams(**payload.get("params", {}))
-            retry = RetryPolicy(**payload.get("retry", {}))
-        except TypeError as exc:
-            raise ConfigurationError(f"bad model config: {exc}") from exc
-        return cls(
-            name=payload["name"],
-            endpoint=payload["endpoint"],
-            auth_env=payload.get("auth_env"),
-            params=params,
-            timeout=payload.get("timeout", 120.0),
-            retry=retry,
-            requests_per_second=payload.get("requests_per_second", 2.0),
-        )
+        return load(cls, payload, "model config", ConfigurationError)
 
 
 @dataclass(frozen=True)

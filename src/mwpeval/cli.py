@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -48,6 +49,7 @@ from .runner import (
 from .triplets import (
     TOOL_VERSION,
     Dataset,
+    Rejection,
     ingest_gsm8k,
     ingest_mathdial,
     load_dataset,
@@ -81,10 +83,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise DataError(f"input file not found: {input_path}")
     output_path = Path(args.output)
 
+    rejections: list[Rejection] = []
     if args.source == "triplets":
         dataset = load_dataset(input_path)
         dataset = Dataset(dataset.triplets, source=args.source_name or dataset.source)
-        rejections = []
     else:
         field_map = None
         if args.field_map:
@@ -97,35 +99,33 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 raise UsageError(f"--field-map is not valid JSON: {exc}") from exc
             if not isinstance(field_map, dict):
                 raise UsageError("--field-map must be a JSON object")
-        records = []
-        parse_rejects = []
-        for index, item in _read_source_records(input_path):
+        # Rejections of both kinds are numbered by 0-based input line.
+        lines: list[int] = []
+        records: list[Any] = []
+        for lineno, item in _read_source_records(input_path):
             if isinstance(item, json.JSONDecodeError):
-                # keep a placeholder so ingest indices still match line order
-                parse_rejects.append(
-                    {"index": index, "reason": f"invalid JSON: {item}", "record_id": None}
-                )
-                records.append({})
+                rejections.append(Rejection(lineno, f"invalid JSON: {item}"))
             else:
+                lines.append(lineno)
                 records.append(item)
         source_name = args.source_name or args.source
         if args.source == "mathdial":
-            triplets, rejections = ingest_mathdial(records, field_map, source=source_name)
+            triplets, unmapped = ingest_mathdial(records, field_map, source=source_name)
         else:
-            triplets, rejections = ingest_gsm8k(records, source=source_name)
-        # a parse failure subsumes the placeholder's field rejection
-        parsed_bad = {r["index"] for r in parse_rejects}
-        rejections = parse_rejects + [
-            r.to_dict() for r in rejections if r.index not in parsed_bad
-        ]
+            triplets, unmapped = ingest_gsm8k(records, source=source_name)
+        rejections += [replace(r, index=lines[r.index]) for r in unmapped]
+        rejections.sort(key=lambda r: r.index)
         dataset = Dataset(triplets, source=source_name)
 
     save_dataset(dataset, output_path)
     rejects_path = Path(args.rejects) if args.rejects else Path(str(output_path) + ".rejects.json")
-    rejections_payload = [r if isinstance(r, dict) else r.to_dict() for r in rejections]
     rejects_path.write_text(
         json.dumps(
-            {"kept": len(dataset), "rejected": len(rejections_payload), "rejections": rejections_payload},
+            {
+                "kept": len(dataset),
+                "rejected": len(rejections),
+                "rejections": [r.to_dict() for r in rejections],
+            },
             ensure_ascii=False,
             indent=2,
         )
@@ -134,7 +134,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     )
     print(
         f"ingested {len(dataset)} triplets from {input_path} "
-        f"({len(rejections_payload)} rejected); digest {dataset.digest}"
+        f"({len(rejections)} rejected); digest {dataset.digest}"
     )
     print(f"wrote {output_path} and {rejects_path}")
     return 0

@@ -172,37 +172,13 @@ def extract(text: str) -> NumericAnswer | None:
     return None
 
 
-_STANDALONE = re.compile(
-    rf"""
-    [-+]?
-    [$€£]?
-    (?P<body>
-        \d{{1,3}}(?:,\d{{3}})+(?:\.\d+)?
-      | \d+\.\d+
-      | \d+(?:[ ]?/[ ]?(?!0+(?!\d))\d+)?
-      | \.\d+
-    )
-    %?
-    """,
-    re.VERBOSE,
-)
-
-
 def parse_numeric(text: str) -> NumericAnswer | None:
     """Parse a standalone numeric string, e.g. a stored reference value."""
     stripped = text.strip()
-    match = _STANDALONE.fullmatch(stripped)
+    match = _NUMBER_TOKEN.fullmatch(stripped)
     if match is None:
         return None
-    body = match.group("body").replace(",", "").replace(" ", "")
-    if "/" in body:
-        numerator, denominator = body.split("/")
-        value = Fraction(int(numerator), int(denominator))
-    else:
-        value = Fraction(body)
-    if stripped.lstrip("$€£").startswith("-") or stripped.startswith("-"):
-        value = -value
-    return NumericAnswer(value, stripped, RULE_LITERAL)
+    return NumericAnswer(_token_value(match), stripped, RULE_LITERAL)
 
 
 def equal(

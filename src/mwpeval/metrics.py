@@ -110,12 +110,6 @@ def dop_pass_rates(outcomes: Iterable[Outcome]) -> dict[DopLevel, float]:
     return {level: hits[level] / totals[level] for level in totals}
 
 
-def success_rate(outcomes: Sequence[Outcome]) -> float:
-    if not outcomes:
-        raise DataError("success rate is undefined over zero outcomes")
-    return sum(o.success for o in outcomes) / len(outcomes)
-
-
 def bootstrap_ci(
     observations: Sequence[T],
     statistic: Callable[[Sequence[T]], float],
@@ -150,8 +144,7 @@ UNDEFINED_MARK = "—"
 
 def round_rate(value: float, places: int = 3) -> float:
     """Half-up presentation rounding, e.g. 0.8595 -> 0.86 at 2 places."""
-    quantum = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(format_rate(value, places))
 
 
 def format_rate(value: float | None, places: int = 3) -> str:

@@ -23,6 +23,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
+from ._schema import dump
 from .errors import DataError, UsageError
 from .triplets import Triplet
 
@@ -103,7 +104,7 @@ class GenerationParams:
             raise UsageError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
     def to_dict(self) -> dict[str, float | int]:
-        return {"temperature": self.temperature, "max_tokens": self.max_tokens}
+        return dump(self)
 
 
 @dataclass(frozen=True)
@@ -244,11 +245,3 @@ def render(
         text=text,
         content_hash=compute_content_hash(template.template_id, text, params),
     )
-
-
-def list_templates(
-    custom_dir: str | Path | None = None,
-) -> list[tuple[str, str, str]]:
-    """(template_id, name, raw text) for every template in use."""
-    registry = TemplateRegistry.load(custom_dir)
-    return [(t.template_id, t.name, t.text) for t in registry.list()]

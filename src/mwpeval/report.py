@@ -14,7 +14,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .errors import DataError, VerificationError
+from ._schema import dump
+from .errors import DataError
 from .metrics import (
     QuadrantCounts,
     UNDEFINED_MARK,
@@ -37,7 +38,7 @@ class BootstrapSpec:
     seed: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {"resamples": self.resamples, "level": self.level, "seed": self.seed}
+        return dump(self)
 
 
 @dataclass(frozen=True)
@@ -498,12 +499,3 @@ def published_reports(path: str | Path | None = None) -> list[RateReport]:
     rendering through the normal report pipeline."""
     table = load_published(path)
     return [report_from_counts(row.counts, row.model) for row in table.rows]
-
-
-def require_verified(path: str | Path | None = None) -> VerificationReport:
-    report = verify_published(path)
-    if not report.ok:
-        raise VerificationError(
-            "published results failed verification:\n" + report.render()
-        )
-    return report

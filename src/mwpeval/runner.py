@@ -21,12 +21,13 @@ import logging
 import threading
 import uuid
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable
 
+from ._schema import dump, load
 from .backends import Backend, ModelSpec, create_backend
-from .errors import BackendError, DataError, UsageError
+from .errors import BackendError, ConfigurationError, DataError, UsageError
 from .prompting import (
     CORRECTION_MODES,
     HASH_ALGORITHM,
@@ -43,23 +44,6 @@ from .scoring import Outcome, score
 from .triplets import TOOL_VERSION, Dataset, Triplet, load_dataset
 
 log = logging.getLogger(__name__)
-
-RECORD_FIELDS = (
-    "run_id",
-    "triplet_id",
-    "model",
-    "task",
-    "dop",
-    "template_id",
-    "content_hash",
-    "prompt_text",
-    "response_text",
-    "error",
-    "attempts",
-    "latency_ms",
-    "created_at",
-)
-
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -80,9 +64,7 @@ class RunRecord:
     created_at: str
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {name: getattr(self, name) for name in RECORD_FIELDS}, ensure_ascii=False
-        )
+        return json.dumps(dump(self), ensure_ascii=False)
 
     @classmethod
     def from_json_line(cls, line: str, lineno: int | None = None) -> "RunRecord":
@@ -91,20 +73,16 @@ class RunRecord:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid record JSON{where}: {exc}") from exc
-        missing = [name for name in RECORD_FIELDS if name not in payload]
-        extra = [name for name in payload if name not in RECORD_FIELDS]
-        if missing or extra:
-            raise DataError(
-                f"run record{where} has wrong schema: missing={missing or None} "
-                f"unexpected={extra or None}"
-            )
-        return cls(**{name: payload[name] for name in RECORD_FIELDS})
+        return load(cls, payload, "run record", DataError, where)
 
     @property
     def mode(self) -> PromptMode:
         if self.task == TaskKind.REASONING.value:
             return REASONING_MODE
         return CORRECTION_MODES[DopLevel(self.dop)]
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
 @dataclass(frozen=True)
@@ -129,60 +107,11 @@ class ExperimentConfig:
             raise UsageError("tasks and modes must not repeat")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "dataset": self.dataset,
-            "model": self.model.to_dict(),
-            "output_dir": self.output_dir,
-            "tasks": [t.value for t in self.tasks],
-            "modes": [m.value for m in self.modes],
-            "concurrency": self.concurrency,
-            "templates_dir": self.templates_dir,
-            "retry_failed": self.retry_failed,
-        }
+        return dump(self)
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ExperimentConfig":
-        if not isinstance(payload, dict):
-            raise UsageError("experiment config must be a JSON object")
-        known = {
-            "dataset",
-            "model",
-            "output_dir",
-            "tasks",
-            "modes",
-            "concurrency",
-            "templates_dir",
-            "retry_failed",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise UsageError(
-                f"unknown config keys: {sorted(unknown)}; known: {sorted(known)}"
-            )
-        for required in ("dataset", "model", "output_dir"):
-            if required not in payload:
-                raise UsageError(f"config is missing required key {required!r}")
-        try:
-            tasks = tuple(TaskKind(t) for t in payload.get("tasks", ["reasoning", "correction"]))
-        except ValueError as exc:
-            raise UsageError(f"bad task name: {exc}") from exc
-        try:
-            modes = tuple(
-                DopLevel(m)
-                for m in payload.get("modes", [l.value for l in ALL_DOP_LEVELS])
-            )
-        except ValueError as exc:
-            raise UsageError(f"bad mode name: {exc}") from exc
-        return cls(
-            dataset=payload["dataset"],
-            model=ModelSpec.from_dict(payload["model"]),
-            output_dir=payload["output_dir"],
-            tasks=tasks,
-            modes=modes,
-            concurrency=payload.get("concurrency", 1),
-            templates_dir=payload.get("templates_dir"),
-            retry_failed=bool(payload.get("retry_failed", False)),
-        )
+        return load(cls, payload, "config", ConfigurationError)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -537,5 +466,5 @@ def load_scored(path: str | Path) -> list[Outcome]:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path} line {lineno}: invalid JSON: {exc}") from exc
-            outcomes.append(Outcome.from_dict(payload))
+            outcomes.append(Outcome.from_dict(payload, lineno))
     return outcomes

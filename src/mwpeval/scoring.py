@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
+from ._schema import dump, load
 from .errors import DataError
 from .extraction import DEFAULT_TOLERANCE, extract, equal
 from .prompting import DopLevel, TaskKind
@@ -45,48 +46,18 @@ class Outcome:
     reason: str
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "triplet_id": self.triplet_id,
-            "task": self.task.value,
-            "dop": self.dop.value if self.dop else None,
-            "model": self.model,
-            "template_id": self.template_id,
-            "extracted": self.extracted,
-            "success": self.success,
-            "reason": self.reason,
-        }
+        return dump(self)
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Outcome":
-        expected = {
-            "triplet_id",
-            "task",
-            "dop",
-            "model",
-            "template_id",
-            "extracted",
-            "success",
-            "reason",
-        }
-        missing = expected - set(payload)
-        extra = set(payload) - expected
-        if missing or extra:
+    def from_dict(cls, payload: dict[str, Any], lineno: int | None = None) -> "Outcome":
+        where = f" at line {lineno}" if lineno is not None else ""
+        outcome = load(cls, payload, "scored outcome", DataError, where)
+        if outcome.reason not in REASONS:
             raise DataError(
-                f"scored outcome has wrong schema: missing="
-                f"{sorted(missing) or None} unexpected={sorted(extra) or None}"
+                f"scored outcome{where}: unknown reason {outcome.reason!r}, "
+                f"expected one of {list(REASONS)}"
             )
-        if payload["reason"] not in REASONS:
-            raise DataError(f"unknown outcome reason {payload['reason']!r}")
-        return cls(
-            triplet_id=payload["triplet_id"],
-            task=TaskKind(payload["task"]),
-            dop=DopLevel(payload["dop"]) if payload["dop"] else None,
-            model=payload["model"],
-            template_id=payload["template_id"],
-            extracted=payload["extracted"],
-            success=bool(payload["success"]),
-            reason=payload["reason"],
-        )
+        return outcome
 
 
 def score(

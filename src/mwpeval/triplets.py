@@ -14,25 +14,14 @@ import datetime as _dt
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from . import __version__ as TOOL_VERSION
+from ._schema import dump, load
 from .errors import DataError
 from .extraction import NumericAnswer, extract, parse_numeric, scan_numbers
-
-TOOL_VERSION = "0.1.0"
-
-FIELD_ORDER = (
-    "id",
-    "question",
-    "reference_solution",
-    "reference_numeric",
-    "brief_explanation",
-    "wrong_solution",
-    "source",
-    "meta",
-)
 
 DEFAULT_MATHDIAL_FIELD_MAP = {
     "id": "qid",
@@ -98,8 +87,7 @@ class Triplet:
             )
 
     def to_json_line(self) -> str:
-        payload = {name: getattr(self, name) for name in FIELD_ORDER}
-        return json.dumps(payload, ensure_ascii=False)
+        return json.dumps(dump(self), ensure_ascii=False)
 
     @classmethod
     def from_json_line(cls, line: str, lineno: int | None = None) -> "Triplet":
@@ -108,18 +96,12 @@ class Triplet:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON{where}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise DataError(f"triplet line{where} is not a JSON object")
-        missing = [name for name in FIELD_ORDER if name not in payload]
-        extra = [name for name in payload if name not in FIELD_ORDER]
-        if missing or extra:
-            raise DataError(
-                f"triplet line{where} has wrong schema: "
-                f"missing={missing or None} unexpected={extra or None}"
-            )
-        triplet = cls(**{name: payload[name] for name in FIELD_ORDER})
+        triplet = load(cls, payload, "triplet", DataError, where)
         triplet.validate()
         return triplet
+
+
+FIELD_ORDER = tuple(f.name for f in fields(Triplet))
 
 
 def derive_brief_explanation(
@@ -238,7 +220,7 @@ class Rejection:
     record_id: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {"index": self.index, "reason": self.reason, "record_id": self.record_id}
+        return dump(self)
 
 
 def _require_text(record: dict[str, Any], key: str | None) -> str | None:

@@ -155,6 +155,33 @@ def test_ingest_reports_unparseable_lines_once(tmp_path):
     assert "invalid JSON" in rejects["rejections"][0]["reason"]
 
 
+def test_ingest_numbers_every_rejection_by_input_line(tmp_path):
+    source = tmp_path / "source.jsonl"
+    good = {
+        "qid": "md-1",
+        "question": "What is 6 times 9?",
+        "ground_truth": "Multiplying gives 6 * 9 = 54.",
+        "student_incorrect_solution": "6 + 9 = 15.",
+    }
+    source.write_text(
+        json.dumps(good) + "\n"
+        + "\n"
+        + "{this is not json\n"
+        + json.dumps({**good, "qid": "md-2"}) + "\n"
+        + json.dumps({**good, "qid": "md-3"}) + "\n",
+        encoding="utf-8",
+    )
+    output = tmp_path / "out.jsonl"
+    assert main(["ingest", "--source", "mathdial", "--input", str(source),
+                 "--output", str(output)]) == 0
+    rejects = json.loads(Path(str(output) + ".rejects.json").read_text())
+    assert rejects["kept"] == 3
+    assert rejects["rejected"] == 1
+    [only] = rejects["rejections"]
+    assert only["index"] == 2
+    assert only["reason"].startswith("invalid JSON")
+
+
 def test_ingest_gsm8k(tmp_path):
     source = tmp_path / "gsm.jsonl"
     source.write_text(
@@ -263,6 +290,25 @@ def test_report_with_bootstrap_records_the_spec(tmp_path, capsys):
     assert payload["bootstrap"] == {"resamples": 200, "level": 0.95, "seed": 11}
     row = payload["reports"][0]
     assert row["r_ci"][0] <= row["r_rate"] <= row["r_ci"][1]
+
+
+def test_report_on_a_malformed_scored_file_is_a_data_error(tmp_path, capsys):
+    row = {"triplet_id": "t01", "task": "solve", "dop": None, "model": "m",
+           "template_id": "reasoning@0", "extracted": "1", "success": True,
+           "reason": "matched"}
+    scored = tmp_path / "bad.jsonl"
+    scored.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    assert main(["report", "--scored", str(scored),
+                 "--out-dir", str(tmp_path / "report")]) == 2
+    err = capsys.readouterr().err
+    assert "'task'" in err and "line 1" in err
+
+
+def test_run_with_a_mistyped_model_field_is_a_usage_error(tmp_path, capsys):
+    model = {"name": "fixture-model", "endpoint": f"scripted:{SCRIPTED}", "timeout": "5"}
+    config = write_config(tmp_path, model=model)
+    assert main(["run", "--config", str(config)]) == 1
+    assert "'timeout'" in capsys.readouterr().err
 
 
 # inspect

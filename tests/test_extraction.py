@@ -203,5 +203,20 @@ def test_extract_from_marker_line(n):
     assert extract(f"working...\n#### {n}").value == n
 
 
+number_text = st.one_of(
+    st.text(alphabet="0123456789-+$€£%,./ x\t(=", max_size=40),
+    st.text(max_size=40),
+)
+
+
+@given(number_text)
+def test_every_scanned_token_reparses_standalone(text):
+    """scan_numbers and parse_numeric share one number grammar."""
+    for token in scan_numbers(text):
+        reparsed = parse_numeric(token.raw_span)
+        assert reparsed is not None, token.raw_span
+        assert reparsed.value == token.value
+
+
 def test_default_tolerance_value():
     assert DEFAULT_TOLERANCE == 1e-6

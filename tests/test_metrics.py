@@ -18,7 +18,6 @@ from mwpeval import (
     format_rate,
     quadrants,
     rates,
-    success_rate,
 )
 from mwpeval.metrics import UNDEFINED_MARK, round_rate
 from mwpeval.scoring import Outcome
@@ -133,15 +132,6 @@ def test_dop_pass_rates_refuse_mixed_models():
                    "dop": DopLevel.SP, "triplet_id": "t002"})
     with pytest.raises(DataError, match="mix models"):
         dop_pass_rates([a, b])
-
-
-def test_success_rate_plain_average():
-    outcomes = [
-        correction_outcome(1, DopLevel.SP, True),
-        correction_outcome(2, DopLevel.SP, False),
-        correction_outcome(3, DopLevel.SP, False),
-    ]
-    assert success_rate(outcomes) == pytest.approx(1 / 3)
 
 
 # bootstrap

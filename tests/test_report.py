@@ -12,7 +12,6 @@ from mwpeval import (
     DopLevel,
     QuadrantCounts,
     TaskKind,
-    VerificationError,
     build_reports,
     load_published,
     published_reports,
@@ -25,7 +24,6 @@ from mwpeval.report import (
     render_markdown,
     render_svg,
     report_from_counts,
-    require_verified,
 )
 from mwpeval.scoring import Outcome
 
@@ -235,10 +233,6 @@ def test_published_reports_render_through_the_pipeline():
     assert "| - |" in text.replace("  ", " ")
 
 
-def test_require_verified_passes_on_the_bundled_table():
-    assert require_verified().ok
-
-
 def test_broken_table_fails_verification(tmp_path):
     table = {
         "dataset_size": 100,
@@ -263,8 +257,6 @@ def test_broken_table_fails_verification(tmp_path):
     assert not row.sum_ok  # 40 != 100
     assert not row.r_ok
     assert "FAIL" in report.render()
-    with pytest.raises(VerificationError):
-        require_verified(path)
 
 
 def test_load_published_input_errors(tmp_path):
