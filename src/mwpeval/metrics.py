@@ -19,15 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .prompting import DopLevel, TaskKind
 from .scoring import JointOutcome, Outcome, Quadrant
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -110,15 +108,22 @@ def dop_pass_rates(outcomes: Iterable[Outcome]) -> dict[DopLevel, float]:
     return {level: hits[level] / totals[level] for level in totals}
 
 
+# Resamples drawn per index matrix: bounds the draw at _CHUNK x n int64
+# instead of resamples x n, without changing the generator's stream.
+_CHUNK = 100
+
+
 def bootstrap_ci(
-    observations: Sequence[T],
-    statistic: Callable[[Sequence[T]], float],
+    successes: Sequence[Any],
     resamples: int = 1000,
     level: float = 0.95,
     seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile bootstrap interval for statistic over observations.
+) -> list[tuple[float, float]]:
+    """Percentile bootstrap intervals for success rates.
 
+    successes holds one row per observation and one 0/1 column per rate
+    (a flat sequence is one column). Every column is resampled with the
+    same draw of rows, and one interval is returned per column.
     Deterministic for a given seed; record the seed wherever the
     interval is reported.
     """
@@ -126,17 +131,22 @@ def bootstrap_ci(
         raise DataError(f"resamples must be >= 100 for a usable interval, got {resamples}")
     if not 0 < level < 1:
         raise DataError(f"level must be in (0, 1), got {level}")
-    if not observations:
+    if len(successes) == 0:
         raise DataError("cannot bootstrap zero observations")
+    table = np.asarray(successes)
+    if not np.isin(table, (0, 1)).all():
+        raise DataError("bootstrap successes must all be 0 or 1")
+    n = len(table)
+    columns = table.astype(np.int64).reshape(n, -1).T.copy()
     rng = np.random.default_rng(seed)
-    n = len(observations)
-    stats = np.empty(resamples, dtype=float)
-    for i in range(resamples):
-        picks = rng.integers(0, n, size=n)
-        stats[i] = statistic([observations[j] for j in picks])
+    stats = np.empty((len(columns), resamples))
+    for start in range(0, resamples, _CHUNK):
+        picks = rng.integers(0, n, size=(min(_CHUNK, resamples - start), n))
+        for column, out in zip(columns, stats):
+            out[start : start + len(picks)] = column.take(picks).sum(axis=1) / n
     alpha = (1.0 - level) / 2.0
-    low, high = np.quantile(stats, [alpha, 1.0 - alpha])
-    return float(low), float(high)
+    lows, highs = np.quantile(stats, [alpha, 1.0 - alpha], axis=1)
+    return [(float(low), float(high)) for low, high in zip(lows, highs)]
 
 
 UNDEFINED_MARK = "—"

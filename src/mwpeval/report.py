@@ -131,16 +131,8 @@ def build_reports(
             e_r, e_c = e_ratios(counts)
             r_ci = c_ci = None
             if bootstrap is not None:
-                r_ci = bootstrap_ci(
-                    joints,
-                    lambda js: sum(j.reasoning_success for j in js) / len(js),
-                    resamples=bootstrap.resamples,
-                    level=bootstrap.level,
-                    seed=bootstrap.seed,
-                )
-                c_ci = bootstrap_ci(
-                    joints,
-                    lambda js: sum(j.correction_success for j in js) / len(js),
+                r_ci, c_ci = bootstrap_ci(
+                    [(j.reasoning_success, j.correction_success) for j in joints],
                     resamples=bootstrap.resamples,
                     level=bootstrap.level,
                     seed=bootstrap.seed,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import logging
+import os
 import threading
 import uuid
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -67,22 +68,33 @@ class RunRecord:
         return json.dumps(dump(self), ensure_ascii=False)
 
     @classmethod
-    def from_json_line(cls, line: str, lineno: int | None = None) -> "RunRecord":
+    def from_json_line(cls, line: str | bytes, lineno: int | None = None) -> "RunRecord":
         where = f" at line {lineno}" if lineno is not None else ""
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise DataError(f"invalid record JSON{where}: {exc}") from exc
         return load(cls, payload, "run record", DataError, where)
 
     @property
     def mode(self) -> PromptMode:
-        if self.task == TaskKind.REASONING.value:
-            return REASONING_MODE
-        return CORRECTION_MODES[DopLevel(self.dop)]
+        mode = _MODES_BY_FIELDS.get((self.task, self.dop))
+        if mode is None:
+            raise DataError(
+                f"record for triplet {self.triplet_id!r} has an unknown "
+                f"(task, dop) pair {(self.task, self.dop)!r}"
+            )
+        return mode
 
 
 RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+
+# RunRecord keeps task and dop as plain strings (cheaper to load than
+# enums); this table is the one place they are read back as a mode.
+_MODES_BY_FIELDS = {
+    (mode.task.value, mode.dop.value if mode.dop else None): mode
+    for mode in (REASONING_MODE, *CORRECTION_MODES.values())
+}
 
 
 @dataclass(frozen=True)
@@ -155,15 +167,19 @@ def load_records(path: str | Path, tolerate_torn_tail: bool = True) -> list[RunR
     path = Path(path)
     if not path.exists():
         return []
-    raw_lines = path.read_text(encoding="utf-8").splitlines()
+    # Split on newlines only: JSON written with ensure_ascii=False may hold
+    # U+2028 or U+0085, which str.splitlines would treat as line breaks.
+    lines = path.read_bytes().split(b"\n")
+    if not lines[-1]:
+        lines.pop()
     records: list[RunRecord] = []
-    for lineno, line in enumerate(raw_lines, start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             records.append(RunRecord.from_json_line(line, lineno))
         except DataError:
-            if tolerate_torn_tail and lineno == len(raw_lines):
+            if tolerate_torn_tail and lineno == len(lines):
                 log.warning(
                     "%s: dropping torn final record line %d (interrupted write)",
                     path,
@@ -172,6 +188,33 @@ def load_records(path: str | Path, tolerate_torn_tail: bool = True) -> list[RunR
                 continue
             raise
     return records
+
+
+def _mend_tail(path: Path) -> None:
+    """Make a log end in a whole line before appending to it: cut off a
+    torn final line (the one load_records drops), or end a whole final
+    record with its missing newline."""
+    if not path.exists():
+        return
+    with path.open("r+b") as handle:
+        start = size = handle.seek(0, os.SEEK_END)
+        tail = b""
+        while start and tail.find(b"\n", 0, len(tail) - 1) < 0:
+            step = min(start, 1 << 16)
+            start -= step
+            handle.seek(start)
+            tail = handle.read(step) + tail
+        line_start = start + tail.rfind(b"\n", 0, len(tail) - 1) + 1
+        line = tail[line_start - start :]
+        if line.strip():
+            try:
+                RunRecord.from_json_line(line)
+            except DataError:
+                handle.truncate(line_start)
+                return
+        if size and not line.endswith(b"\n"):
+            handle.seek(size)
+            handle.write(b"\n")
 
 
 def index_records(records: Iterable[RunRecord]) -> dict[tuple[str, str], RunRecord]:
@@ -269,6 +312,10 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
             previous = json.loads(identity_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise DataError(f"unreadable {identity_path}: {exc}") from exc
+        if not isinstance(previous, dict):
+            raise DataError(
+                f"{identity_path} must hold a JSON object, got {type(previous).__name__}"
+            )
         if previous.get("identity") != identity:
             raise DataError(
                 f"{run_dir} already holds records for a different "
@@ -286,6 +333,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
     )
 
     index = index_records(load_records(records_path))
+    _mend_tail(records_path)
     pending: list[_Cell] = []
     cached = 0
     for cell in cells:

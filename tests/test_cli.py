@@ -292,6 +292,22 @@ def test_report_with_bootstrap_records_the_spec(tmp_path, capsys):
     assert row["r_ci"][0] <= row["r_rate"] <= row["r_ci"][1]
 
 
+def test_rescore_of_a_record_with_an_unknown_task_is_a_data_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["run", "--config", str(config)]) == 0
+    log = tmp_path / "out" / "records.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["task"] = "solve"
+    lines[0] = json.dumps(record)
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["rescore", "--run", str(tmp_path / "out"), "--dataset",
+                 str(FIXTURE_DATASET), "--output", str(tmp_path / "scored.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "('solve', None)" in err and record["triplet_id"] in err
+
+
 def test_report_on_a_malformed_scored_file_is_a_data_error(tmp_path, capsys):
     row = {"triplet_id": "t01", "task": "solve", "dop": None, "model": "m",
            "template_id": "reasoning@0", "extracted": "1", "success": True,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -142,33 +145,62 @@ def mean(xs):
 
 
 def test_bootstrap_on_constant_data_is_degenerate():
-    low, high = bootstrap_ci([1.0] * 50, mean)
-    assert low == high == 1.0
+    assert bootstrap_ci([1] * 50) == [(1.0, 1.0)]
 
 
 def test_bootstrap_is_deterministic_per_seed():
-    data = [0.0] * 40 + [1.0] * 60
-    first = bootstrap_ci(data, mean, seed=7)
-    second = bootstrap_ci(data, mean, seed=7)
-    other = bootstrap_ci(data, mean, seed=8)
+    data = [0] * 40 + [1] * 60
+    first = bootstrap_ci(data, seed=7)
+    second = bootstrap_ci(data, seed=7)
+    other = bootstrap_ci(data, seed=8)
     assert first == second
     assert first != other
 
 
 def test_bootstrap_brackets_the_point_estimate():
-    data = [0.0] * 40 + [1.0] * 60
-    low, high = bootstrap_ci(data, mean)
+    data = [0] * 40 + [1] * 60
+    [(low, high)] = bootstrap_ci(data)
     assert low <= 0.6 <= high
     assert 0.0 < low < high < 1.0
 
 
 def test_bootstrap_input_validation():
     with pytest.raises(DataError, match="resamples"):
-        bootstrap_ci([1.0], mean, resamples=99)
+        bootstrap_ci([1], resamples=99)
     with pytest.raises(DataError, match="level"):
-        bootstrap_ci([1.0], mean, level=1.0)
+        bootstrap_ci([1], level=1.0)
     with pytest.raises(DataError, match="zero observations"):
-        bootstrap_ci([], mean)
+        bootstrap_ci([])
+    with pytest.raises(DataError, match="0 or 1"):
+        bootstrap_ci([0.5, 1.0])
+
+
+def oracle_bootstrap(column, resamples, level, seed):
+    """The per-resample loop bootstrap_ci replaced, kept as the reference
+    its intervals must equal to the bit."""
+    rng = np.random.default_rng(seed)
+    n = len(column)
+    stats = np.empty(resamples, dtype=float)
+    for i in range(resamples):
+        picks = rng.integers(0, n, size=n)
+        stats[i] = sum(column[j] for j in picks) / n
+    alpha = (1.0 - level) / 2.0
+    low, high = np.quantile(stats, [alpha, 1.0 - alpha])
+    return float(low), float(high)
+
+
+@pytest.mark.parametrize("n", [7, 20, 401, 1000])
+@pytest.mark.parametrize("resamples", [100, 250, 1001])
+def test_bootstrap_matches_the_per_resample_loop_bit_for_bit(n, resamples):
+    rnd = random.Random(n * resamples)
+    r = [rnd.random() < 0.7 for _ in range(n)]
+    c = [rnd.random() < 0.4 for _ in range(n)]
+    seed = n + resamples
+    expected = [oracle_bootstrap(col, resamples, 0.9, seed) for col in (r, c)]
+    assert bootstrap_ci(list(zip(r, c)), resamples, 0.9, seed) == expected
+    assert bootstrap_ci(r, resamples, 0.9, seed) == expected[:1]
+    assert bootstrap_ci([[x] for x in c], resamples, 0.9, seed) == expected[1:]
+
 
 
 # presentation rounding

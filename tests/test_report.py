@@ -108,6 +108,12 @@ def test_bootstrap_intervals_bracket_their_rates():
     assert again.r_ci == report.r_ci and again.c_ci == report.c_ci
 
 
+def test_bootstrap_intervals_match_earlier_versions_bit_for_bit():
+    report = build_reports(sp_outcomes(), bootstrap=BootstrapSpec(resamples=200, seed=3))[0]
+    assert report.r_ci == (0.5, 0.9012500000000003)
+    assert report.c_ci == (0.25, 0.75)
+
+
 # rendering
 
 

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwpeval import (
     DataError,
@@ -99,6 +103,15 @@ def test_record_mode_property():
     assert record_with(task="correction", dop="dop_be").mode.key == "correction|dop_be"
 
 
+@pytest.mark.parametrize(
+    "task, dop",
+    [("solve", None), ("correction", None), ("reasoning", "sp"), ("correction", "dop_xx")],
+)
+def test_record_mode_refuses_unknown_pairs(task, dop):
+    with pytest.raises(DataError, match=r"triplet 'x01'.*unknown \(task, dop\) pair"):
+        record_with(task=task, dop=dop).mode
+
+
 def test_load_records_missing_file_is_empty(tmp_path):
     assert load_records(tmp_path / "records.jsonl") == []
 
@@ -117,6 +130,22 @@ def test_torn_middle_line_is_corruption(tmp_path):
     path.write_text("{torn\n" + good + "\n", encoding="utf-8")
     with pytest.raises(DataError, match="line 1"):
         load_records(path)
+
+
+def test_torn_multibyte_tail_is_dropped(tmp_path):
+    path = tmp_path / "records.jsonl"
+    good = record_with().to_json_line().encode()
+    wide = record_with(prompt_text="€" * 20).to_json_line().encode()
+    cut = wide.index("€".encode()) + 1  # inside the first euro sign
+    path.write_bytes(good + b"\n" + wide[:cut])
+    assert load_records(path) == [record_with()]
+
+
+def test_line_separators_inside_strings_are_not_line_breaks(tmp_path):
+    path = tmp_path / "records.jsonl"
+    record = record_with(response_text="a\u2028b\u0085c #### 24")
+    path.write_text(record.to_json_line() + "\n", encoding="utf-8")
+    assert load_records(path) == [record]
 
 
 def test_torn_tail_can_be_made_strict(tmp_path):
@@ -266,6 +295,59 @@ def test_interrupted_run_resumes_without_redoing_work(tmp_path):
     assert first.inner.calls + second.calls == summary.total_cells
 
 
+def complete_log(directory: Path) -> bytes:
+    config = sp_config(directory)
+    run(config, backend=ScriptedBackend(SCRIPTED))
+    return (directory / "records.jsonl").read_bytes()
+
+
+def test_resume_after_a_torn_tail_appends_on_a_fresh_line(tmp_path):
+    lines = complete_log(tmp_path / "full").splitlines(keepends=True)
+    out = tmp_path / "out"
+    shutil.copytree(tmp_path / "full", out)
+    (out / "records.jsonl").write_bytes(b"".join(lines[:10]) + lines[10][:-40])
+    config = sp_config(out)
+    first = run(config, backend=ScriptedBackend(SCRIPTED))
+    assert (first.cached, first.fresh) == (10, 30)
+    second = run(config, backend=ScriptedBackend(SCRIPTED))
+    assert (second.cached, second.fresh) == (40, 0)
+    assert len(load_records(out / "records.jsonl", tolerate_torn_tail=False)) == 40
+
+
+def test_a_whole_final_record_without_newline_is_kept(tmp_path):
+    log = complete_log(tmp_path / "out")
+    path = tmp_path / "out" / "records.jsonl"
+    path.write_bytes(log[:-1])
+    summary = run(sp_config(tmp_path / "out"), backend=ScriptedBackend(SCRIPTED))
+    assert (summary.cached, summary.fresh) == (40, 0)
+    assert path.read_bytes() == log
+
+
+@pytest.fixture(scope="module")
+def fixture_log(tmp_path_factory) -> tuple[Path, bytes]:
+    directory = tmp_path_factory.mktemp("full") / "out"
+    return directory, complete_log(directory)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_torn_tail_resumes_twice_with_each_cell_once(fixture_log, data):
+    directory, log = fixture_log
+    offset = data.draw(st.integers(0, len(log)), label="offset")
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "out"
+        shutil.copytree(directory, out)
+        (out / "records.jsonl").write_bytes(log[:offset])
+        config = sp_config(out)
+        for _ in range(2):
+            summary = run(config, backend=ScriptedBackend(SCRIPTED))
+            assert summary.cached + summary.fresh == 40
+        assert summary.fresh == 0
+        records = load_records(out / "records.jsonl", tolerate_torn_tail=False)
+        hashes = [r.content_hash for r in records]
+        assert len(hashes) == len(set(hashes)) == 40
+
+
 def test_failed_cells_record_the_error_and_retry_on_request(tmp_path):
     # a scripted file missing one key produces one failed cell
     rows = [json.loads(l) for l in SCRIPTED.read_text().splitlines() if l.strip()]
@@ -311,6 +393,14 @@ def test_output_dir_is_bound_to_its_identity(tmp_path):
     with pytest.raises(DataError, match="fresh output_dir"):
         run(sp_config(tmp_path / "out", dataset=str(other)),
             backend=ScriptedBackend(SCRIPTED))
+
+
+def test_a_config_json_that_is_not_an_object_is_a_data_error(tmp_path):
+    config = sp_config(tmp_path / "out")
+    run(config, backend=ScriptedBackend(SCRIPTED))
+    (tmp_path / "out" / "config.json").write_text("[1]\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"config\.json must hold a JSON object, got list"):
+        run(config, backend=ScriptedBackend(SCRIPTED))
 
 
 def test_concurrency_reaches_the_same_records(tmp_path):
