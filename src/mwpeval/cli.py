@@ -151,6 +151,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             if summary.skipped_reasoning_only
             else ""
         )
+        + (
+            f", {summary.skipped_no_explanation} dop_be cells without a brief "
+            "explanation skipped"
+            if summary.skipped_no_explanation
+            else ""
+        )
     )
     if summary.failed:
         print(

@@ -45,8 +45,12 @@ _SIGN_CONTEXT = r"(?<![^\s(=+\-*/^,:;<>\[{|&~$€£])"
 
 # Denominators that are all zeros are excluded at the pattern level so
 # that token parsing is total and "5/0" reads as the numbers 5 and 0.
+# The leading lookahead matches nothing new: every token starts with a
+# sign, a currency symbol, a digit or a dot. It lets the scanner reject
+# every other position in one step instead of trying each alternative.
 _NUMBER_TOKEN = re.compile(
     rf"""
+    (?=[-+$€£.\d])
     (?P<sign>{_SIGN_CONTEXT}[-+])?
     (?P<currency>[$€£])?
     (?P<body>
@@ -145,40 +149,41 @@ def _iter_lines(text: str) -> Iterator[tuple[str, int]]:
 
 def extract(text: str) -> NumericAnswer | None:
     """Extract the final numeric answer from text, or None."""
-    tokens = scan_numbers(text)
+    # Only the winning token's value is ever used, so tokens stay match
+    # objects and _token_value runs once, on the winner.
+    tokens = list(_NUMBER_TOKEN.finditer(text))
 
     marker_at = text.rfind(MARKER)
     if marker_at != -1:
         after = marker_at + len(MARKER)
         for token in tokens:
-            if token.start >= after:
-                return NumericAnswer(token.value, token.raw_span, RULE_MARKER)
+            if token.start() >= after:
+                return _answer(token, RULE_MARKER)
 
     answer_span: tuple[int, int] | None = None
     for line, start in _iter_lines(text):
         if _ANSWER_LINE.search(line):
             answer_span = (start, start + len(line))
     if answer_span is not None:
-        in_line = [
-            t for t in tokens if t.start >= answer_span[0] and t.end <= answer_span[1]
-        ]
-        if in_line:
-            token = in_line[-1]
-            return NumericAnswer(token.value, token.raw_span, RULE_ANSWER_LINE)
+        for token in reversed(tokens):
+            if token.start() >= answer_span[0] and token.end() <= answer_span[1]:
+                return _answer(token, RULE_ANSWER_LINE)
 
     if tokens:
-        token = tokens[-1]
-        return NumericAnswer(token.value, token.raw_span, RULE_LAST_NUMBER)
+        return _answer(tokens[-1], RULE_LAST_NUMBER)
     return None
+
+
+def _answer(match: re.Match[str], rule: str) -> NumericAnswer:
+    return NumericAnswer(_token_value(match), match.group(0), rule)
 
 
 def parse_numeric(text: str) -> NumericAnswer | None:
     """Parse a standalone numeric string, e.g. a stored reference value."""
-    stripped = text.strip()
-    match = _NUMBER_TOKEN.fullmatch(stripped)
+    match = _NUMBER_TOKEN.fullmatch(text.strip())
     if match is None:
         return None
-    return NumericAnswer(_token_value(match), stripped, RULE_LITERAL)
+    return _answer(match, RULE_LITERAL)
 
 
 def equal(

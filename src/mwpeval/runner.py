@@ -146,6 +146,7 @@ class RunSummary:
     fresh: int
     failed: int
     skipped_reasoning_only: int
+    skipped_no_explanation: int
 
 
 @dataclass(frozen=True)
@@ -167,26 +168,28 @@ def load_records(path: str | Path, tolerate_torn_tail: bool = True) -> list[RunR
     path = Path(path)
     if not path.exists():
         return []
-    # Split on newlines only: JSON written with ensure_ascii=False may hold
-    # U+2028 or U+0085, which str.splitlines would treat as line breaks.
-    lines = path.read_bytes().split(b"\n")
-    if not lines[-1]:
-        lines.pop()
     records: list[RunRecord] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(RunRecord.from_json_line(line, lineno))
-        except DataError:
-            if tolerate_torn_tail and lineno == len(lines):
-                log.warning(
-                    "%s: dropping torn final record line %d (interrupted write)",
-                    path,
-                    lineno,
-                )
+    torn: tuple[int, DataError] | None = None
+    # Binary lines split on b"\n" only: JSON written with ensure_ascii=False
+    # may hold U+2028 or U+0085, which text-mode line splitting would break.
+    with path.open("rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if torn is not None:
+                raise torn[1]  # a line followed the torn one
+            if not line.strip():
                 continue
-            raise
+            try:
+                records.append(RunRecord.from_json_line(line.rstrip(b"\n"), lineno))
+            except DataError as exc:
+                if not tolerate_torn_tail:
+                    raise
+                torn = (lineno, exc)
+    if torn is not None:
+        log.warning(
+            "%s: dropping torn final record line %d (interrupted write)",
+            path,
+            torn[0],
+        )
     return records
 
 
@@ -232,11 +235,14 @@ def index_records(records: Iterable[RunRecord]) -> dict[tuple[str, str], RunReco
 
 def build_cells(
     dataset: Dataset, config: ExperimentConfig, registry: TemplateRegistry
-) -> tuple[list[_Cell], int]:
+) -> tuple[list[_Cell], int, int]:
     """All (triplet, task, mode) cells, with reasoning-only triplets
-    excluded from correction. Returns (cells, skipped correction cells)."""
+    excluded from correction and triplets without a brief explanation
+    excluded from dop_be. Returns (cells, skipped reasoning-only cells,
+    skipped cells without an explanation)."""
     cells: list[_Cell] = []
     skipped = 0
+    no_explanation = 0
     for task in config.tasks:
         if task is TaskKind.REASONING:
             for triplet in dataset:
@@ -249,6 +255,9 @@ def build_cells(
                 for triplet in dataset:
                     if triplet.reasoning_only:
                         skipped += 1
+                        continue
+                    if mode_level is DopLevel.BE and triplet.brief_explanation is None:
+                        no_explanation += 1
                         continue
                     cells.append(
                         _Cell(triplet, render(triplet, mode, config.model.params, registry))
@@ -268,7 +277,12 @@ def build_cells(
         log.warning(
             "excluded %d correction cells for reasoning-only triplets", skipped
         )
-    return cells, skipped
+    if no_explanation:
+        log.warning(
+            "excluded %d dop_be cells for triplets without a brief explanation",
+            no_explanation,
+        )
+    return cells, skipped, no_explanation
 
 
 class _RecordWriter:
@@ -300,7 +314,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
     """Execute (or resume) the experiment described by config."""
     dataset = load_dataset(config.dataset)
     registry = TemplateRegistry.load(config.templates_dir)
-    cells, skipped = build_cells(dataset, config, registry)
+    cells, skipped, no_explanation = build_cells(dataset, config, registry)
 
     run_dir = Path(config.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -431,6 +445,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
             "fresh": fresh,
             "failed": failed,
             "skipped_reasoning_only": skipped,
+            "skipped_no_explanation": no_explanation,
         },
     }
     (run_dir / "manifest.json").write_text(
@@ -445,6 +460,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
         fresh=fresh,
         failed=failed,
         skipped_reasoning_only=skipped,
+        skipped_no_explanation=no_explanation,
     )
 
 

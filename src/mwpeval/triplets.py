@@ -91,14 +91,14 @@ class Triplet:
 
     @classmethod
     def from_json_line(cls, line: str, lineno: int | None = None) -> "Triplet":
+        """Decode one JSONL row and check its keys and value types.
+        Values are validated once, when a Dataset is built."""
         where = f" at line {lineno}" if lineno is not None else ""
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON{where}: {exc}") from exc
-        triplet = load(cls, payload, "triplet", DataError, where)
-        triplet.validate()
-        return triplet
+        return load(cls, payload, "triplet", DataError, where)
 
 
 FIELD_ORDER = tuple(f.name for f in fields(Triplet))
@@ -121,7 +121,8 @@ def derive_brief_explanation(
 
 
 class Dataset:
-    """Ordered triplets plus identifying metadata and a content digest."""
+    """Ordered triplets plus identifying metadata and a content digest.
+    Building one validates every triplet."""
 
     def __init__(
         self,

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from mwpeval import Dataset, Triplet, load_dataset
+from mwpeval import Dataset, Triplet, load_dataset, save_dataset
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -41,3 +42,25 @@ def fixture_dataset() -> Dataset:
 @pytest.fixture()
 def scripted_path() -> Path:
     return DATA_DIR / "scripted_responses.jsonl"
+
+
+def fixture_without_explanation(tmp_path: Path, triplet_id: str) -> tuple[Path, Path]:
+    """The fixture dataset with one triplet's brief explanation nulled,
+    and scripted responses that also answer every dop_be cell."""
+    fixture = load_dataset(DATA_DIR / "fixture_triplets.jsonl")
+    nulled = Dataset(
+        [
+            dataclasses.replace(t, brief_explanation=None) if t.id == triplet_id else t
+            for t in fixture
+        ],
+        source="fixture-nulled",
+    )
+    dataset_path = save_dataset(nulled, tmp_path / "nulled.jsonl")
+    scripted_path = tmp_path / "scripted.jsonl"
+    with scripted_path.open("w", encoding="utf-8") as handle:
+        for row in read_jsonl(DATA_DIR / "scripted_responses.jsonl"):
+            handle.write(json.dumps(row) + "\n")
+            if row["key"].endswith("|correction|sp"):
+                be_key = row["key"].replace("|sp", "|dop_be")
+                handle.write(json.dumps({**row, "key": be_key}) + "\n")
+    return dataset_path, scripted_path

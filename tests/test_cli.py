@@ -9,7 +9,7 @@ import pytest
 
 from mwpeval.cli import main
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, fixture_without_explanation
 
 FIXTURE_DATASET = DATA_DIR / "fixture_triplets.jsonl"
 SCRIPTED = DATA_DIR / "scripted_responses.jsonl"
@@ -219,6 +219,20 @@ def test_ingest_bad_field_map_is_a_usage_error(tmp_path, capsys):
 
 
 # run, rescore, report pipeline
+
+
+def test_run_reports_dop_be_cells_skipped_for_a_missing_explanation(tmp_path, capsys):
+    dataset_path, scripted_path = fixture_without_explanation(tmp_path, "t05")
+    config = write_config(
+        tmp_path,
+        dataset=str(dataset_path),
+        model={"name": "fixture-model", "endpoint": f"scripted:{scripted_path}"},
+        modes=["dop_be"],
+    )
+    assert main(["run", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "39 cells, 0 cached, 39 fresh, 0 failed" in out
+    assert "1 dop_be cells without a brief explanation skipped" in out
 
 
 def test_pipeline_end_to_end(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mwpeval.extraction import (
+    _NUMBER_TOKEN,
     DEFAULT_TOLERANCE,
+    MARKER,
     NumericAnswer,
     equal,
     extract,
@@ -216,6 +219,78 @@ def test_every_scanned_token_reparses_standalone(text):
         reparsed = parse_numeric(token.raw_span)
         assert reparsed is not None, token.raw_span
         assert reparsed.value == token.value
+
+
+# The token pattern without its leading lookahead: the oracle for the
+# guarded scanner, which must match exactly the same spans and groups.
+UNGUARDED_TOKEN = re.compile(
+    r"""
+    (?P<sign>(?<![^\s(=+\-*/^,:;<>\[{|&~$€£])[-+])?
+    (?P<currency>[$€£])?
+    (?P<body>
+        \d{1,3}(?:,\d{3})+(?:\.\d+)?
+      | \d+\.\d+
+      | \d+(?:[ ]?/[ ]?(?!0+(?!\d))\d+)?
+      | \.\d+
+    )
+    (?P<percent>%)?
+    """,
+    re.VERBOSE,
+)
+
+
+def eager_extract(text):
+    """The extraction rules over scan_numbers, converting every token."""
+    tokens = scan_numbers(text)
+    marker_at = text.rfind(MARKER)
+    if marker_at != -1:
+        after = marker_at + len(MARKER)
+        for token in tokens:
+            if token.start >= after:
+                return token.value, token.raw_span, "marker"
+    answer_span = None
+    offset = 0
+    for raw in text.splitlines(keepends=True):
+        line = (raw.splitlines() or [""])[0]
+        if re.search(r"final\s+answer|answer\s*:|the\s+answer\s+is", line, re.IGNORECASE):
+            answer_span = (offset, offset + len(line))
+        offset += len(raw)
+    if answer_span is not None:
+        in_line = [t for t in tokens if t.start >= answer_span[0] and t.end <= answer_span[1]]
+        if in_line:
+            return in_line[-1].value, in_line[-1].raw_span, "answer-line"
+    if tokens:
+        return tokens[-1].value, tokens[-1].raw_span, "last-number"
+    return None
+
+
+scanner_text = st.lists(
+    st.one_of(
+        st.text(alphabet="0123456789٣٤-+$€£.,/% abxyzé\n", max_size=12),
+        st.sampled_from(["####", "answer: ", "The answer is ", "Final answer", "\u2028"]),
+    ),
+    max_size=12,
+).map("".join)
+
+
+@given(scanner_text)
+def test_scanner_guard_changes_no_match(text):
+    def matches(pattern):
+        return [(m.span(), m.groupdict()) for m in pattern.finditer(text)]
+
+    assert matches(_NUMBER_TOKEN) == matches(UNGUARDED_TOKEN)
+
+
+@given(scanner_text)
+def test_lazy_extract_agrees_with_the_eager_rules(text):
+    got = extract(text)
+    expected = eager_extract(text)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.value, got.raw_span, got.rule) == expected
+        assert type(got.value) is Fraction
 
 
 def test_default_tolerance_value():

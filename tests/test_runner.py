@@ -21,6 +21,7 @@ from mwpeval import (
     TaskKind,
     Triplet,
     UsageError,
+    build_reports,
     load_records,
     load_scored,
     rescore,
@@ -31,7 +32,7 @@ from mwpeval import (
 from mwpeval.prompting import TemplateRegistry
 from mwpeval.runner import RunRecord, build_cells, index_records
 
-from conftest import DATA_DIR, make_triplet
+from conftest import DATA_DIR, fixture_without_explanation, make_triplet
 
 FIXTURE_DATASET = DATA_DIR / "fixture_triplets.jsonl"
 SCRIPTED = DATA_DIR / "scripted_responses.jsonl"
@@ -148,6 +149,15 @@ def test_line_separators_inside_strings_are_not_line_breaks(tmp_path):
     assert load_records(path) == [record]
 
 
+@pytest.mark.parametrize("after", ["\n", "   \n", " \t"])
+def test_a_torn_line_followed_by_a_blank_line_is_corruption(tmp_path, after):
+    path = tmp_path / "records.jsonl"
+    good = record_with().to_json_line()
+    path.write_text(good + "\n" + good[:-5] + "\n" + after, encoding="utf-8")
+    with pytest.raises(DataError, match="line 2"):
+        load_records(path)
+
+
 def test_torn_tail_can_be_made_strict(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text(record_with().to_json_line()[:-5], encoding="utf-8")
@@ -173,9 +183,9 @@ def test_index_keeps_latest_but_never_drops_a_success():
 def test_build_cells_covers_tasks_times_modes(fixture_dataset, tmp_path):
     config = sp_config(tmp_path, modes=tuple(DopLevel))
     registry = TemplateRegistry.load()
-    cells, skipped = build_cells(fixture_dataset, config, registry)
+    cells, skipped, no_explanation = build_cells(fixture_dataset, config, registry)
     assert len(cells) == 20 + 20 * 4
-    assert skipped == 0
+    assert skipped == no_explanation == 0
 
 
 def test_build_cells_skips_reasoning_only_in_correction(tmp_path):
@@ -189,8 +199,9 @@ def test_build_cells_skips_reasoning_only_in_correction(tmp_path):
     )
     dataset = Dataset([make_triplet(), solver_only])
     config = sp_config(tmp_path, modes=(DopLevel.SP, DopLevel.NA))
-    cells, skipped = build_cells(dataset, config, TemplateRegistry.load())
+    cells, skipped, no_explanation = build_cells(dataset, config, TemplateRegistry.load())
     assert skipped == 2  # one per correction mode
+    assert no_explanation == 0
     assert len(cells) == 2 + 2
 
 
@@ -260,6 +271,7 @@ def test_run_completes_all_cells(tmp_path):
         "fresh": 40,
         "failed": 0,
         "skipped_reasoning_only": 0,
+        "skipped_no_explanation": 0,
     }
     assert manifest["model"] == "fixture-model"
     assert len(manifest["dataset"]["digest"]) == 64
@@ -346,6 +358,31 @@ def test_any_torn_tail_resumes_twice_with_each_cell_once(fixture_log, data):
         records = load_records(out / "records.jsonl", tolerate_torn_tail=False)
         hashes = [r.content_hash for r in records]
         assert len(hashes) == len(set(hashes)) == 40
+
+
+def test_dop_be_skips_triplets_without_an_explanation(tmp_path):
+    dataset_path, scripted_path = fixture_without_explanation(tmp_path, "t05")
+    config = sp_config(
+        tmp_path / "out",
+        dataset=str(dataset_path),
+        model=ModelSpec(name="fixture-model", endpoint=f"scripted:{scripted_path}"),
+        modes=(DopLevel.SP, DopLevel.BE),
+    )
+    summary = run(config)
+    assert summary.skipped_no_explanation == 1
+    assert (summary.total_cells, summary.fresh, summary.failed) == (59, 59, 0)
+    manifest = json.loads((summary.run_dir / "manifest.json").read_text())
+    assert manifest["cells"]["skipped_no_explanation"] == 1
+
+    outcomes = rescore(config.output_dir, config.dataset)
+    ids = {
+        mode: {o.triplet_id for o in outcomes if o.dop is mode}
+        for mode in (None, DopLevel.SP, DopLevel.BE)
+    }
+    assert "t05" in ids[None] and "t05" in ids[DopLevel.SP]
+    assert ids[DopLevel.BE] == ids[DopLevel.SP] - {"t05"}
+    totals = {report.mode: report.counts.n for report in build_reports(outcomes)}
+    assert totals == {DopLevel.SP: 20, DopLevel.BE: 19}
 
 
 def test_failed_cells_record_the_error_and_retry_on_request(tmp_path):

@@ -137,6 +137,31 @@ def test_load_reports_line_number_on_bad_row(tmp_path):
         load_dataset(path)
 
 
+def test_load_dataset_validates_each_row_once(monkeypatch):
+    calls = []
+    validate = Triplet.validate
+
+    def counted(self):
+        calls.append(self.id)
+        validate(self)
+
+    monkeypatch.setattr(Triplet, "validate", counted)
+    dataset = load_dataset(DATA_DIR / "fixture_triplets.jsonl")
+    assert sorted(calls) == sorted(t.id for t in dataset)
+    assert len(calls) == len(dataset) == 20
+
+
+def test_load_dataset_refuses_a_reference_that_does_not_extract(tmp_path):
+    path = tmp_path / "set.jsonl"
+    bad = make_triplet(id="x02", reference_numeric="25")
+    path.write_text(
+        make_triplet().to_json_line() + "\n" + bad.to_json_line() + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match="x02: reference_solution extracts '24'"):
+        load_dataset(path)
+
+
 def test_missing_dataset_file_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_dataset(tmp_path / "absent.jsonl")
