@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, Protocol
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from ._schema import dump, load
 from .errors import BackendError, ConfigurationError, DataError, ScriptedLookupError
@@ -195,7 +196,10 @@ class HttpChatBackend:
 
     Retries 429, 5xx and transport failures with exponential backoff and
     full jitter; any other status is treated as permanent. Jitter only
-    shifts timing, never content.
+    shifts timing, never content. A session the backend creates keeps a
+    connection pool of max(concurrency, 10), so `concurrency` threads
+    calling complete() at once never discard connections; a session the
+    caller supplies is used as given.
     """
 
     def __init__(
@@ -205,6 +209,7 @@ class HttpChatBackend:
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
         limiter: RateLimiter | None = None,
+        concurrency: int = 1,
     ) -> None:
         self._spec = spec
         self._headers = {"Content-Type": "application/json"}
@@ -216,7 +221,12 @@ class HttpChatBackend:
                     f"hold the credential for {spec.name}"
                 )
             self._headers["Authorization"] = f"Bearer {secret}"
-        self._session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=max(concurrency, 10))
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self._session = session
         self._sleep = sleep
         self._rng = rng or random.Random()
         self._limiter = limiter or RateLimiter(spec.requests_per_second)
@@ -285,9 +295,10 @@ class HttpChatBackend:
         )
 
 
-def create_backend(spec: ModelSpec) -> Backend:
-    """Scripted backend for scripted: endpoints, HTTP otherwise."""
+def create_backend(spec: ModelSpec, concurrency: int = 1) -> Backend:
+    """Scripted backend for scripted: endpoints, HTTP otherwise, sized
+    for `concurrency` threads calling complete() at once."""
     scripted = spec.scripted_path
     if scripted is not None:
         return ScriptedBackend(scripted)
-    return HttpChatBackend(spec)
+    return HttpChatBackend(spec, concurrency=concurrency)

@@ -16,15 +16,15 @@ ready for resumption.
 from __future__ import annotations
 
 import datetime as _dt
+import fcntl
 import json
 import logging
 import os
 import threading
 import uuid
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from ._schema import dump, load
 from .backends import Backend, ModelSpec, create_backend
@@ -286,10 +286,22 @@ def build_cells(
 
 
 class _RecordWriter:
-    """Serialized append-and-flush so each record lands as one full line."""
+    """Serialized append-and-flush so each record lands as one full line.
+
+    The log's handle also carries an exclusive advisory lock for as long
+    as the writer is open, so an output dir admits one run at a time.
+    """
 
     def __init__(self, path: Path) -> None:
         self._handle = path.open("a", encoding="utf-8")
+        try:
+            fcntl.flock(self._handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            self._handle.close()
+            raise UsageError(
+                f"{path.parent} is in use by another run; an output dir "
+                "admits one writer at a time"
+            ) from None
         self._lock = threading.Lock()
 
     def append(self, record: RunRecord) -> None:
@@ -310,6 +322,81 @@ def _cache_identity(config: ExperimentConfig, dataset: Dataset, registry: Templa
     }
 
 
+def _dispatch(
+    cells: list[_Cell], work: Callable[[_Cell], bool], concurrency: int
+) -> tuple[int, int]:
+    """Complete cells on min(concurrency, len(cells)) threads. Each
+    thread pulls the next cell when it finishes one, so exactly
+    `concurrency` cells are in flight. Returns (succeeded, failed).
+
+    The first exception (from a worker, from starting one, or a
+    KeyboardInterrupt reaching the waiting main thread) stops all
+    further pulls; cells in flight finish, and that exception is
+    re-raised once every worker is joined.
+    """
+    remaining = iter(cells)
+    lock = threading.Lock()
+    all_exited = threading.Condition(lock)
+    succeeded = failed = exited = 0
+    abort: BaseException | None = None
+
+    def stop(exc: BaseException) -> None:
+        nonlocal abort
+        with lock:
+            if abort is None:
+                abort = exc
+
+    def worker() -> None:
+        nonlocal succeeded, failed, exited
+        ok: bool | None = None
+        try:
+            while True:
+                with lock:
+                    if ok is not None:
+                        if ok:
+                            succeeded += 1
+                        else:
+                            failed += 1
+                    if abort is not None:
+                        return
+                    cell = next(remaining, None)
+                if cell is None:
+                    return
+                ok = work(cell)
+        except BaseException as exc:
+            stop(exc)
+        finally:
+            with lock:
+                exited += 1
+                all_exited.notify()
+
+    threads: list[threading.Thread] = []
+    try:
+        for i in range(min(concurrency, len(cells))):
+            # Listed before start(), so a Ctrl-C inside start() still
+            # joins the thread; a thread that cannot start is dropped.
+            threads.append(threading.Thread(target=worker, name=f"mwpeval-cell-{i}"))
+            try:
+                threads[-1].start()
+            except RuntimeError:
+                threads.pop()
+                raise
+        # Wait on a condition, not in Thread.join: a join interrupted by
+        # Ctrl-C can mark a thread that is still running as stopped. The
+        # wait wakes every 0.1 s because a SIGINT that lands just before
+        # it blocks is otherwise acted on only when the wait ends.
+        with all_exited:
+            while not all_exited.wait_for(lambda: exited == len(threads), 0.1):
+                pass
+    except BaseException as exc:  # a failed start, or Ctrl-C while waiting
+        stop(exc)
+    for thread in threads:
+        thread.join()
+    if abort is not None:
+        raise abort
+    return succeeded, failed
+
+
 def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
     """Execute (or resume) the experiment described by config."""
     dataset = load_dataset(config.dataset)
@@ -319,139 +406,119 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
     run_dir = Path(config.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     records_path = run_dir / "records.jsonl"
-    identity = _cache_identity(config, dataset, registry)
-    identity_path = run_dir / "config.json"
-    if identity_path.exists():
-        try:
-            previous = json.loads(identity_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"unreadable {identity_path}: {exc}") from exc
-        if not isinstance(previous, dict):
-            raise DataError(
-                f"{identity_path} must hold a JSON object, got {type(previous).__name__}"
-            )
-        if previous.get("identity") != identity:
-            raise DataError(
-                f"{run_dir} already holds records for a different "
-                "dataset/model/template combination; use a fresh output_dir"
-            )
-    identity_path.write_text(
-        json.dumps(
-            {"config": config.to_dict(), "identity": identity},
-            ensure_ascii=False,
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-    index = index_records(load_records(records_path))
-    _mend_tail(records_path)
-    pending: list[_Cell] = []
-    cached = 0
-    for cell in cells:
-        existing = index.get((config.model.name, cell.prompt.content_hash))
-        if existing is not None and not (config.retry_failed and existing.error):
-            cached += 1
-        else:
-            pending.append(cell)
-
-    if backend is None and pending:
-        backend = create_backend(config.model)
-
-    run_id = uuid.uuid4().hex[:12]
+    # Opening the writer locks the output dir until the manifest is written.
     writer = _RecordWriter(records_path)
-    fresh = 0
-    failed = 0
-
-    def work(cell: _Cell) -> bool:
-        """Complete one cell and append its record. True means success."""
-        prompt = cell.prompt
-        base = dict(
-            run_id=run_id,
-            triplet_id=cell.triplet.id,
-            model=config.model.name,
-            task=prompt.mode.task.value,
-            dop=prompt.mode.dop.value if prompt.mode.dop else None,
-            template_id=prompt.template_id,
-            content_hash=prompt.content_hash,
-            prompt_text=prompt.text,
-        )
-        try:
-            result = backend.complete(prompt)
-            record = RunRecord(
-                **base,
-                response_text=result.text,
-                error=None,
-                attempts=result.attempts,
-                latency_ms=result.latency_ms,
-                created_at=_utc_now(),
-            )
-        except BackendError as exc:
-            record = RunRecord(
-                **base,
-                response_text=None,
-                error=str(exc),
-                attempts=0,
-                latency_ms=0.0,
-                created_at=_utc_now(),
-            )
-        writer.append(record)
-        return record.error is None
-
     try:
-        if pending:
-            executor = ThreadPoolExecutor(max_workers=config.concurrency)
+        identity = _cache_identity(config, dataset, registry)
+        identity_path = run_dir / "config.json"
+        if identity_path.exists():
             try:
-                futures = [executor.submit(work, cell) for cell in pending]
-                done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-                aborted: BaseException | None = None
-                for future in done:
-                    exc = future.exception()
-                    if exc is not None:
-                        aborted = exc
-                        break
-                if aborted is not None:
-                    raise aborted
-                for future in done:
-                    if future.result():
-                        fresh += 1
-                    else:
-                        failed += 1
-            finally:
-                executor.shutdown(wait=True, cancel_futures=True)
+                previous = json.loads(identity_path.read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise DataError(f"unreadable {identity_path}: {exc}") from exc
+            if not isinstance(previous, dict):
+                raise DataError(
+                    f"{identity_path} must hold a JSON object, got {type(previous).__name__}"
+                )
+            if previous.get("identity") != identity:
+                raise DataError(
+                    f"{run_dir} already holds records for a different "
+                    "dataset/model/template combination; use a fresh output_dir"
+                )
+        identity_path.write_text(
+            json.dumps(
+                {"config": config.to_dict(), "identity": identity},
+                ensure_ascii=False,
+                indent=2,
+                sort_keys=True,
+            )
+            + "\n",
+            encoding="utf-8",
+        )
+
+        index = index_records(load_records(records_path))
+        _mend_tail(records_path)
+        pending: list[_Cell] = []
+        cached = 0
+        for cell in cells:
+            existing = index.get((config.model.name, cell.prompt.content_hash))
+            if existing is not None and not (config.retry_failed and existing.error):
+                cached += 1
+            else:
+                pending.append(cell)
+
+        if backend is None and pending:
+            backend = create_backend(config.model, config.concurrency)
+
+        run_id = uuid.uuid4().hex[:12]
+
+        def work(cell: _Cell) -> bool:
+            """Complete one cell and append its record. True means success."""
+            prompt = cell.prompt
+            base = dict(
+                run_id=run_id,
+                triplet_id=cell.triplet.id,
+                model=config.model.name,
+                task=prompt.mode.task.value,
+                dop=prompt.mode.dop.value if prompt.mode.dop else None,
+                template_id=prompt.template_id,
+                content_hash=prompt.content_hash,
+                prompt_text=prompt.text,
+            )
+            try:
+                result = backend.complete(prompt)
+                record = RunRecord(
+                    **base,
+                    response_text=result.text,
+                    error=None,
+                    attempts=result.attempts,
+                    latency_ms=result.latency_ms,
+                    created_at=_utc_now(),
+                )
+            except BackendError as exc:
+                record = RunRecord(
+                    **base,
+                    response_text=None,
+                    error=str(exc),
+                    attempts=0,
+                    latency_ms=0.0,
+                    created_at=_utc_now(),
+                )
+            writer.append(record)
+            return record.error is None
+
+        fresh, failed = _dispatch(pending, work, config.concurrency)
+
+        manifest = {
+            "run_id": run_id,
+            "created_at": _utc_now(),
+            "tool_version": TOOL_VERSION,
+            "hash_algorithm": HASH_ALGORITHM,
+            "model": config.model.name,
+            "generation_params": config.model.params.to_dict(),
+            "dataset": {
+                "path": str(config.dataset),
+                "digest": dataset.digest,
+                "count": len(dataset),
+            },
+            "template_ids": registry.template_ids(),
+            "tasks": [t.value for t in config.tasks],
+            "modes": [m.value for m in config.modes],
+            "cells": {
+                "total": len(cells),
+                "cached": cached,
+                "fresh": fresh,
+                "failed": failed,
+                "skipped_reasoning_only": skipped,
+                "skipped_no_explanation": no_explanation,
+            },
+        }
+        (run_dir / "manifest.json").write_text(
+            json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
     finally:
         writer.close()
-
-    manifest = {
-        "run_id": run_id,
-        "created_at": _utc_now(),
-        "tool_version": TOOL_VERSION,
-        "hash_algorithm": HASH_ALGORITHM,
-        "model": config.model.name,
-        "generation_params": config.model.params.to_dict(),
-        "dataset": {
-            "path": str(config.dataset),
-            "digest": dataset.digest,
-            "count": len(dataset),
-        },
-        "template_ids": registry.template_ids(),
-        "tasks": [t.value for t in config.tasks],
-        "modes": [m.value for m in config.modes],
-        "cells": {
-            "total": len(cells),
-            "cached": cached,
-            "fresh": fresh,
-            "failed": failed,
-            "skipped_reasoning_only": skipped,
-            "skipped_no_explanation": no_explanation,
-        },
-    }
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
     return RunSummary(
         run_dir=run_dir,
         records_path=records_path,

@@ -15,6 +15,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -51,11 +52,16 @@ class Triplet:
     def reasoning_only(self) -> bool:
         return bool(self.meta.get("reasoning_only"))
 
-    @property
+    @cached_property
     def reference_value(self) -> NumericAnswer:
+        """Parsed once per instance: the parse validate() makes is the
+        one every later score reuses."""
         parsed = parse_numeric(self.reference_numeric)
-        if parsed is None:  # validate() guarantees this cannot happen
-            raise DataError(f"triplet {self.id}: unparseable reference_numeric")
+        if parsed is None:
+            raise DataError(
+                f"triplet {self.id}: reference_numeric "
+                f"{self.reference_numeric!r} is not a canonical numeric string"
+            )
         return parsed
 
     def validate(self) -> None:
@@ -72,12 +78,7 @@ class Triplet:
             )
         if self.brief_explanation is not None and not self.brief_explanation.strip():
             raise DataError(f"triplet {self.id}: brief_explanation is blank, use null")
-        reference = parse_numeric(self.reference_numeric)
-        if reference is None:
-            raise DataError(
-                f"triplet {self.id}: reference_numeric "
-                f"{self.reference_numeric!r} is not a canonical numeric string"
-            )
+        reference = self.reference_value
         extracted = extract(self.reference_solution)
         if extracted is None or extracted != reference:
             found = None if extracted is None else extracted.canonical

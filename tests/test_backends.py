@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from mwpeval import (
     BackendError,
@@ -154,8 +156,10 @@ def ok_payload(text: str) -> dict:
 
 @pytest.fixture()
 def chat_server():
-    """A throwaway chat-completions endpoint driven by a response script."""
-    state = {"script": [], "seen": []}
+    """A throwaway chat-completions endpoint driven by a response script.
+    A barrier put in state["gate"] holds each response until that many
+    requests are open at once."""
+    state = {"script": [], "seen": [], "gate": None}
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -172,6 +176,8 @@ def chat_server():
                 status, payload = state["script"].pop(0)
             else:
                 status, payload = 200, ok_payload("unscripted")
+            if state["gate"] is not None:
+                state["gate"].wait()
             raw = (
                 payload.encode("utf-8")
                 if isinstance(payload, str)
@@ -187,6 +193,7 @@ def chat_server():
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.socket.listen(64)  # room for every connection of a gated burst
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
@@ -316,6 +323,34 @@ def test_http_transport_failures_retry_then_give_up():
     with pytest.raises(BackendError, match="transport failure"):
         backend.complete(prompt_for(make_triplet()))
     assert len(sleeps) == 1
+
+
+def test_http_pool_is_sized_to_concurrency(chat_server, caplog):
+    url, state = chat_server
+    state["gate"] = threading.Barrier(32, timeout=10)
+    backend = create_backend(fast_spec(url), concurrency=32)
+    prompt = prompt_for(make_triplet())
+    texts = []
+    with caplog.at_level(logging.WARNING, logger="urllib3"):
+        threads = [
+            threading.Thread(target=lambda: texts.append(backend.complete(prompt).text))
+            for _ in range(32)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    assert texts == ["unscripted"] * 32
+    assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+
+
+def test_http_keeps_a_session_the_caller_supplies(chat_server):
+    url, _ = chat_server
+    session = requests.Session()
+    adapters = dict(session.adapters)
+    backend = HttpChatBackend(fast_spec(url), session=session, concurrency=32)
+    assert dict(session.adapters) == adapters
+    assert backend.complete(prompt_for(make_triplet())).text == "unscripted"
 
 
 def test_jitter_shifts_timing_never_content(chat_server):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
 from pathlib import Path
 
@@ -332,6 +333,18 @@ def test_report_on_a_malformed_scored_file_is_a_data_error(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "report")]) == 2
     err = capsys.readouterr().err
     assert "'task'" in err and "line 1" in err
+
+
+def test_run_on_an_output_dir_in_use_is_a_usage_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    with (out / "records.jsonl").open("a") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        assert main(["run", "--config", str(config)]) == 1
+    assert str(out) in capsys.readouterr().err
+    assert (out / "records.jsonl").read_bytes() == b""
+    assert not (out / "config.json").exists()
 
 
 def test_run_with_a_mistyped_model_field_is_a_usage_error(tmp_path, capsys):

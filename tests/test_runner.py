@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
+import re
 import shutil
+import signal
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -29,6 +34,8 @@ from mwpeval import (
     save_dataset,
     write_scored,
 )
+import mwpeval.runner
+import mwpeval.triplets
 from mwpeval.prompting import TemplateRegistry
 from mwpeval.runner import RunRecord, build_cells, index_records
 
@@ -70,17 +77,23 @@ def sp_config(output_dir: Path, **overrides) -> ExperimentConfig:
 
 
 class ExplodingBackend:
-    """Delegates until the fuse burns, then raises. Simulates a crash."""
+    """Delegates until the fuse burns, then raises on every call.
+    Simulates a crash."""
 
-    def __init__(self, inner, fuse: int):
+    def __init__(self, inner, fuse: int, error: type[BaseException] = RuntimeError):
         self.inner = inner
         self.fuse = fuse
+        self.error = error
         self.calls = 0
+        self.raised: list[BaseException] = []
+        self._lock = threading.Lock()
 
     def complete(self, prompt):
-        self.calls += 1
-        if self.calls > self.fuse:
-            raise RuntimeError("simulated crash")
+        with self._lock:
+            self.calls += 1
+            if self.calls > self.fuse:
+                self.raised.append(self.error("simulated crash"))
+                raise self.raised[-1]
         return self.inner.complete(prompt)
 
 
@@ -450,7 +463,259 @@ def test_concurrency_reaches_the_same_records(tmp_path):
     )
 
 
+def test_concurrency_one_appends_in_cell_order(tmp_path, fixture_dataset):
+    config = sp_config(tmp_path / "out")
+    run(config, backend=ScriptedBackend(SCRIPTED))
+    cells, _, _ = build_cells(fixture_dataset, config, TemplateRegistry.load())
+    logged = load_records(Path(config.output_dir) / "records.jsonl")
+    assert [r.content_hash for r in logged] == [c.prompt.content_hash for c in cells]
+
+
+class GaugedBackend:
+    """Each call waits at a barrier of `width` parties, so calls pass in
+    groups of exactly `width`; records the most calls seen in flight."""
+
+    def __init__(self, inner, width: int):
+        self.inner = inner
+        self.barrier = threading.Barrier(width, timeout=10)
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+        self.threads: set[str] = set()
+
+    def complete(self, prompt):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.threads.add(threading.current_thread().name)
+        try:
+            self.barrier.wait()
+            return self.inner.complete(prompt)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+@pytest.mark.parametrize("concurrency", [1, 2, 4, 8])
+def test_in_flight_cells_are_exactly_concurrency(tmp_path, concurrency):
+    threads_before = threading.active_count()
+    backend = GaugedBackend(ScriptedBackend(SCRIPTED), concurrency)
+    summary = run(sp_config(tmp_path / "out", concurrency=concurrency), backend=backend)
+    assert (summary.fresh, summary.failed) == (40, 0)
+    assert backend.peak == concurrency
+    assert len(backend.threads) == concurrency
+    assert threading.active_count() == threads_before
+
+
+def test_concurrency_above_the_pending_cells_starts_one_thread_per_cell(tmp_path):
+    config = sp_config(tmp_path / "out", concurrency=16)
+    first = ExplodingBackend(ScriptedBackend(SCRIPTED), fuse=37)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        run(sp_config(tmp_path / "out"), backend=first)
+    threads_before = threading.active_count()
+    backend = GaugedBackend(ScriptedBackend(SCRIPTED), 3)
+    summary = run(config, backend=backend)
+    assert (summary.cached, summary.fresh, summary.failed) == (37, 3, 0)
+    assert backend.peak == len(backend.threads) == 3
+    assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("fuse", [0, 1, 13, 39])
+def test_a_crash_at_concurrency_stops_dispatch_and_resumes_once(tmp_path, fuse):
+    config = sp_config(tmp_path / "out", concurrency=4)
+    log = Path(config.output_dir) / "records.jsonl"
+    threads_before = threading.active_count()
+    first = ExplodingBackend(ScriptedBackend(SCRIPTED), fuse=fuse)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        run(config, backend=first)
+    assert threading.active_count() == threads_before
+    # the first failure stops all pulls: each of the four workers enters
+    # at most one call past the fuse, and every successful call landed
+    assert first.calls <= fuse + 4
+    assert first.inner.calls <= fuse
+    assert len(load_records(log, tolerate_torn_tail=False)) == first.inner.calls
+
+    second = ScriptedBackend(SCRIPTED)
+    summary = run(config, backend=second)
+    assert (summary.cached, summary.fresh, summary.failed) == (first.inner.calls, second.calls, 0)
+    assert first.inner.calls + second.calls == summary.total_cells
+    hashes = [r.content_hash for r in load_records(log, tolerate_torn_tail=False)]
+    assert len(hashes) == len(set(hashes)) == 40
+
+
+class OneCrash:
+    """Call `at` raises; every later call takes 50 ms and succeeds, long
+    enough for the failure to stop dispatch while it is in flight."""
+
+    def __init__(self, inner, at: int):
+        self.inner = inner
+        self.at = at
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt):
+        with self._lock:
+            self.calls += 1
+            number = self.calls
+        if number == self.at:
+            raise RuntimeError("simulated crash")
+        if number > self.at:
+            time.sleep(0.05)
+        return self.inner.complete(prompt)
+
+
+def test_the_first_failure_stops_further_pulls(tmp_path):
+    config = sp_config(tmp_path / "out", concurrency=4)
+    first = OneCrash(ScriptedBackend(SCRIPTED), at=8)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        run(config, backend=first)
+    # the three other workers each finish at most one call in flight
+    assert first.calls <= 8 + 3
+    records = load_records(Path(config.output_dir) / "records.jsonl")
+    assert len(records) == first.calls - 1
+
+
+def test_a_worker_that_cannot_start_stops_the_run(tmp_path, monkeypatch):
+    config = sp_config(tmp_path / "out", concurrency=4)
+    threads_before = threading.active_count()
+    backend = ScriptedBackend(SCRIPTED)
+    start = threading.Thread.start
+    starts = []
+
+    def start_two(thread):
+        starts.append(thread)
+        if len(starts) > 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_two)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        run(config, backend=backend)
+    monkeypatch.undo()
+    assert threading.active_count() == threads_before
+    # the two workers that started finish what they took, then stop
+    records = load_records(Path(config.output_dir) / "records.jsonl")
+    assert len(records) == backend.calls
+    summary = run(config, backend=ScriptedBackend(SCRIPTED))
+    assert (summary.cached, summary.fresh) == (len(records), 40 - len(records))
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_keyboard_interrupt_in_a_worker_propagates_and_the_log_resumes(tmp_path, concurrency):
+    config = sp_config(tmp_path / "out", concurrency=concurrency)
+    log = Path(config.output_dir) / "records.jsonl"
+    threads_before = threading.active_count()
+    first = ExplodingBackend(ScriptedBackend(SCRIPTED), fuse=10, error=KeyboardInterrupt)
+    with pytest.raises(KeyboardInterrupt) as excinfo:
+        run(config, backend=first)
+    assert any(exc is excinfo.value for exc in first.raised)
+    assert threading.active_count() == threads_before
+    assert first.calls <= 10 + concurrency
+    assert len(load_records(log, tolerate_torn_tail=False)) == first.inner.calls == 10
+
+    second = ScriptedBackend(SCRIPTED)
+    summary = run(config, backend=second)
+    assert (summary.cached, summary.fresh) == (10, 30)
+    assert len(load_records(log, tolerate_torn_tail=False)) == 40
+
+
+class CtrlCBackend:
+    """Once `width` calls are in flight, sends SIGINT to the main thread
+    (as Ctrl-C does while run() waits); every call takes 20 ms, so the
+    main thread sees the interrupt long before the cells run out."""
+
+    def __init__(self, inner, width: int):
+        self.inner = inner
+        self.gate = threading.Barrier(width, timeout=10)
+        self.lock = threading.Lock()
+        self.fired = False
+        self.succeeded = 0
+
+    def complete(self, prompt):
+        if not self.fired and self.gate.wait() == 0:
+            self.fired = True
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.02)
+        result = self.inner.complete(prompt)
+        with self.lock:
+            self.succeeded += 1
+        return result
+
+
+@pytest.mark.skipif(
+    threading.current_thread() is not threading.main_thread()
+    or signal.getsignal(signal.SIGINT) is not signal.default_int_handler,
+    reason="needs the default SIGINT handler on the main thread",
+)
+def test_ctrl_c_while_waiting_stops_dispatch_and_the_log_resumes(tmp_path):
+    config = sp_config(tmp_path / "out", concurrency=3)
+    log = Path(config.output_dir) / "records.jsonl"
+    threads_before = threading.active_count()
+    first = CtrlCBackend(ScriptedBackend(SCRIPTED), width=3)
+    with pytest.raises(KeyboardInterrupt):
+        run(config, backend=first)
+    assert first.fired
+    assert threading.active_count() == threads_before
+    # the cells in flight finished and landed
+    assert 3 <= first.succeeded < 40
+    assert len(load_records(log, tolerate_torn_tail=False)) == first.succeeded
+
+    summary = run(config, backend=ScriptedBackend(SCRIPTED))
+    assert (summary.cached, summary.fresh) == (first.succeeded, 40 - first.succeeded)
+
+
+def test_a_second_writer_on_the_same_output_dir_is_refused(tmp_path):
+    config = sp_config(tmp_path / "out")
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        run(config, backend=ExplodingBackend(ScriptedBackend(SCRIPTED), fuse=10))
+    out = Path(config.output_dir)
+    log_before = (out / "records.jsonl").read_bytes()
+    config_before = (out / "config.json").read_bytes()
+
+    backend = ScriptedBackend(SCRIPTED)
+    with (out / "records.jsonl").open("rb") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(UsageError, match=re.escape(str(out))):
+            run(config, backend=backend)
+    assert backend.calls == 0
+    assert (out / "records.jsonl").read_bytes() == log_before
+    assert (out / "config.json").read_bytes() == config_before
+    assert not (out / "manifest.json").exists()
+
+    # the lock goes with its holder
+    summary = run(config, backend=backend)
+    assert (summary.cached, summary.fresh) == (10, 30)
+
+
+def test_run_sizes_the_backend_it_creates_to_concurrency(tmp_path, monkeypatch):
+    sizes = []
+
+    def create_backend(spec, concurrency=1):
+        sizes.append(concurrency)
+        return ScriptedBackend(SCRIPTED)
+
+    monkeypatch.setattr(mwpeval.runner, "create_backend", create_backend)
+    run(sp_config(tmp_path / "out", concurrency=3))
+    assert sizes == [3]
+
+
 # rescoring
+
+
+def test_rescore_parses_each_reference_once(tmp_path, monkeypatch):
+    config = sp_config(tmp_path / "out")
+    run(config, backend=ScriptedBackend(SCRIPTED))
+    parsed = []
+    parse_numeric = mwpeval.triplets.parse_numeric
+
+    def counting(text):
+        parsed.append(text)
+        return parse_numeric(text)
+
+    monkeypatch.setattr(mwpeval.triplets, "parse_numeric", counting)
+    outcomes = rescore(config.output_dir, config.dataset)
+    assert len(outcomes) == 40
+    assert 0 < len(parsed) <= 20  # fixture triplets, each scored twice
 
 
 def test_rescore_is_deterministic_and_sorted(tmp_path):
