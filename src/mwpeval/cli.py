@@ -50,6 +50,7 @@ from .triplets import (
     TOOL_VERSION,
     Dataset,
     Rejection,
+    _utc_now,
     ingest_gsm8k,
     ingest_mathdial,
     load_dataset,
@@ -86,7 +87,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     rejections: list[Rejection] = []
     if args.source == "triplets":
         dataset = load_dataset(input_path)
-        dataset = Dataset(dataset.triplets, source=args.source_name or dataset.source)
+        dataset.source = args.source_name or dataset.source
+        dataset.created_at = _utc_now()
     else:
         field_map = None
         if args.field_map:

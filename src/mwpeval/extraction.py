@@ -23,10 +23,8 @@ sign. Two deliberate quirks are load-bearing:
   yields -5 while the range "3-5" yields 5.
 
 Values are exact rationals (``fractions.Fraction``), so "1,000",
-"1000", "1000.0" and "$1000" all compare equal. A plain float is
-accepted as a decimal fallback value when callers construct a
-``NumericAnswer`` by hand; extraction itself always produces exact
-values.
+"1000", "1000.0" and "$1000" all compare equal, and two answers match
+only when their values are equal.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 MARKER = "####"
-DEFAULT_TOLERANCE = 1e-6
 
 # Chars that may sit directly before a sign: start of text, whitespace,
 # operators, brackets, or a currency symbol (for "$-5").
@@ -76,29 +73,23 @@ RULE_LITERAL = "literal"
 class NumericAnswer:
     """A canonical numeric value plus where and how it was found.
 
-    value is an exact rational, or a float when a caller supplies a
-    decimal fallback. raw_span is the matched source text. rule is the
-    extraction rule that produced the value ("literal" for standalone
-    parses). Equality and hashing consider the value only, so answers
-    extracted from differently formatted spans compare equal.
+    value is an exact rational. raw_span is the matched source text.
+    rule is the extraction rule that produced the value ("literal" for
+    standalone parses). Equality and hashing consider the value only,
+    so answers extracted from differently formatted spans compare
+    equal; this is the one answer comparison the harness makes.
     """
 
-    value: Fraction | float
+    value: Fraction
     raw_span: str
     rule: str
 
     @property
-    def exact(self) -> bool:
-        return isinstance(self.value, Fraction)
-
-    @property
     def canonical(self) -> str:
         """Shortest string that reparses to the same value."""
-        if isinstance(self.value, Fraction):
-            if self.value.denominator == 1:
-                return str(self.value.numerator)
-            return f"{self.value.numerator}/{self.value.denominator}"
-        return repr(self.value)
+        if self.value.denominator == 1:
+            return str(self.value.numerator)
+        return f"{self.value.numerator}/{self.value.denominator}"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumericAnswer):
@@ -185,13 +176,3 @@ def parse_numeric(text: str) -> NumericAnswer | None:
         return None
     return _answer(match, RULE_LITERAL)
 
-
-def equal(
-    a: NumericAnswer, b: NumericAnswer, tolerance: float = DEFAULT_TOLERANCE
-) -> bool:
-    """Value equality: exact when both sides are exact, else within tolerance."""
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
-    if isinstance(a.value, Fraction) and isinstance(b.value, Fraction):
-        return a.value == b.value
-    return abs(float(a.value) - float(b.value)) <= tolerance

@@ -150,16 +150,12 @@ def bootstrap_ci(
 
 
 UNDEFINED_MARK = "—"
+_RATE_QUANTUM = Decimal("0.001")
 
 
-def round_rate(value: float, places: int = 3) -> float:
-    """Half-up presentation rounding, e.g. 0.8595 -> 0.86 at 2 places."""
-    return float(format_rate(value, places))
-
-
-def format_rate(value: float | None, places: int = 3) -> str:
-    """Fixed-width decimal string; an em dash for undefined values."""
+def format_rate(value: float | None) -> str:
+    """Three decimal places, rounded half-up (0.8755 -> "0.876"); an em
+    dash for undefined values."""
     if value is None:
         return UNDEFINED_MARK
-    quantum = Decimal(1).scaleb(-places)
-    return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(value)).quantize(_RATE_QUANTUM, rounding=ROUND_HALF_UP))

@@ -185,9 +185,6 @@ class TemplateRegistry:
     def get(self, mode: PromptMode) -> Template:
         return self._templates[mode.template_name]
 
-    def list(self) -> list[Template]:
-        return [self._templates[name] for name in sorted(self._templates)]
-
     def template_ids(self) -> dict[str, str]:
         return {name: t.template_id for name, t in sorted(self._templates.items())}
 

@@ -22,7 +22,7 @@ import logging
 import os
 import threading
 import uuid
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -42,7 +42,7 @@ from .prompting import (
     render,
 )
 from .scoring import Outcome, score
-from .triplets import TOOL_VERSION, Dataset, Triplet, load_dataset
+from .triplets import TOOL_VERSION, Dataset, load_dataset
 
 log = logging.getLogger(__name__)
 
@@ -86,8 +86,6 @@ class RunRecord:
             )
         return mode
 
-
-RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 # RunRecord keeps task and dop as plain strings (cheaper to load than
 # enums); this table is the one place they are read back as a mode.
@@ -147,12 +145,6 @@ class RunSummary:
     failed: int
     skipped_reasoning_only: int
     skipped_no_explanation: int
-
-
-@dataclass(frozen=True)
-class _Cell:
-    triplet: Triplet
-    prompt: RenderedPrompt
 
 
 def _utc_now() -> str:
@@ -235,20 +227,19 @@ def index_records(records: Iterable[RunRecord]) -> dict[tuple[str, str], RunReco
 
 def build_cells(
     dataset: Dataset, config: ExperimentConfig, registry: TemplateRegistry
-) -> tuple[list[_Cell], int, int]:
-    """All (triplet, task, mode) cells, with reasoning-only triplets
-    excluded from correction and triplets without a brief explanation
-    excluded from dop_be. Returns (cells, skipped reasoning-only cells,
-    skipped cells without an explanation)."""
-    cells: list[_Cell] = []
+) -> tuple[list[RenderedPrompt], int, int]:
+    """One rendered prompt per (triplet, task, mode) cell, with
+    reasoning-only triplets excluded from correction and triplets
+    without a brief explanation excluded from dop_be. Returns (cells,
+    skipped reasoning-only cells, skipped cells without an
+    explanation)."""
+    cells: list[RenderedPrompt] = []
     skipped = 0
     no_explanation = 0
     for task in config.tasks:
         if task is TaskKind.REASONING:
             for triplet in dataset:
-                cells.append(
-                    _Cell(triplet, render(triplet, REASONING_MODE, config.model.params, registry))
-                )
+                cells.append(render(triplet, REASONING_MODE, config.model.params, registry))
         else:
             for mode_level in config.modes:
                 mode = CORRECTION_MODES[mode_level]
@@ -259,20 +250,18 @@ def build_cells(
                     if mode_level is DopLevel.BE and triplet.brief_explanation is None:
                         no_explanation += 1
                         continue
-                    cells.append(
-                        _Cell(triplet, render(triplet, mode, config.model.params, registry))
-                    )
-    by_hash: dict[str, _Cell] = {}
+                    cells.append(render(triplet, mode, config.model.params, registry))
+    by_hash: dict[str, RenderedPrompt] = {}
     for cell in cells:
-        other = by_hash.get(cell.prompt.content_hash)
+        other = by_hash.get(cell.content_hash)
         if other is not None:
             raise DataError(
                 "content hash collision between cells "
-                f"{other.triplet.id}/{other.prompt.mode.key} and "
-                f"{cell.triplet.id}/{cell.prompt.mode.key}; triplet texts "
+                f"{other.triplet_id}/{other.mode.key} and "
+                f"{cell.triplet_id}/{cell.mode.key}; triplet texts "
                 "are probably duplicated"
             )
-        by_hash[cell.prompt.content_hash] = cell
+        by_hash[cell.content_hash] = cell
     if skipped:
         log.warning(
             "excluded %d correction cells for reasoning-only triplets", skipped
@@ -323,7 +312,7 @@ def _cache_identity(config: ExperimentConfig, dataset: Dataset, registry: Templa
 
 
 def _dispatch(
-    cells: list[_Cell], work: Callable[[_Cell], bool], concurrency: int
+    cells: list[RenderedPrompt], work: Callable[[RenderedPrompt], bool], concurrency: int
 ) -> tuple[int, int]:
     """Complete cells on min(concurrency, len(cells)) threads. Each
     thread pulls the next cell when it finishes one, so exactly
@@ -438,10 +427,10 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
 
         index = index_records(load_records(records_path))
         _mend_tail(records_path)
-        pending: list[_Cell] = []
+        pending: list[RenderedPrompt] = []
         cached = 0
         for cell in cells:
-            existing = index.get((config.model.name, cell.prompt.content_hash))
+            existing = index.get((config.model.name, cell.content_hash))
             if existing is not None and not (config.retry_failed and existing.error):
                 cached += 1
             else:
@@ -452,12 +441,11 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
 
         run_id = uuid.uuid4().hex[:12]
 
-        def work(cell: _Cell) -> bool:
+        def work(prompt: RenderedPrompt) -> bool:
             """Complete one cell and append its record. True means success."""
-            prompt = cell.prompt
             base = dict(
                 run_id=run_id,
-                triplet_id=cell.triplet.id,
+                triplet_id=prompt.triplet_id,
                 model=config.model.name,
                 task=prompt.mode.task.value,
                 dop=prompt.mode.dop.value if prompt.mode.dop else None,
@@ -534,7 +522,6 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
 def rescore(
     records_path: str | Path,
     dataset: Dataset | str | Path,
-    tolerance: float | None = None,
 ) -> list[Outcome]:
     """Re-judge recorded responses against the dataset, deterministically.
 
@@ -550,7 +537,6 @@ def rescore(
         raise DataError(f"no record log at {records_path}")
     index = index_records(load_records(records_path))
     outcomes: list[Outcome] = []
-    kwargs = {} if tolerance is None else {"tolerance": tolerance}
     for record in index.values():
         triplet = dataset.by_id.get(record.triplet_id)
         if triplet is None:
@@ -568,7 +554,6 @@ def rescore(
                 model=record.model,
                 template_id=record.template_id,
                 error=record.error,
-                **kwargs,
             )
         )
     outcomes.sort(key=lambda o: (o.triplet_id, o.task.value, o.dop.value if o.dop else ""))

@@ -15,7 +15,7 @@ from typing import Any
 
 from ._schema import dump, load
 from .errors import DataError
-from .extraction import DEFAULT_TOLERANCE, extract, equal
+from .extraction import extract
 from .prompting import DopLevel, TaskKind
 from .triplets import Triplet
 
@@ -69,7 +69,6 @@ def score(
     model: str = "",
     template_id: str = "",
     error: str | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> Outcome:
     """Judge one response against the triplet's reference value."""
     base = dict(
@@ -88,7 +87,7 @@ def score(
         return Outcome(
             **base, extracted=None, success=False, reason=REASON_NO_EXTRACTION
         )
-    matched = equal(answer, triplet.reference_value, tolerance)
+    matched = answer == triplet.reference_value
     return Outcome(
         **base,
         extracted=answer.canonical,

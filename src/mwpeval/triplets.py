@@ -14,7 +14,7 @@ import datetime as _dt
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -102,9 +102,6 @@ class Triplet:
         return load(cls, payload, "triplet", DataError, where)
 
 
-FIELD_ORDER = tuple(f.name for f in fields(Triplet))
-
-
 def derive_brief_explanation(
     reference_solution: str, reference_numeric: str
 ) -> str | None:
@@ -151,8 +148,9 @@ class Dataset:
     def __iter__(self) -> Iterator[Triplet]:
         return iter(self.triplets)
 
-    @property
+    @cached_property
     def digest(self) -> str:
+        """Hashed on first read only: a Dataset is fixed once built."""
         hasher = hashlib.sha256()
         for triplet in self.triplets:
             hasher.update(triplet.to_json_line().encode("utf-8"))
@@ -310,11 +308,6 @@ def ingest_mathdial(
             source=source,
             meta=meta,
         )
-        try:
-            triplet.validate()
-        except DataError as exc:
-            rejections.append(Rejection(index, str(exc), record_id))
-            continue
         triplets.append(triplet)
     if total and len(rejections) > total / 2:
         raise DataError(
@@ -366,11 +359,6 @@ def ingest_gsm8k(
             source=source,
             meta=meta,
         )
-        try:
-            triplet.validate()
-        except DataError as exc:
-            rejections.append(Rejection(index, str(exc), record_id))
-            continue
         triplets.append(triplet)
     if total and len(rejections) > total / 2:
         raise DataError(

@@ -34,7 +34,7 @@ from mwpeval import (
 )
 from mwpeval.cli import main
 from mwpeval.extraction import extract, parse_numeric
-from mwpeval.metrics import round_rate
+from mwpeval.metrics import format_rate
 from mwpeval.prompting import ALL_DOP_LEVELS, CORRECTION_MODES, TemplateRegistry, render
 from mwpeval.scoring import join
 
@@ -62,10 +62,10 @@ def test_published_rates_recompute_within_tolerance():
     by_model = {row.model: row for row in report.rows}
     gpt4 = by_model["GPT-4-0613"]
     assert gpt4.computed_r == (2152 + 306) / 2861
-    assert round_rate(gpt4.computed_r) == 0.859
+    assert format_rate(gpt4.computed_r) == "0.859"
     gpt35 = by_model["GPT-3.5-turbo"]
     assert gpt35.computed_c == (659 + 325) / 2861
-    assert round_rate(gpt35.computed_c) == 0.344
+    assert format_rate(gpt35.computed_c) == "0.344"
 
     assert elapsed < 1.0
 

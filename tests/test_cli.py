@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import fcntl
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from mwpeval import Triplet
 from mwpeval.cli import main
 
 from conftest import DATA_DIR, fixture_without_explanation
@@ -209,6 +211,48 @@ def test_ingest_existing_triplets_revalidates(tmp_path, capsys):
     assert main(["ingest", "--source", "triplets", "--input", str(FIXTURE_DATASET),
                  "--output", str(output)]) == 0
     assert "ingested 20 triplets" in capsys.readouterr().out
+    assert output.read_text() == FIXTURE_DATASET.read_text()
+
+
+@pytest.mark.parametrize(
+    "source, input_path, kept",
+    [("mathdial", MATHDIAL, 5), ("triplets", FIXTURE_DATASET, 20)],
+    ids=["mathdial", "triplets"],
+)
+def test_ingest_validates_and_serialises_each_kept_triplet_once(
+    tmp_path, monkeypatch, source, input_path, kept
+):
+    validated, serialised = [], []
+    validate, to_json_line = Triplet.validate, Triplet.to_json_line
+
+    def counting_validate(self):
+        validated.append(self.id)
+        return validate(self)
+
+    def counting_to_json_line(self):
+        serialised.append(self.id)
+        return to_json_line(self)
+
+    monkeypatch.setattr(Triplet, "validate", counting_validate)
+    monkeypatch.setattr(Triplet, "to_json_line", counting_to_json_line)
+    assert main(["ingest", "--source", source, "--input", str(input_path),
+                 "--output", str(tmp_path / "out.jsonl")]) == 0
+    assert len(validated) == kept  # building the Dataset is the one gate
+    assert len(serialised) == 2 * kept  # the rows written, then the digest
+
+
+def test_ingest_existing_triplets_relabels_and_restamps(tmp_path):
+    source = tmp_path / "in.jsonl"
+    shutil.copy(FIXTURE_DATASET, source)
+    Path(str(source) + ".manifest.json").write_text(
+        json.dumps({"source": "old", "created_at": "2000-01-01T00:00:00Z"}), encoding="utf-8"
+    )
+    output = tmp_path / "out.jsonl"
+    assert main(["ingest", "--source", "triplets", "--input", str(source),
+                 "--output", str(output), "--source-name", "relabelled"]) == 0
+    manifest = json.loads(Path(str(output) + ".manifest.json").read_text())
+    assert manifest["source"] == "relabelled"
+    assert manifest["created_at"] != "2000-01-01T00:00:00Z"
     assert output.read_text() == FIXTURE_DATASET.read_text()
 
 

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from mwpeval.extraction import (
     _NUMBER_TOKEN,
-    DEFAULT_TOLERANCE,
     MARKER,
     NumericAnswer,
-    equal,
     extract,
     parse_numeric,
     scan_numbers,
@@ -139,23 +137,9 @@ def test_parse_numeric_rejects_embedded_text():
 def test_equal_exact_vs_tolerance():
     third = parse_numeric("1/3")
     decimal = parse_numeric("0.3333333333")
-    # both sides exact: compared exactly, tolerance plays no part
-    assert not equal(third, decimal)
-    assert not equal(third, decimal, tolerance=1.0)
-    assert equal(third, parse_numeric("2/6"))
-    # a float value brings the tolerance into play
-    approx = NumericAnswer(1 / 3 + 1e-9, "", "literal")
-    assert equal(third, approx)
-    assert not equal(third, approx, tolerance=1e-12)
-    with pytest.raises(ValueError):
-        equal(third, approx, tolerance=-1)
-
-
-def test_equal_handles_float_values():
-    a = NumericAnswer(0.1 + 0.2, "0.30000000000000004", "literal")
-    b = parse_numeric("0.3")
-    assert equal(a, b)
-    assert equal(a, b, tolerance=1e-9)
+    # values are exact, so a near miss is a miss
+    assert third != decimal
+    assert third == parse_numeric("2/6")
 
 
 def test_value_only_equality_and_hash():
@@ -184,15 +168,15 @@ def test_canonical_round_trips(value):
     reparsed = parse_numeric(answer.canonical)
     assert reparsed is not None
     assert reparsed.value == value
-    assert reparsed.exact
+    assert type(reparsed.value) is Fraction
 
 
 @given(exact_values, exact_values)
 def test_equal_is_symmetric(x, y):
     a = NumericAnswer(x, "", "literal")
     b = NumericAnswer(y, "", "literal")
-    assert equal(a, a) and equal(b, b)
-    assert equal(a, b) == equal(b, a)
+    assert a == a and b == b
+    assert (a == b) == (b == a)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=8))
@@ -291,7 +275,3 @@ def test_lazy_extract_agrees_with_the_eager_rules(text):
         assert got is not None
         assert (got.value, got.raw_span, got.rule) == expected
         assert type(got.value) is Fraction
-
-
-def test_default_tolerance_value():
-    assert DEFAULT_TOLERANCE == 1e-6

@@ -22,7 +22,7 @@ from mwpeval import (
     quadrants,
     rates,
 )
-from mwpeval.metrics import UNDEFINED_MARK, round_rate
+from mwpeval.metrics import UNDEFINED_MARK
 from mwpeval.scoring import Outcome
 
 
@@ -206,10 +206,10 @@ def test_bootstrap_matches_the_per_resample_loop_bit_for_bit(n, resamples):
 # presentation rounding
 
 
-def test_round_rate_is_half_up():
-    assert round_rate(0.8755) == 0.876
-    assert round_rate(0.0005) == 0.001
-    assert round_rate(0.9285) == 0.929
+def test_format_rate_is_half_up():
+    assert format_rate(0.8755) == "0.876"
+    assert format_rate(0.0005) == "0.001"
+    assert format_rate(0.9285) == "0.929"
 
 
 def test_format_rate_renders_undefined_as_a_dash():

@@ -468,7 +468,7 @@ def test_concurrency_one_appends_in_cell_order(tmp_path, fixture_dataset):
     run(config, backend=ScriptedBackend(SCRIPTED))
     cells, _, _ = build_cells(fixture_dataset, config, TemplateRegistry.load())
     logged = load_records(Path(config.output_dir) / "records.jsonl")
-    assert [r.content_hash for r in logged] == [c.prompt.content_hash for c in cells]
+    assert [r.content_hash for r in logged] == [c.content_hash for c in cells]
 
 
 class GaugedBackend:
@@ -697,6 +697,20 @@ def test_run_sizes_the_backend_it_creates_to_concurrency(tmp_path, monkeypatch):
     monkeypatch.setattr(mwpeval.runner, "create_backend", create_backend)
     run(sp_config(tmp_path / "out", concurrency=3))
     assert sizes == [3]
+
+
+def test_run_hashes_the_dataset_once(tmp_path, fixture_dataset, monkeypatch):
+    serialised = []
+    to_json_line = Triplet.to_json_line
+
+    def counting(self):
+        serialised.append(self.id)
+        return to_json_line(self)
+
+    monkeypatch.setattr(Triplet, "to_json_line", counting)
+    run(sp_config(tmp_path / "out"), backend=ScriptedBackend(SCRIPTED))
+    # the digest is read for the cache identity and for the manifest
+    assert len(serialised) == len(fixture_dataset)
 
 
 # rescoring

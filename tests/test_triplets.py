@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mwpeval import DataError, Dataset, Triplet, load_dataset, save_dataset
 from mwpeval.triplets import (
-    FIELD_ORDER,
     derive_brief_explanation,
     ingest_gsm8k,
     ingest_mathdial,
@@ -33,7 +32,17 @@ def test_valid_triplet_round_trips_byte_identically():
 
 def test_json_field_order_is_fixed():
     line = make_triplet().to_json_line()
-    assert tuple(json.loads(line).keys()) == FIELD_ORDER
+    # the order README "Data model" documents
+    assert tuple(json.loads(line).keys()) == (
+        "id",
+        "question",
+        "reference_solution",
+        "reference_numeric",
+        "brief_explanation",
+        "wrong_solution",
+        "source",
+        "meta",
+    )
 
 
 def test_missing_key_rejected():
