@@ -27,7 +27,10 @@ from mwpeval.report import (
 )
 from mwpeval.scoring import Outcome
 
+from conftest import DATA_DIR
+
 MODEL = "fixture-model"
+GOLDEN_DIR = DATA_DIR / "golden_report"
 
 # triplet ids by planned quadrant: both tasks succeed (t01-t08), only
 # reasoning (t09-t14), only correction (t15-t16), neither (t17-t20)
@@ -36,12 +39,14 @@ C_SUCCESS = {f"t{i:02d}" for i in range(1, 9)} | {"t15", "t16"}
 ALL_IDS = [f"t{i:02d}" for i in range(1, 21)]
 
 
-def outcome(tid: str, task: TaskKind, dop: DopLevel | None, success: bool) -> Outcome:
+def outcome(
+    tid: str, task: TaskKind, dop: DopLevel | None, success: bool, model: str = MODEL
+) -> Outcome:
     return Outcome(
         triplet_id=tid,
         task=task,
         dop=dop,
-        model=MODEL,
+        model=model,
         template_id="x@00000000",
         extracted="1" if success else None,
         success=success,
@@ -194,6 +199,36 @@ def test_report_bundle_is_deterministic(tmp_path):
     assert set(first) == {"json", "markdown", "csv", "chart", "svg"}
     for key in first:
         assert first[key].read_bytes() == second[key].read_bytes(), key
+
+
+def golden_outcomes() -> list[Outcome]:
+    """Two models, all four modes, in a scrambled order. For beta, dop_be
+    covers only triplets it failed to solve, so that row's E_c is undefined."""
+    ids = [f"g{i:02d}" for i in range(24)]
+    out = []
+    for m, model in enumerate(("beta", "alpha")):
+        solved = {t for i, t in enumerate(ids) if (i * (m + 3)) % 5 < 3}
+        out += [outcome(t, TaskKind.REASONING, None, t in solved, model) for t in ids]
+        for k, level in enumerate((DopLevel.SA, DopLevel.NA, DopLevel.SP, DopLevel.BE)):
+            covered = ids
+            if model == "beta" and level is DopLevel.BE:
+                covered = [t for t in ids if t not in solved]
+            out += [
+                outcome(t, TaskKind.CORRECTION, level, (i * (k + 2) + m) % 7 < 3, model)
+                for i, t in enumerate(covered)
+            ]
+    return [out[(i * 37) % len(out)] for i in range(len(out))]
+
+
+def test_report_bundle_matches_the_golden_files(tmp_path):
+    spec = BootstrapSpec(1000, 0.95, 0)
+    outcomes = golden_outcomes()
+    reports = build_reports(outcomes, spec)
+    assert any(r.model == "beta" and r.mode is DopLevel.BE and r.e_c is None for r in reports)
+    meta = {"outcomes": len(outcomes), "scored_file": "golden.jsonl"}
+    paths = write_report_bundle(reports, tmp_path, meta=meta, bootstrap=spec)
+    for path in paths.values():
+        assert path.read_bytes() == (GOLDEN_DIR / path.name).read_bytes(), path.name
 
 
 def test_report_json_carries_everything(tmp_path):
