@@ -27,6 +27,7 @@ from .prompting import (
     ALL_DOP_LEVELS,
     CORRECTION_MODES,
     REASONING_MODE,
+    DopLevel,
     GenerationParams,
     PromptMode,
     TemplateRegistry,
@@ -215,7 +216,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     else:
         print(f"note: {triplet.id} is reasoning-only; correction modes do not apply\n")
     for mode in modes:
-        if mode.dop and mode.dop.value == "dop_be" and triplet.brief_explanation is None:
+        if mode.dop is DopLevel.BE and triplet.brief_explanation is None:
             print(f"=== {mode.key} ===\n(skipped: no brief explanation)\n")
             continue
         prompt = render(triplet, mode, params, registry)

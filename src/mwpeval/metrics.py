@@ -1,4 +1,7 @@
-"""Aggregate rates over joint outcomes.
+"""Quadrant counts and rates over (reasoning, correction) success pairs.
+
+Outcomes are grouped once per model; each (model, correction mode) row
+reads one list of pairs, one per corrected triplet.
 
 Conventions, fixed here and relied on everywhere else:
 
@@ -17,15 +20,24 @@ exactly when uRsC < sRuC.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from enum import Enum
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .prompting import DopLevel, TaskKind
-from .scoring import JointOutcome, Outcome, Quadrant
+from .scoring import Outcome
+
+
+class Quadrant(str, Enum):
+    SRSC = "sRsC"
+    SRUC = "sRuC"
+    URSC = "uRsC"
+    URUC = "uRuC"
 
 
 @dataclass(frozen=True)
@@ -54,21 +66,45 @@ class QuadrantCounts:
         }
 
 
-def quadrants(joints: Iterable[JointOutcome]) -> QuadrantCounts:
-    """Count joint outcomes per quadrant. Duplicate triplet ids raise."""
-    seen: set[str] = set()
-    tally = {q: 0 for q in Quadrant}
-    for joint in joints:
-        if joint.triplet_id in seen:
-            raise DataError(f"duplicate joint outcome for triplet {joint.triplet_id!r}")
-        seen.add(joint.triplet_id)
-        tally[joint.quadrant] += 1
-    return QuadrantCounts(
-        srsc=tally[Quadrant.SRSC],
-        sruc=tally[Quadrant.SRUC],
-        ursc=tally[Quadrant.URSC],
-        uruc=tally[Quadrant.URUC],
+def quadrants(pairs: Iterable[tuple[bool, bool]]) -> QuadrantCounts:
+    """Count (reasoning success, correction success) pairs per quadrant."""
+    tally = Counter(pairs)
+    counts = QuadrantCounts(
+        srsc=tally[True, True],
+        sruc=tally[True, False],
+        ursc=tally[False, True],
+        uruc=tally[False, False],
     )
+    if counts.n != sum(tally.values()):
+        raise DataError("quadrant pairs must be (bool, bool)")
+    return counts
+
+
+# Per model: reasoning success by triplet id, and correction success by
+# triplet id for each mode in order of first appearance.
+_Successes = tuple[dict[str, bool], dict[DopLevel, dict[str, bool]]]
+
+
+def _successes(outcomes: Iterable[Outcome]) -> dict[str, _Successes]:
+    """Group outcomes by model in one pass. A second outcome for the
+    same (model, triplet, mode) raises."""
+    by_model: dict[str, _Successes] = {}
+    for outcome in outcomes:
+        group = by_model.get(outcome.model)
+        if group is None:
+            group = by_model[outcome.model] = ({}, {})
+        if outcome.task is TaskKind.REASONING:
+            successes = group[0]
+        else:
+            successes = group[1].setdefault(outcome.dop, {})
+        if outcome.triplet_id in successes:
+            mode = f"{outcome.dop.value} correction" if outcome.dop else "reasoning"
+            raise DataError(
+                f"model {outcome.model}: duplicate {mode} outcome "
+                f"for triplet {outcome.triplet_id}"
+            )
+        successes[outcome.triplet_id] = outcome.success
+    return by_model
 
 
 def rates(counts: QuadrantCounts) -> tuple[float, float]:
@@ -91,21 +127,16 @@ def e_ratios(counts: QuadrantCounts) -> tuple[float | None, float | None]:
 def dop_pass_rates(outcomes: Iterable[Outcome]) -> dict[DopLevel, float]:
     """Correction success rate per mode over scored outcomes.
 
-    All outcomes must come from one model; mixing models in one pool
-    would average incomparable things."""
-    models: set[str] = set()
-    totals: dict[DopLevel, int] = {}
-    hits: dict[DopLevel, int] = {}
-    for outcome in outcomes:
-        if outcome.task is not TaskKind.CORRECTION:
-            continue
-        models.add(outcome.model)
-        if len(models) > 1:
-            raise DataError(f"outcomes mix models: {sorted(models)}")
-        assert outcome.dop is not None
-        totals[outcome.dop] = totals.get(outcome.dop, 0) + 1
-        hits[outcome.dop] = hits.get(outcome.dop, 0) + int(outcome.success)
-    return {level: hits[level] / totals[level] for level in totals}
+    All correction outcomes must come from one model; mixing models in
+    one pool would average incomparable things."""
+    by_model = {m: c for m, (_, c) in _successes(outcomes).items() if c}
+    if len(by_model) > 1:
+        raise DataError(f"outcomes mix models: {sorted(by_model)}")
+    return {
+        level: sum(successes.values()) / len(successes)
+        for corrections in by_model.values()
+        for level, successes in corrections.items()
+    }
 
 
 # Resamples drawn per index matrix: bounds the draw at _CHUNK x n int64

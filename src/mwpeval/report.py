@@ -19,14 +19,15 @@ from .errors import DataError
 from .metrics import (
     QuadrantCounts,
     UNDEFINED_MARK,
+    _successes,
     bootstrap_ci,
     e_ratios,
     format_rate,
     quadrants,
     rates,
 )
-from .prompting import ALL_DOP_LEVELS, DopLevel, TaskKind
-from .scoring import JointOutcome, Outcome, join
+from .prompting import ALL_DOP_LEVELS, DopLevel
+from .scoring import Outcome
 
 _MODE_ORDER = {level: i for i, level in enumerate(ALL_DOP_LEVELS)}
 
@@ -72,78 +73,46 @@ class RateReport:
 
 
 def report_from_counts(
-    counts: QuadrantCounts, model: str, mode: DopLevel | None = None
+    counts: QuadrantCounts, model: str, mode: DopLevel | None = None,
+    r_ci: tuple[float, float] | None = None, c_ci: tuple[float, float] | None = None,
 ) -> RateReport:
     r_rate, c_rate = rates(counts)
     e_r, e_c = e_ratios(counts)
     return RateReport(
         model=model, mode=mode, counts=counts,
-        r_rate=r_rate, c_rate=c_rate, e_r=e_r, e_c=e_c,
+        r_rate=r_rate, c_rate=c_rate, e_r=e_r, e_c=e_c, r_ci=r_ci, c_ci=c_ci,
     )
-
-
-def _joints_for_mode(
-    reasoning_by_id: dict[str, Outcome], corrections: Sequence[Outcome]
-) -> list[JointOutcome]:
-    joints = []
-    for correction in corrections:
-        reasoning = reasoning_by_id.get(correction.triplet_id)
-        if reasoning is None:
-            raise DataError(
-                f"triplet {correction.triplet_id} has a correction outcome "
-                "but no reasoning outcome; run both tasks before reporting"
-            )
-        joints.append(join(reasoning, correction))
-    return joints
 
 
 def build_reports(
     outcomes: Iterable[Outcome], bootstrap: BootstrapSpec | None = None
 ) -> list[RateReport]:
-    """One RateReport per (model, correction mode) present in outcomes."""
-    by_model: dict[str, list[Outcome]] = {}
-    for outcome in outcomes:
-        by_model.setdefault(outcome.model, []).append(outcome)
+    """One RateReport per (model, correction mode) present in outcomes.
+
+    Each row's counts and intervals come from one list of (reasoning
+    success, correction success) pairs, one pair per corrected triplet."""
+    by_model = _successes(outcomes)
     reports: list[RateReport] = []
     for model in sorted(by_model):
-        pool = by_model[model]
-        reasoning_by_id: dict[str, Outcome] = {}
-        for outcome in pool:
-            if outcome.task is TaskKind.REASONING:
-                if outcome.triplet_id in reasoning_by_id:
+        reasoning, corrections = by_model[model]
+        if not corrections:
+            raise DataError(f"model {model}: no correction outcomes; nothing to report")
+        for mode in sorted(corrections, key=_MODE_ORDER.__getitem__):
+            pairs = []
+            for triplet_id, corrected in corrections[mode].items():
+                solved = reasoning.get(triplet_id)
+                if solved is None:
                     raise DataError(
-                        f"duplicate reasoning outcome for triplet {outcome.triplet_id}"
+                        f"triplet {triplet_id} has a correction outcome "
+                        "but no reasoning outcome; run both tasks before reporting"
                     )
-                reasoning_by_id[outcome.triplet_id] = outcome
-        corrections_by_mode: dict[DopLevel, list[Outcome]] = {}
-        for outcome in pool:
-            if outcome.task is TaskKind.CORRECTION:
-                assert outcome.dop is not None
-                corrections_by_mode.setdefault(outcome.dop, []).append(outcome)
-        if not corrections_by_mode:
-            raise DataError(
-                f"model {model}: no correction outcomes; nothing to report"
-            )
-        for mode in sorted(corrections_by_mode, key=_MODE_ORDER.__getitem__):
-            joints = _joints_for_mode(reasoning_by_id, corrections_by_mode[mode])
-            counts = quadrants(joints)
-            r_rate, c_rate = rates(counts)
-            e_r, e_c = e_ratios(counts)
+                pairs.append((solved, corrected))
             r_ci = c_ci = None
             if bootstrap is not None:
                 r_ci, c_ci = bootstrap_ci(
-                    [(j.reasoning_success, j.correction_success) for j in joints],
-                    resamples=bootstrap.resamples,
-                    level=bootstrap.level,
-                    seed=bootstrap.seed,
+                    pairs, bootstrap.resamples, bootstrap.level, bootstrap.seed
                 )
-            reports.append(
-                RateReport(
-                    model=model, mode=mode, counts=counts,
-                    r_rate=r_rate, c_rate=c_rate, e_r=e_r, e_c=e_c,
-                    r_ci=r_ci, c_ci=c_ci,
-                )
-            )
+            reports.append(report_from_counts(quadrants(pairs), model, mode, r_ci, c_ci))
     return reports
 
 

@@ -15,7 +15,6 @@ ready for resumption.
 
 from __future__ import annotations
 
-import datetime as _dt
 import fcntl
 import json
 import logging
@@ -42,7 +41,7 @@ from .prompting import (
     render,
 )
 from .scoring import Outcome, score
-from .triplets import TOOL_VERSION, Dataset, load_dataset
+from .triplets import TOOL_VERSION, Dataset, _utc_now, load_dataset
 
 log = logging.getLogger(__name__)
 
@@ -145,10 +144,6 @@ class RunSummary:
     failed: int
     skipped_reasoning_only: int
     skipped_no_explanation: int
-
-
-def _utc_now() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def load_records(path: str | Path, tolerate_torn_tail: bool = True) -> list[RunRecord]:

@@ -1,4 +1,4 @@
-"""Success judgment for single responses and joint reasoning/correction outcomes.
+"""Success judgment for single responses.
 
 A response succeeds when its extracted numeric answer equals the
 triplet's reference value. Correction is judged by the final numeric
@@ -10,13 +10,12 @@ rate denominators still cover every cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any
 
 from ._schema import dump, load
-from .errors import DataError
+from .errors import DataError, UsageError
 from .extraction import extract
-from .prompting import DopLevel, TaskKind
+from .prompting import DopLevel, PromptMode, TaskKind
 from .triplets import Triplet
 
 REASON_MATCHED = "matched"
@@ -57,6 +56,10 @@ class Outcome:
                 f"scored outcome{where}: unknown reason {outcome.reason!r}, "
                 f"expected one of {list(REASONS)}"
             )
+        try:
+            PromptMode(outcome.task, outcome.dop)
+        except UsageError as exc:
+            raise DataError(f"scored outcome{where}: {exc}") from exc
         return outcome
 
 
@@ -93,50 +96,4 @@ def score(
         extracted=answer.canonical,
         success=matched,
         reason=REASON_MATCHED if matched else REASON_MISMATCHED,
-    )
-
-
-class Quadrant(str, Enum):
-    SRSC = "sRsC"
-    SRUC = "sRuC"
-    URSC = "uRsC"
-    URUC = "uRuC"
-
-
-_QUADRANT_BY_STATES = {
-    (True, True): Quadrant.SRSC,
-    (True, False): Quadrant.SRUC,
-    (False, True): Quadrant.URSC,
-    (False, False): Quadrant.URUC,
-}
-
-
-@dataclass(frozen=True)
-class JointOutcome:
-    """Reasoning and correction success for one triplet, under one mode."""
-
-    triplet_id: str
-    reasoning_success: bool
-    correction_success: bool
-
-    @property
-    def quadrant(self) -> Quadrant:
-        return _QUADRANT_BY_STATES[(self.reasoning_success, self.correction_success)]
-
-
-def join(reasoning: Outcome, correction: Outcome) -> JointOutcome:
-    """Pair one reasoning outcome with one correction outcome."""
-    if reasoning.triplet_id != correction.triplet_id:
-        raise DataError(
-            f"cannot join outcomes for different triplets: "
-            f"{reasoning.triplet_id!r} vs {correction.triplet_id!r}"
-        )
-    if reasoning.task is not TaskKind.REASONING:
-        raise DataError(f"first argument must be a reasoning outcome, got {reasoning.task.value}")
-    if correction.task is not TaskKind.CORRECTION:
-        raise DataError(f"second argument must be a correction outcome, got {correction.task.value}")
-    return JointOutcome(
-        triplet_id=reasoning.triplet_id,
-        reasoning_success=reasoning.success,
-        correction_success=correction.success,
     )

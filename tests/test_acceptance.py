@@ -22,11 +22,9 @@ from mwpeval import (
     ModelSpec,
     ScriptedBackend,
     TaskKind,
+    build_reports,
     dop_pass_rates,
-    e_ratios,
     load_dataset,
-    quadrants,
-    rates,
     rescore,
     run,
     scan_numbers,
@@ -36,7 +34,6 @@ from mwpeval.cli import main
 from mwpeval.extraction import extract, parse_numeric
 from mwpeval.metrics import format_rate
 from mwpeval.prompting import ALL_DOP_LEVELS, CORRECTION_MODES, TemplateRegistry, render
-from mwpeval.scoring import join
 
 from conftest import DATA_DIR, read_jsonl
 
@@ -137,19 +134,14 @@ def test_pipeline_matches_oracle_exactly(tmp_path):
     assert got_rows == oracle_rows  # zero tolerance, order included
 
     oracle = json.loads((DATA_DIR / "oracle_metrics.json").read_text())
-    reasoning = {o.triplet_id: o for o in outcomes if o.task is TaskKind.REASONING}
-    corrections = [o for o in outcomes if o.task is TaskKind.CORRECTION]
-    joints = [join(reasoning[o.triplet_id], o) for o in corrections]
-    counts = quadrants(joints)
-    assert counts.to_dict() == oracle["quadrants"]
-    assert counts.n == oracle["n"]
-    r_rate, c_rate = rates(counts)
-    assert r_rate == oracle["r_rate"]
-    assert c_rate == oracle["c_rate"]
-    e_r, e_c = e_ratios(counts)
-    assert e_r == oracle["e_r"]
-    assert e_c == oracle["e_c"]
-    assert {k.value: v for k, v in dop_pass_rates(corrections).items()} == oracle[
+    [report] = build_reports(outcomes)
+    assert report.counts.to_dict() == oracle["quadrants"]
+    assert report.counts.n == oracle["n"]
+    assert report.r_rate == oracle["r_rate"]
+    assert report.c_rate == oracle["c_rate"]
+    assert report.e_r == oracle["e_r"]
+    assert report.e_c == oracle["e_c"]
+    assert {k.value: v for k, v in dop_pass_rates(outcomes).items()} == oracle[
         "dop_pass_rates"
     ]
 

@@ -379,6 +379,50 @@ def test_report_on_a_malformed_scored_file_is_a_data_error(tmp_path, capsys):
     assert "'task'" in err and "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "task,dop,message",
+    [
+        ("correction", None, "the correction task needs a mode"),
+        ("reasoning", "sp", "the reasoning task takes no correction mode"),
+    ],
+)
+def test_report_on_a_scored_line_whose_task_and_dop_disagree(
+    tmp_path, capsys, task, dop, message
+):
+    rows = [
+        {"triplet_id": "t01", "task": "reasoning", "dop": None, "model": "m",
+         "template_id": "reasoning@0", "extracted": "1", "success": True,
+         "reason": "matched"},
+        {"triplet_id": "t01", "task": task, "dop": dop, "model": "m",
+         "template_id": "correction_sp@0", "extracted": "1", "success": True,
+         "reason": "matched"},
+    ]
+    scored = tmp_path / "bad.jsonl"
+    scored.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert main(["report", "--scored", str(scored),
+                 "--out-dir", str(tmp_path / "report")]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and message in err
+    assert not (tmp_path / "report").exists()
+
+
+def test_report_on_a_repeated_scored_line_is_a_data_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["run", "--config", str(config)]) == 0
+    scored = tmp_path / "scored.jsonl"
+    assert main(["rescore", "--run", str(tmp_path / "out"), "--dataset",
+                 str(FIXTURE_DATASET), "--output", str(scored)]) == 0
+    lines = scored.read_text(encoding="utf-8").splitlines(keepends=True)
+    scored.write_text("".join(lines + lines[-1:]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--scored", str(scored),
+                 "--out-dir", str(tmp_path / "report")]) == 2
+    last = json.loads(lines[-1])
+    err = capsys.readouterr().err
+    assert "duplicate" in err and last["triplet_id"] in err
+    assert not (tmp_path / "report").exists()
+
+
 def test_run_on_an_output_dir_in_use_is_a_usage_error(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "out"

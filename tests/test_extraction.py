@@ -134,7 +134,7 @@ def test_parse_numeric_rejects_embedded_text():
 # value equality
 
 
-def test_equal_exact_vs_tolerance():
+def test_near_miss_values_are_unequal():
     third = parse_numeric("1/3")
     decimal = parse_numeric("0.3333333333")
     # values are exact, so a near miss is a miss

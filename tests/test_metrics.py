@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from mwpeval import (
     DataError,
     DopLevel,
-    JointOutcome,
     QuadrantCounts,
     TaskKind,
     bootstrap_ci,
@@ -26,23 +25,13 @@ from mwpeval.metrics import UNDEFINED_MARK
 from mwpeval.scoring import Outcome
 
 
-def joint(i: int, r: bool, c: bool) -> JointOutcome:
-    return JointOutcome(f"t{i:03d}", r, c)
-
-
-def joints_from_counts(counts: QuadrantCounts) -> list[JointOutcome]:
-    out = []
-    i = 0
-    for r, c, n in [
-        (True, True, counts.srsc),
-        (True, False, counts.sruc),
-        (False, True, counts.ursc),
-        (False, False, counts.uruc),
-    ]:
-        for _ in range(n):
-            out.append(joint(i, r, c))
-            i += 1
-    return out
+def pairs_from_counts(counts: QuadrantCounts) -> list[tuple[bool, bool]]:
+    return (
+        [(True, True)] * counts.srsc
+        + [(True, False)] * counts.sruc
+        + [(False, True)] * counts.ursc
+        + [(False, False)] * counts.uruc
+    )
 
 
 def correction_outcome(i: int, dop: DopLevel, success: bool) -> Outcome:
@@ -62,16 +51,15 @@ def correction_outcome(i: int, dop: DopLevel, success: bool) -> Outcome:
 
 
 def test_quadrants_partition_the_joints():
-    counts = quadrants(joints_from_counts(QuadrantCounts(8, 6, 2, 4)))
+    counts = quadrants(pairs_from_counts(QuadrantCounts(8, 6, 2, 4)))
     assert counts == QuadrantCounts(8, 6, 2, 4)
     assert counts.n == 20
     assert counts.to_dict() == {"sRsC": 8, "sRuC": 6, "uRsC": 2, "uRuC": 4}
 
 
-def test_quadrants_reject_duplicate_triplets():
-    pair = [joint(1, True, True), joint(1, False, False)]
-    with pytest.raises(DataError, match="duplicate"):
-        quadrants(pair)
+def test_quadrants_reject_pairs_that_are_not_two_bools():
+    with pytest.raises(DataError, match="bool"):
+        quadrants([(True, True), (True, None)])
 
 
 def test_rates_from_known_counts():
@@ -127,6 +115,12 @@ def test_dop_pass_rates_ignore_reasoning_outcomes():
     )
     got = dop_pass_rates([reasoning, correction_outcome(1, DopLevel.SP, True)])
     assert got == {DopLevel.SP: 1.0}
+
+
+def test_dop_pass_rates_refuse_a_duplicate_cell():
+    outcomes = [correction_outcome(1, DopLevel.SP, True)] * 2
+    with pytest.raises(DataError, match="duplicate sp correction outcome for triplet t001"):
+        dop_pass_rates(outcomes)
 
 
 def test_dop_pass_rates_refuse_mixed_models():
@@ -231,11 +225,12 @@ quadrant_counts = st.builds(
 
 @given(quadrant_counts.filter(lambda c: c.n > 0))
 def test_rates_match_per_joint_averages(counts):
-    joints = joints_from_counts(counts)
+    pairs = pairs_from_counts(counts)
+    random.Random(counts.n).shuffle(pairs)
     r, c = rates(counts)
-    assert r == pytest.approx(mean([j.reasoning_success for j in joints]))
-    assert c == pytest.approx(mean([j.correction_success for j in joints]))
-    assert quadrants(joints) == counts
+    assert r == pytest.approx(mean([solved for solved, _ in pairs]))
+    assert c == pytest.approx(mean([corrected for _, corrected in pairs]))
+    assert quadrants(pairs) == counts
 
 
 @given(quadrant_counts)

@@ -97,6 +97,20 @@ def test_build_reports_requires_a_reasoning_partner():
         build_reports(orphl)
 
 
+def test_build_reports_rejects_a_duplicate_reasoning_outcome():
+    outcomes = sp_outcomes() + [outcome("t05", TaskKind.REASONING, None, False)]
+    with pytest.raises(
+        DataError, match=f"model {MODEL}: duplicate reasoning outcome for triplet t05"
+    ):
+        build_reports(outcomes)
+
+
+def test_build_reports_rejects_a_duplicate_correction():
+    outcomes = sp_outcomes() + [outcome("t07", TaskKind.CORRECTION, DopLevel.SP, True)]
+    with pytest.raises(DataError, match="duplicate sp correction outcome for triplet t07"):
+        build_reports(outcomes)
+
+
 def test_build_reports_requires_corrections():
     only_reasoning = [outcome("t01", TaskKind.REASONING, None, True)]
     with pytest.raises(DataError, match="no correction outcomes"):

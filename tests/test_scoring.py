@@ -1,4 +1,4 @@
-"""Scoring single responses and joining them into quadrants."""
+"""Scoring single responses and counting them into quadrants."""
 
 from __future__ import annotations
 
@@ -6,15 +6,13 @@ import json
 
 import pytest
 
-from mwpeval import DataError, DopLevel, Quadrant, TaskKind
+from mwpeval import DataError, DopLevel, Quadrant, TaskKind, quadrants
 from mwpeval.scoring import (
     REASON_BACKEND_ERROR,
     REASON_MATCHED,
     REASON_MISMATCHED,
     REASON_NO_EXTRACTION,
-    JointOutcome,
     Outcome,
-    join,
     score,
 )
 
@@ -61,7 +59,7 @@ def test_error_wins_even_with_response_text():
     assert outcome.reason == REASON_BACKEND_ERROR
 
 
-def test_tolerance_is_honored_for_float_references():
+def test_near_miss_reference_is_a_mismatch():
     triplet = make_triplet(
         reference_solution="The scale reads 24.0000004 grams.",
         reference_numeric="24.0000004",
@@ -98,7 +96,14 @@ def test_unknown_reason_rejected():
         Outcome.from_dict(payload)
 
 
-# joining
+@pytest.mark.parametrize("task,dop", [("reasoning", "sp"), ("correction", None)])
+def test_outcome_task_and_dop_must_form_a_mode(task, dop):
+    payload = {**scored("Final answer: 24").to_dict(), "task": task, "dop": dop}
+    with pytest.raises(DataError, match="at line 4: the .* task"):
+        Outcome.from_dict(payload, lineno=4)
+
+
+# counting into quadrants
 
 
 def outcome_pair(r_ok: bool, c_ok: bool) -> tuple[Outcome, Outcome]:
@@ -120,28 +125,6 @@ def outcome_pair(r_ok: bool, c_ok: bool) -> tuple[Outcome, Outcome]:
     ],
 )
 def test_quadrant_mapping(r_ok, c_ok, quadrant):
-    joint = join(*outcome_pair(r_ok, c_ok))
-    assert joint.quadrant is quadrant
-    assert joint.triplet_id == "x01"
-
-
-def test_join_rejects_mismatched_triplets():
-    reasoning, correction = outcome_pair(True, True)
-    other = score(
-        make_triplet(id="x99"), "Final answer: 24", TaskKind.CORRECTION, SP
-    )
-    with pytest.raises(DataError, match="different triplets"):
-        join(reasoning, other)
-
-
-def test_join_rejects_swapped_arguments():
-    reasoning, correction = outcome_pair(True, True)
-    with pytest.raises(DataError, match="reasoning outcome"):
-        join(correction, correction)
-    with pytest.raises(DataError, match="correction outcome"):
-        join(reasoning, reasoning)
-
-
-def test_joint_outcome_quadrant_is_pure():
-    assert JointOutcome("t", True, False).quadrant is Quadrant.SRUC
-    assert JointOutcome("t", False, True).quadrant is Quadrant.URSC
+    reasoning, correction = outcome_pair(r_ok, c_ok)
+    counts = quadrants([(reasoning.success, correction.success)])
+    assert counts.to_dict() == {q.value: int(q is quadrant) for q in Quadrant}
