@@ -12,19 +12,28 @@ annotations. The supported annotations are ``str``, ``int``, ``float``
 (an int is accepted and kept as given), ``bool``, ``dict``, an ``Enum``,
 ``tuple[Enum, ...]`` (read from a JSON list), a nested dataclass, and
 any of these ``| None``. A bool is never accepted as a number.
+
+The file half lives here too: ``read_json`` and ``read_jsonl`` are the
+only readers of the harness's JSON and JSONL input files, and
+``dump_line`` is the one JSONL line encoder.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
+import logging
 import operator
 import types
 import typing
 from enum import Enum
-from typing import Any, Callable, NamedTuple
+from pathlib import Path
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple
 
 from .errors import HarnessError, UsageError
+
+log = logging.getLogger(__name__)
 
 _NONE = type(None)
 
@@ -109,6 +118,86 @@ def load(
             except ValueError:
                 raise error(_bad_value(schema, name, value, what, where)) from None
     return cls(**payload)
+
+
+def dump_line(obj: Any) -> str:
+    """The dataclass as one JSONL line, without its newline."""
+    return json.dumps(dump(obj), ensure_ascii=False)
+
+
+def load_line(
+    cls: type[Any], line: str | bytes, what: str, error: type[HarnessError], where: str = ""
+) -> Any:
+    """Build cls from one JSON line, or raise error."""
+    try:
+        payload = json.loads(line if isinstance(line, str) else line.decode())
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise error(f"invalid {what} JSON{where}: {exc}") from None
+    return load(cls, payload, what, error, where)
+
+
+def read_json(path: str | Path, what: str, error: type[HarnessError]) -> Any:
+    """The decoded JSON content of a whole file, or error naming the path."""
+    with _open(path, what, error) as handle:
+        try:
+            return json.loads(handle.read().decode())
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def read_jsonl(
+    path: str | Path,
+    what: str,
+    error: type[HarnessError],
+    cls: type[Any] | None = None,
+    *,
+    torn_tail: bool = False,
+    bad: Callable[[int, ValueError], None] | None = None,
+) -> Iterator[tuple[int, Any]]:
+    """(line number, row) for each non-blank line of a JSONL file of whats.
+
+    Lines are split on b"\\n" only, since a string written with
+    ensure_ascii=False may hold U+2028 or U+0085, and numbered from 1.
+    Each line must be UTF-8 JSON, and with cls is loaded as one. A line
+    that fails raises error naming the path and the line, except that
+    bad(lineno, exc), when given, takes each line that is not UTF-8
+    JSON, and torn_tail drops a failing last line (a killed writer's)
+    with a warning. A line after it, even a blank one, still raises.
+    """
+    with _open(path, f"{what} file", error) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.isspace():
+                continue
+            try:
+                try:
+                    row = json.loads(line.decode())
+                except ValueError as exc:
+                    if bad is None:
+                        raise error(f"invalid JSON: {exc}") from None
+                    bad(lineno, exc)
+                    continue
+                if cls is not None:
+                    row = load(cls, row, what, error)
+            except error as exc:
+                if torn_tail and not handle.read(1):
+                    log.warning(
+                        "%s: dropping torn final %s line %d (interrupted write)",
+                        path,
+                        what,
+                        lineno,
+                    )
+                    return
+                raise error(f"{path} line {lineno}: {exc}") from None
+            yield lineno, row
+
+
+def _open(path: str | Path, what: str, error: type[HarnessError]) -> BinaryIO:
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
 def _kind(value: Any) -> str:

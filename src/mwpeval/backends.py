@@ -13,19 +13,18 @@ fixture gap fails loudly instead of polluting results.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
 import requests
 from requests.adapters import HTTPAdapter
 
-from ._schema import dump, load
+from ._schema import dump, load, read_jsonl
 from .errors import BackendError, ConfigurationError, DataError, ScriptedLookupError
 from .prompting import GenerationParams, RenderedPrompt
 
@@ -137,36 +136,21 @@ def scripted_key(triplet_id: str, task: str, dop: str | None) -> str:
     return f"{triplet_id}|{task}|{dop or '-'}"
 
 
+@dataclass(frozen=True)
+class _ScriptedRow:
+    key: str
+    response: str
+
+
 class ScriptedBackend:
     """Deterministic replay from a JSONL fixture of {key, response}."""
 
     def __init__(self, path: str | Path) -> None:
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"scripted response file not found: {path}")
         self._responses: dict[str, str] = {}
-        with path.open("r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(
-                        f"{path} line {lineno}: invalid JSON: {exc}"
-                    ) from exc
-                if (
-                    not isinstance(payload, dict)
-                    or not isinstance(payload.get("key"), str)
-                    or not isinstance(payload.get("response"), str)
-                ):
-                    raise DataError(
-                        f"{path} line {lineno}: expected an object with string "
-                        "fields 'key' and 'response'"
-                    )
-                if payload["key"] in self._responses:
-                    raise DataError(f"{path} line {lineno}: duplicate key {payload['key']!r}")
-                self._responses[payload["key"]] = payload["response"]
+        for lineno, row in read_jsonl(path, "scripted response", DataError, _ScriptedRow):
+            if row.key in self._responses:
+                raise DataError(f"{path} line {lineno}: duplicate key {row.key!r}")
+            self._responses[row.key] = row.response
         self._path = path
         self._lock = threading.Lock()
         self.calls = 0

@@ -15,8 +15,9 @@ import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
+from ._schema import read_json, read_jsonl
 from .errors import (
     DataError,
     HarnessError,
@@ -68,21 +69,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_source_records(path: Path) -> Iterable[tuple[int, Any]]:
-    with path.open("r", encoding="utf-8") as handle:
-        for index, line in enumerate(handle):
-            if not line.strip():
-                continue
-            try:
-                yield index, json.loads(line)
-            except json.JSONDecodeError as exc:
-                yield index, exc
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     input_path = Path(args.input)
-    if not input_path.exists():
-        raise DataError(f"input file not found: {input_path}")
     output_path = Path(args.output)
 
     rejections: list[Rejection] = []
@@ -95,22 +83,24 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if args.field_map:
             raw = args.field_map
             if raw.startswith("@"):
-                raw = Path(raw[1:]).read_text(encoding="utf-8")
-            try:
-                field_map = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"--field-map is not valid JSON: {exc}") from exc
+                field_map = read_json(raw[1:], "--field-map file", UsageError)
+            else:
+                try:
+                    field_map = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise UsageError(f"--field-map is not valid JSON: {exc}") from exc
             if not isinstance(field_map, dict):
                 raise UsageError("--field-map must be a JSON object")
         # Rejections of both kinds are numbered by 0-based input line.
         lines: list[int] = []
         records: list[Any] = []
-        for lineno, item in _read_source_records(input_path):
-            if isinstance(item, json.JSONDecodeError):
-                rejections.append(Rejection(lineno, f"invalid JSON: {item}"))
-            else:
-                lines.append(lineno)
-                records.append(item)
+
+        def reject(lineno: int, exc: ValueError) -> None:
+            rejections.append(Rejection(lineno - 1, f"invalid JSON: {exc}"))
+
+        for lineno, record in read_jsonl(input_path, "source record", DataError, bad=reject):
+            lines.append(lineno - 1)
+            records.append(record)
         source_name = args.source_name or args.source
         if args.source == "mathdial":
             triplets, unmapped = ingest_mathdial(records, field_map, source=source_name)

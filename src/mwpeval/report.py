@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from ._schema import dump
+from ._schema import dump, read_json
 from .errors import DataError
 from .metrics import (
     QuadrantCounts,
@@ -328,20 +328,13 @@ class PublishedTable:
 
 
 def load_published(path: str | Path | None = None) -> PublishedTable:
-    """The bundled reference table, or one in the same JSON format."""
+    """The bundled reference table, or one in the same JSON format.
+
+    Its shape is checked by hand: a row's optional note key does not fit
+    the codec's rule that a data file carries every key."""
     if path is None:
-        text = (resources.files("mwpeval") / "data" / "published_results.json").read_text(
-            encoding="utf-8"
-        )
-    else:
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"published results file not found: {path}")
-        text = path.read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"published results file is not valid JSON: {exc}") from exc
+        path = resources.files("mwpeval") / "data" / "published_results.json"
+    payload = read_json(path, "published results file", DataError)
     try:
         rows = tuple(
             PublishedRow(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from ._schema import dump, load
+from ._schema import dump, dump_line, load, load_line, read_json, read_jsonl
 from .backends import Backend, ModelSpec, create_backend
 from .errors import BackendError, ConfigurationError, DataError, UsageError
 from .prompting import (
@@ -64,16 +64,12 @@ class RunRecord:
     created_at: str
 
     def to_json_line(self) -> str:
-        return json.dumps(dump(self), ensure_ascii=False)
+        return dump_line(self)
 
     @classmethod
     def from_json_line(cls, line: str | bytes, lineno: int | None = None) -> "RunRecord":
         where = f" at line {lineno}" if lineno is not None else ""
-        try:
-            payload = json.loads(line)
-        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-            raise DataError(f"invalid record JSON{where}: {exc}") from exc
-        return load(cls, payload, "run record", DataError, where)
+        return load_line(cls, line, "run record", DataError, where)
 
     @property
     def mode(self) -> PromptMode:
@@ -124,14 +120,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
-        path = Path(path)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json(path, "config file", UsageError))
 
 
 @dataclass
@@ -146,8 +135,8 @@ class RunSummary:
     skipped_no_explanation: int
 
 
-def load_records(path: str | Path, tolerate_torn_tail: bool = True) -> list[RunRecord]:
-    """Read an append-only record log.
+def load_records(path: str | Path) -> list[RunRecord]:
+    """Read an append-only record log; an absent log reads as empty.
 
     A torn final line (the signature of a killed writer) is dropped with
     a warning; a torn line anywhere else is corruption and raises.
@@ -155,29 +144,8 @@ def load_records(path: str | Path, tolerate_torn_tail: bool = True) -> list[RunR
     path = Path(path)
     if not path.exists():
         return []
-    records: list[RunRecord] = []
-    torn: tuple[int, DataError] | None = None
-    # Binary lines split on b"\n" only: JSON written with ensure_ascii=False
-    # may hold U+2028 or U+0085, which text-mode line splitting would break.
-    with path.open("rb") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if torn is not None:
-                raise torn[1]  # a line followed the torn one
-            if not line.strip():
-                continue
-            try:
-                records.append(RunRecord.from_json_line(line.rstrip(b"\n"), lineno))
-            except DataError as exc:
-                if not tolerate_torn_tail:
-                    raise
-                torn = (lineno, exc)
-    if torn is not None:
-        log.warning(
-            "%s: dropping torn final record line %d (interrupted write)",
-            path,
-            torn[0],
-        )
-    return records
+    lines = read_jsonl(path, "run record", DataError, RunRecord, torn_tail=True)
+    return [record for _, record in lines]
 
 
 def _mend_tail(path: Path) -> None:
@@ -396,10 +364,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
         identity = _cache_identity(config, dataset, registry)
         identity_path = run_dir / "config.json"
         if identity_path.exists():
-            try:
-                previous = json.loads(identity_path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise DataError(f"unreadable {identity_path}: {exc}") from exc
+            previous = read_json(identity_path, "run config", DataError)
             if not isinstance(previous, dict):
                 raise DataError(
                     f"{identity_path} must hold a JSON object, got {type(previous).__name__}"
@@ -560,22 +525,23 @@ def write_scored(outcomes: Iterable[Outcome], path: str | Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
         for outcome in outcomes:
-            handle.write(json.dumps(outcome.to_dict(), ensure_ascii=False) + "\n")
+            handle.write(dump_line(outcome) + "\n")
     return path
 
 
 def load_scored(path: str | Path) -> list[Outcome]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"scored outcome file not found: {path}")
+    """Read a scored outcome file. A second outcome for the same (model,
+    triplet, task, mode) raises, naming both lines."""
     outcomes = []
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path} line {lineno}: invalid JSON: {exc}") from exc
-            outcomes.append(Outcome.from_dict(payload, lineno))
+    first_line: dict[tuple[Any, ...], int] = {}
+    for lineno, payload in read_jsonl(path, "scored outcome", DataError):
+        outcome = Outcome.from_dict(payload, lineno)
+        key = (payload["model"], payload["triplet_id"], payload["task"], payload["dop"])
+        first = first_line.setdefault(key, lineno)
+        if first != lineno:
+            raise DataError(
+                f"{path} lines {first} and {lineno}: duplicate outcome for (model, "
+                f"triplet, task, dop) {key}"
+            )
+        outcomes.append(outcome)
     return outcomes

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from . import __version__ as TOOL_VERSION
-from ._schema import dump, load
+from ._schema import dump, dump_line, load_line, read_json, read_jsonl
 from .errors import DataError
 from .extraction import NumericAnswer, extract, parse_numeric, scan_numbers
 
@@ -88,18 +88,14 @@ class Triplet:
             )
 
     def to_json_line(self) -> str:
-        return json.dumps(dump(self), ensure_ascii=False)
+        return dump_line(self)
 
     @classmethod
     def from_json_line(cls, line: str, lineno: int | None = None) -> "Triplet":
         """Decode one JSONL row and check its keys and value types.
         Values are validated once, when a Dataset is built."""
         where = f" at line {lineno}" if lineno is not None else ""
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid JSON{where}: {exc}") from exc
-        return load(cls, payload, "triplet", DataError, where)
+        return load_line(cls, line, "triplet", DataError, where)
 
 
 def derive_brief_explanation(
@@ -190,27 +186,17 @@ def save_dataset(dataset: Dataset, path: str | Path) -> Path:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Load and validate a triplet JSONL file."""
+    """Load and validate a triplet JSONL file. Its manifest sidecar, if
+    present, supplies the source label and creation time."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    triplets = []
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            triplets.append(Triplet.from_json_line(line, lineno))
-    source = path.name
-    created_at = None
+    triplets = [triplet for _, triplet in read_jsonl(path, "triplet", DataError, Triplet)]
     sidecar = manifest_path_for(path)
-    if sidecar.exists():
-        try:
-            meta = json.loads(sidecar.read_text(encoding="utf-8"))
-            source = meta.get("source", source)
-            created_at = meta.get("created_at")
-        except (json.JSONDecodeError, AttributeError) as exc:
-            raise DataError(f"unreadable manifest sidecar {sidecar}: {exc}") from exc
-    return Dataset(triplets, source=source, created_at=created_at)
+    meta = read_json(sidecar, "manifest sidecar", DataError) if sidecar.exists() else {}
+    if not isinstance(meta, dict):
+        raise DataError(f"manifest sidecar {sidecar} is not a JSON object")
+    return Dataset(
+        triplets, source=meta.get("source", path.name), created_at=meta.get("created_at")
+    )
 
 
 @dataclass(frozen=True)

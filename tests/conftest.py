@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mwpeval import Dataset, Triplet, load_dataset, save_dataset
+from mwpeval import DataError, Dataset, RunRecord, Triplet, load_dataset, save_dataset
+from mwpeval import _schema
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -16,6 +17,12 @@ DATA_DIR = Path(__file__).parent / "data"
 def read_jsonl(path: Path) -> list[dict]:
     with path.open(encoding="utf-8") as handle:
         return [json.loads(line) for line in handle if line.strip()]
+
+
+def load_whole_log(path: Path) -> list[RunRecord]:
+    """Every record of a log that must have no torn line: unlike
+    load_records, a torn final line raises here."""
+    return [record for _, record in _schema.read_jsonl(path, "run record", DataError, RunRecord)]
 
 
 def make_triplet(**overrides) -> Triplet:

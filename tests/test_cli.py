@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import mwpeval
 from mwpeval import Triplet
 from mwpeval.cli import main
 
@@ -17,6 +18,7 @@ from conftest import DATA_DIR, fixture_without_explanation
 FIXTURE_DATASET = DATA_DIR / "fixture_triplets.jsonl"
 SCRIPTED = DATA_DIR / "scripted_responses.jsonl"
 MATHDIAL = DATA_DIR / "mathdial_sample.jsonl"
+PUBLISHED = Path(mwpeval.__file__).with_name("data") / "published_results.json"
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -420,6 +422,7 @@ def test_report_on_a_repeated_scored_line_is_a_data_error(tmp_path, capsys):
     last = json.loads(lines[-1])
     err = capsys.readouterr().err
     assert "duplicate" in err and last["triplet_id"] in err
+    assert f"lines {len(lines)} and {len(lines) + 1}" in err
     assert not (tmp_path / "report").exists()
 
 
@@ -459,3 +462,141 @@ def test_inspect_prints_every_applicable_prompt(capsys):
 def test_inspect_unknown_id_is_a_data_error(capsys):
     assert main(["inspect", "--dataset", str(FIXTURE_DATASET), "--id", "zz"]) == 2
     assert "no triplet" in capsys.readouterr().err
+
+
+# inputs that are not UTF-8, missing or not files
+
+
+def spoil(path: Path, line: int) -> Path:
+    """Put one byte that is not UTF-8 after the first quote of a line."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1].replace(b'"', b'"\xff', 1)
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
+def copied(source: Path, tmp_path: Path) -> Path:
+    return Path(shutil.copy(source, tmp_path / source.name))
+
+
+def fixture_run(tmp_path: Path) -> Path:
+    """The run dir of a complete sp run over the fixture dataset."""
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+    return tmp_path / "out"
+
+
+def spoiled_dataset(tmp_path):
+    path = spoil(copied(FIXTURE_DATASET, tmp_path), 3)
+    return ["inspect", "--dataset", str(path), "--id", "t01"], path, 2, 3
+
+
+def spoiled_sidecar(tmp_path):
+    dataset = copied(FIXTURE_DATASET, tmp_path)
+    sidecar = Path(str(dataset) + ".manifest.json")
+    sidecar.write_text(json.dumps({"source": "fixture"}, indent=2), encoding="utf-8")
+    return ["inspect", "--dataset", str(dataset), "--id", "t01"], spoil(sidecar, 2), 2, None
+
+
+def spoiled_records(tmp_path):
+    log = spoil(fixture_run(tmp_path) / "records.jsonl", 2)
+    argv = ["rescore", "--run", str(log.parent), "--dataset", str(FIXTURE_DATASET),
+            "--output", str(tmp_path / "scored.jsonl")]
+    return argv, log, 2, 2
+
+
+def spoiled_run_config(tmp_path):
+    identity = spoil(fixture_run(tmp_path) / "config.json", 2)
+    return ["run", "--config", str(tmp_path / "config.json")], identity, 2, None
+
+
+def spoiled_scored(tmp_path):
+    scored = tmp_path / "scored.jsonl"
+    assert main(["rescore", "--run", str(fixture_run(tmp_path)), "--dataset",
+                 str(FIXTURE_DATASET), "--output", str(scored)]) == 0
+    argv = ["report", "--scored", str(spoil(scored, 2)), "--out-dir", str(tmp_path / "r")]
+    return argv, scored, 2, 2
+
+
+def spoiled_scripted(tmp_path):
+    path = spoil(copied(SCRIPTED, tmp_path), 5)
+    config = write_config(tmp_path, model={"name": "m", "endpoint": f"scripted:{path}"})
+    return ["run", "--config", str(config)], path, 2, 5
+
+
+def spoiled_config(tmp_path):
+    path = spoil(write_config(tmp_path), 1)
+    return ["run", "--config", str(path)], path, 1, None
+
+
+def spoiled_published(tmp_path):
+    path = spoil(copied(PUBLISHED, tmp_path), 2)
+    return ["verify-paper", "--fixture", str(path)], path, 2, None
+
+
+def spoiled_field_map(tmp_path):
+    path = tmp_path / "field_map.json"
+    path.write_text(json.dumps({"id": "qid"}), encoding="utf-8")
+    argv = ["ingest", "--source", "mathdial", "--input", str(MATHDIAL), "--output",
+            str(tmp_path / "x.jsonl"), "--field-map", f"@{spoil(path, 1)}"]
+    return argv, path, 1, None
+
+
+def dataset_is_a_dir(tmp_path):
+    return ["inspect", "--dataset", str(tmp_path), "--id", "t01"], tmp_path, 2, None
+
+
+def scored_is_a_dir(tmp_path):
+    return ["report", "--scored", str(tmp_path), "--out-dir", str(tmp_path / "r")], tmp_path, 2, None
+
+
+def config_is_a_dir(tmp_path):
+    return ["run", "--config", str(tmp_path)], tmp_path, 1, None
+
+
+def field_map_is_missing(tmp_path):
+    path = tmp_path / "absent.json"
+    argv = ["ingest", "--source", "mathdial", "--input", str(MATHDIAL), "--output",
+            str(tmp_path / "x.jsonl"), "--field-map", f"@{path}"]
+    return argv, path, 1, None
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        spoiled_dataset,
+        spoiled_sidecar,
+        spoiled_records,
+        spoiled_run_config,
+        spoiled_scored,
+        spoiled_scripted,
+        spoiled_config,
+        spoiled_published,
+        spoiled_field_map,
+        dataset_is_a_dir,
+        scored_is_a_dir,
+        config_is_a_dir,
+        field_map_is_missing,
+    ],
+    ids=lambda case: case.__name__,
+)
+def test_an_unreadable_input_exits_with_its_code_naming_the_file(tmp_path, capsys, case):
+    argv, path, code, line = case(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert str(path) in err
+    if line is not None:
+        assert f"line {line}" in err
+    if path.name == "absent.json":
+        assert "not found" in err
+
+
+def test_ingest_rejects_a_line_that_is_not_utf8_and_keeps_the_rest(tmp_path):
+    source = spoil(copied(MATHDIAL, tmp_path), 1)
+    output = tmp_path / "out.jsonl"
+    assert main(["ingest", "--source", "mathdial", "--input", str(source),
+                 "--output", str(output)]) == 0
+    rejects = json.loads(Path(str(output) + ".rejects.json").read_text())
+    assert rejects["kept"] == 4
+    assert [r["index"] for r in rejects["rejections"]] == [0, 5, 6]
+    assert rejects["rejections"][0]["reason"].startswith("invalid JSON")

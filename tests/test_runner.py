@@ -39,7 +39,7 @@ import mwpeval.triplets
 from mwpeval.prompting import TemplateRegistry
 from mwpeval.runner import RunRecord, build_cells, index_records
 
-from conftest import DATA_DIR, fixture_without_explanation, make_triplet
+from conftest import DATA_DIR, fixture_without_explanation, load_whole_log, make_triplet
 
 FIXTURE_DATASET = DATA_DIR / "fixture_triplets.jsonl"
 SCRIPTED = DATA_DIR / "scripted_responses.jsonl"
@@ -169,13 +169,6 @@ def test_a_torn_line_followed_by_a_blank_line_is_corruption(tmp_path, after):
     path.write_text(good + "\n" + good[:-5] + "\n" + after, encoding="utf-8")
     with pytest.raises(DataError, match="line 2"):
         load_records(path)
-
-
-def test_torn_tail_can_be_made_strict(tmp_path):
-    path = tmp_path / "records.jsonl"
-    path.write_text(record_with().to_json_line()[:-5], encoding="utf-8")
-    with pytest.raises(DataError):
-        load_records(path, tolerate_torn_tail=False)
 
 
 def test_index_keeps_latest_but_never_drops_a_success():
@@ -336,7 +329,7 @@ def test_resume_after_a_torn_tail_appends_on_a_fresh_line(tmp_path):
     assert (first.cached, first.fresh) == (10, 30)
     second = run(config, backend=ScriptedBackend(SCRIPTED))
     assert (second.cached, second.fresh) == (40, 0)
-    assert len(load_records(out / "records.jsonl", tolerate_torn_tail=False)) == 40
+    assert len(load_whole_log(out / "records.jsonl")) == 40
 
 
 def test_a_whole_final_record_without_newline_is_kept(tmp_path):
@@ -368,7 +361,7 @@ def test_any_torn_tail_resumes_twice_with_each_cell_once(fixture_log, data):
             summary = run(config, backend=ScriptedBackend(SCRIPTED))
             assert summary.cached + summary.fresh == 40
         assert summary.fresh == 0
-        records = load_records(out / "records.jsonl", tolerate_torn_tail=False)
+        records = load_whole_log(out / "records.jsonl")
         hashes = [r.content_hash for r in records]
         assert len(hashes) == len(set(hashes)) == 40
 
@@ -533,13 +526,13 @@ def test_a_crash_at_concurrency_stops_dispatch_and_resumes_once(tmp_path, fuse):
     # at most one call past the fuse, and every successful call landed
     assert first.calls <= fuse + 4
     assert first.inner.calls <= fuse
-    assert len(load_records(log, tolerate_torn_tail=False)) == first.inner.calls
+    assert len(load_whole_log(log)) == first.inner.calls
 
     second = ScriptedBackend(SCRIPTED)
     summary = run(config, backend=second)
     assert (summary.cached, summary.fresh, summary.failed) == (first.inner.calls, second.calls, 0)
     assert first.inner.calls + second.calls == summary.total_cells
-    hashes = [r.content_hash for r in load_records(log, tolerate_torn_tail=False)]
+    hashes = [r.content_hash for r in load_whole_log(log)]
     assert len(hashes) == len(set(hashes)) == 40
 
 
@@ -611,12 +604,12 @@ def test_keyboard_interrupt_in_a_worker_propagates_and_the_log_resumes(tmp_path,
     assert any(exc is excinfo.value for exc in first.raised)
     assert threading.active_count() == threads_before
     assert first.calls <= 10 + concurrency
-    assert len(load_records(log, tolerate_torn_tail=False)) == first.inner.calls == 10
+    assert len(load_whole_log(log)) == first.inner.calls == 10
 
     second = ScriptedBackend(SCRIPTED)
     summary = run(config, backend=second)
     assert (summary.cached, summary.fresh) == (10, 30)
-    assert len(load_records(log, tolerate_torn_tail=False)) == 40
+    assert len(load_whole_log(log)) == 40
 
 
 class CtrlCBackend:
@@ -658,7 +651,7 @@ def test_ctrl_c_while_waiting_stops_dispatch_and_the_log_resumes(tmp_path):
     assert threading.active_count() == threads_before
     # the cells in flight finished and landed
     assert 3 <= first.succeeded < 40
-    assert len(load_records(log, tolerate_torn_tail=False)) == first.succeeded
+    assert len(load_whole_log(log)) == first.succeeded
 
     summary = run(config, backend=ScriptedBackend(SCRIPTED))
     assert (summary.cached, summary.fresh) == (first.succeeded, 40 - first.succeeded)
