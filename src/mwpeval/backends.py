@@ -13,11 +13,13 @@ fixture gap fails loudly instead of polluting results.
 
 from __future__ import annotations
 
+import email.utils
 import os
 import random
 import threading
 import time
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
@@ -179,11 +181,13 @@ class HttpChatBackend:
     """Chat-completions client with retry, jitter and rate limiting.
 
     Retries 429, 5xx and transport failures with exponential backoff and
-    full jitter; any other status is treated as permanent. Jitter only
-    shifts timing, never content. A session the backend creates keeps a
-    connection pool of max(concurrency, 10), so `concurrency` threads
-    calling complete() at once never discard connections; a session the
-    caller supplies is used as given.
+    full jitter, except that a 429 or 503 carrying a readable Retry-After
+    waits what it asks, capped at the policy's max_delay; any other
+    status is treated as permanent. Jitter only shifts timing, never
+    content. A session the backend creates keeps a connection pool of
+    max(concurrency, 10), so `concurrency` threads calling complete() at
+    once never discard connections; a session the caller supplies is
+    used as given.
     """
 
     def __init__(
@@ -226,9 +230,13 @@ class HttpChatBackend:
         started = time.monotonic()
         last_failure = "no attempt made"
         policy = self._spec.retry
+        asked: float | None = None  # the last response's Retry-After wait
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
-                self._sleep(self._rng.uniform(0.0, policy.delay_before(attempt)))
+                if asked is None:
+                    asked = self._rng.uniform(0.0, policy.delay_before(attempt))
+                self._sleep(asked)
+            asked = None
             self._limiter.acquire()
             try:
                 response = self._session.post(
@@ -244,6 +252,8 @@ class HttpChatBackend:
                 return self._parse(response, attempt, started)
             if response.status_code == 429 or response.status_code >= 500:
                 last_failure = f"HTTP {response.status_code}"
+                if response.status_code in (429, 503):
+                    asked = _retry_after(response.headers.get("Retry-After"), policy.max_delay)
                 continue
             raise BackendError(
                 f"{self._spec.name}: permanent HTTP {response.status_code}: "
@@ -277,6 +287,23 @@ class HttpChatBackend:
             attempts=attempts,
             usage=data.get("usage") if isinstance(data.get("usage"), dict) else None,
         )
+
+
+def _retry_after(value: str | None, cap: float) -> float | None:
+    """Seconds a Retry-After header asks for (delta-seconds or an HTTP
+    date), within [0, cap]; None when it is absent or does not parse."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return min(float(value), cap)
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:  # "-0000": UTC, with no claim about local time
+        when = when.replace(tzinfo=timezone.utc)
+    return min(max((when - datetime.now(timezone.utc)).total_seconds(), 0.0), cap)
 
 
 def create_backend(spec: ModelSpec, concurrency: int = 1) -> Backend:

@@ -23,7 +23,7 @@ import threading
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from ._schema import dump, dump_line, load, load_line, read_json, read_jsonl
 from .backends import Backend, ModelSpec, create_backend
@@ -41,7 +41,7 @@ from .prompting import (
     render,
 )
 from .scoring import Outcome, score
-from .triplets import TOOL_VERSION, Dataset, _utc_now, load_dataset
+from .triplets import TOOL_VERSION, Dataset, Triplet, _utc_now, load_dataset
 
 log = logging.getLogger(__name__)
 
@@ -141,11 +141,15 @@ def load_records(path: str | Path) -> list[RunRecord]:
     A torn final line (the signature of a killed writer) is dropped with
     a warning; a torn line anywhere else is corruption and raises.
     """
-    path = Path(path)
-    if not path.exists():
-        return []
-    lines = read_jsonl(path, "run record", DataError, RunRecord, torn_tail=True)
-    return [record for _, record in lines]
+    return list(_stream_records(Path(path)))
+
+
+def _stream_records(path: Path) -> Iterator[RunRecord]:
+    """The records of a log one at a time, read as load_records reads
+    them, so a caller keeps only what it takes from each."""
+    if path.exists():
+        for _, record in read_jsonl(path, "run record", DataError, RunRecord, torn_tail=True):
+            yield record
 
 
 def _mend_tail(path: Path) -> None:
@@ -175,34 +179,65 @@ def _mend_tail(path: Path) -> None:
             handle.write(b"\n")
 
 
-def index_records(records: Iterable[RunRecord]) -> dict[tuple[str, str], RunRecord]:
-    """Latest record per (model, content hash); a success is never
-    displaced by a later error."""
-    index: dict[tuple[str, str], RunRecord] = {}
+_Kept = TypeVar("_Kept")
+
+
+def index_records(
+    records: Iterable[RunRecord], keep: Callable[[RunRecord], _Kept]
+) -> dict[tuple[str, str], _Kept]:
+    """keep(record) of the latest record per (model, content hash); a
+    success is never displaced by a later error, and keep sees only the
+    records that take their key's place."""
+    index: dict[tuple[str, str], _Kept] = {}
+    succeeded: set[tuple[str, str]] = set()
     for record in records:
         key = (record.model, record.content_hash)
-        existing = index.get(key)
-        if existing is not None and existing.error is None and record.error is not None:
+        if record.error is None:
+            succeeded.add(key)
+        elif key in succeeded:
             continue
-        index[key] = record
+        index[key] = keep(record)
     return index
 
 
 def build_cells(
-    dataset: Dataset, config: ExperimentConfig, registry: TemplateRegistry
-) -> tuple[list[RenderedPrompt], int, int]:
+    dataset: Dataset,
+    config: ExperimentConfig,
+    registry: TemplateRegistry,
+    answered: Callable[[str], bool] = lambda content_hash: False,
+) -> tuple[list[RenderedPrompt], int, int, int]:
     """One rendered prompt per (triplet, task, mode) cell, with
     reasoning-only triplets excluded from correction and triplets
-    without a brief explanation excluded from dop_be. Returns (cells,
-    skipped reasoning-only cells, skipped cells without an
-    explanation)."""
-    cells: list[RenderedPrompt] = []
-    skipped = 0
-    no_explanation = 0
+    without a brief explanation excluded from dop_be. Every cell's hash
+    is checked for a collision; a cell whose hash answered() accepts is
+    then only counted, so its text is not kept. Returns (pending cells,
+    answered cells, skipped reasoning-only cells, skipped cells without
+    an explanation)."""
+    pending: list[RenderedPrompt] = []
+    first_by_hash: dict[str, tuple[str, PromptMode]] = {}
+    cached = skipped = no_explanation = 0
+
+    def plan(triplet: Triplet, mode: PromptMode) -> None:
+        nonlocal cached
+        cell = render(triplet, mode, config.model.params, registry)
+        other = first_by_hash.get(cell.content_hash)
+        if other is not None:
+            raise DataError(
+                "content hash collision between cells "
+                f"{other[0]}/{other[1].key} and "
+                f"{cell.triplet_id}/{mode.key}; triplet texts "
+                "are probably duplicated"
+            )
+        first_by_hash[cell.content_hash] = (cell.triplet_id, mode)
+        if answered(cell.content_hash):
+            cached += 1
+        else:
+            pending.append(cell)
+
     for task in config.tasks:
         if task is TaskKind.REASONING:
             for triplet in dataset:
-                cells.append(render(triplet, REASONING_MODE, config.model.params, registry))
+                plan(triplet, REASONING_MODE)
         else:
             for mode_level in config.modes:
                 mode = CORRECTION_MODES[mode_level]
@@ -213,18 +248,7 @@ def build_cells(
                     if mode_level is DopLevel.BE and triplet.brief_explanation is None:
                         no_explanation += 1
                         continue
-                    cells.append(render(triplet, mode, config.model.params, registry))
-    by_hash: dict[str, RenderedPrompt] = {}
-    for cell in cells:
-        other = by_hash.get(cell.content_hash)
-        if other is not None:
-            raise DataError(
-                "content hash collision between cells "
-                f"{other.triplet_id}/{other.mode.key} and "
-                f"{cell.triplet_id}/{cell.mode.key}; triplet texts "
-                "are probably duplicated"
-            )
-        by_hash[cell.content_hash] = cell
+                    plan(triplet, mode)
     if skipped:
         log.warning(
             "excluded %d correction cells for reasoning-only triplets", skipped
@@ -234,7 +258,7 @@ def build_cells(
             "excluded %d dop_be cells for triplets without a brief explanation",
             no_explanation,
         )
-    return cells, skipped, no_explanation
+    return pending, cached, skipped, no_explanation
 
 
 class _RecordWriter:
@@ -353,7 +377,6 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
     """Execute (or resume) the experiment described by config."""
     dataset = load_dataset(config.dataset)
     registry = TemplateRegistry.load(config.templates_dir)
-    cells, skipped, no_explanation = build_cells(dataset, config, registry)
 
     run_dir = Path(config.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -374,6 +397,21 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
                     f"{run_dir} already holds records for a different "
                     "dataset/model/template combination; use a fresh output_dir"
                 )
+
+        # Per cache key, only whether its record succeeded is kept.
+        succeeded = index_records(
+            _stream_records(records_path), lambda record: record.error is None
+        )
+
+        def answered(content_hash: str) -> bool:
+            ok = succeeded.get((config.model.name, content_hash))
+            return ok is not None and (ok or not config.retry_failed)
+
+        pending, cached, skipped, no_explanation = build_cells(
+            dataset, config, registry, answered
+        )
+        total = len(pending) + cached
+        # Bound only now, so a dataset that fails build_cells binds no dir.
         identity_path.write_text(
             json.dumps(
                 {"config": config.to_dict(), "identity": identity},
@@ -384,17 +422,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
             + "\n",
             encoding="utf-8",
         )
-
-        index = index_records(load_records(records_path))
         _mend_tail(records_path)
-        pending: list[RenderedPrompt] = []
-        cached = 0
-        for cell in cells:
-            existing = index.get((config.model.name, cell.content_hash))
-            if existing is not None and not (config.retry_failed and existing.error):
-                cached += 1
-            else:
-                pending.append(cell)
 
         if backend is None and pending:
             backend = create_backend(config.model, config.concurrency)
@@ -453,7 +481,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
             "tasks": [t.value for t in config.tasks],
             "modes": [m.value for m in config.modes],
             "cells": {
-                "total": len(cells),
+                "total": total,
                 "cached": cached,
                 "fresh": fresh,
                 "failed": failed,
@@ -470,7 +498,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
     return RunSummary(
         run_dir=run_dir,
         records_path=records_path,
-        total_cells=len(cells),
+        total_cells=total,
         cached=cached,
         fresh=fresh,
         failed=failed,
@@ -485,8 +513,10 @@ def rescore(
 ) -> list[Outcome]:
     """Re-judge recorded responses against the dataset, deterministically.
 
-    Records are deduplicated by cache key before scoring and the result
-    is sorted, so rescoring the same inputs twice is byte-identical.
+    Each record is scored as the log streams, and one outcome is kept
+    per cache key, chosen as run() chooses the record it caches. The
+    result is sorted, so rescoring the same inputs twice is
+    byte-identical.
     """
     if not isinstance(dataset, Dataset):
         dataset = load_dataset(dataset)
@@ -495,9 +525,8 @@ def rescore(
         records_path = records_path / "records.jsonl"
     if not records_path.exists():
         raise DataError(f"no record log at {records_path}")
-    index = index_records(load_records(records_path))
-    outcomes: list[Outcome] = []
-    for record in index.values():
+
+    def score_record(record: RunRecord) -> Outcome:
         triplet = dataset.by_id.get(record.triplet_id)
         if triplet is None:
             raise DataError(
@@ -505,17 +534,17 @@ def rescore(
                 "was the right dataset supplied?"
             )
         mode = record.mode
-        outcomes.append(
-            score(
-                triplet,
-                record.response_text,
-                mode.task,
-                mode.dop,
-                model=record.model,
-                template_id=record.template_id,
-                error=record.error,
-            )
+        return score(
+            triplet,
+            record.response_text,
+            mode.task,
+            mode.dop,
+            model=record.model,
+            template_id=record.template_id,
+            error=record.error,
         )
+
+    outcomes = list(index_records(_stream_records(records_path), score_record).values())
     outcomes.sort(key=lambda o: (o.triplet_id, o.task.value, o.dop.value if o.dop else ""))
     return outcomes
 
@@ -535,7 +564,10 @@ def load_scored(path: str | Path) -> list[Outcome]:
     outcomes = []
     first_line: dict[tuple[Any, ...], int] = {}
     for lineno, payload in read_jsonl(path, "scored outcome", DataError):
-        outcome = Outcome.from_dict(payload, lineno)
+        try:
+            outcome = Outcome.from_dict(payload)
+        except DataError as exc:
+            raise DataError(f"{path} line {lineno}: {exc}") from None
         key = (payload["model"], payload["triplet_id"], payload["task"], payload["dop"])
         first = first_line.setdefault(key, lineno)
         if first != lineno:

@@ -156,9 +156,10 @@ def ok_payload(text: str) -> dict:
 
 @pytest.fixture()
 def chat_server():
-    """A throwaway chat-completions endpoint driven by a response script.
-    A barrier put in state["gate"] holds each response until that many
-    requests are open at once."""
+    """A throwaway chat-completions endpoint driven by a response script
+    of (status, payload, *(header name, value)) entries. A barrier put
+    in state["gate"] holds each response until that many requests are
+    open at once."""
     state = {"script": [], "seen": [], "gate": None}
 
     class Handler(BaseHTTPRequestHandler):
@@ -173,9 +174,9 @@ def chat_server():
                 }
             )
             if state["script"]:
-                status, payload = state["script"].pop(0)
+                status, payload, *headers = state["script"].pop(0)
             else:
-                status, payload = 200, ok_payload("unscripted")
+                status, payload, headers = 200, ok_payload("unscripted"), []
             if state["gate"] is not None:
                 state["gate"].wait()
             raw = (
@@ -186,6 +187,8 @@ def chat_server():
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(raw)))
+            for name, value in headers:
+                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(raw)
 
@@ -280,6 +283,51 @@ def test_http_retries_transient_statuses(chat_server):
     assert len(sleeps) == 2
     assert 0.0 <= sleeps[0] <= 1.0
     assert 0.0 <= sleeps[1] <= 2.0
+
+
+@pytest.mark.parametrize(
+    "status, header, waited",
+    [
+        (429, "3", 2.0),  # capped at max_delay
+        (503, "3", 2.0),
+        (429, "0", 0.0),
+        (429, " 1 ", 1.0),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.0),  # a date in the past
+        (503, "Fri, 01 Jan 9999 00:00:00 GMT", 2.0),
+    ],
+)
+def test_http_retry_after_sets_the_wait(chat_server, status, header, waited):
+    url, state = chat_server
+    state["script"] += [(status, {}, ("Retry-After", header)), (200, ok_payload("#### 24"))]
+    backend, sleeps = backend_for(fast_spec(url, retry=RetryPolicy(max_attempts=3, max_delay=2.0)))
+    assert backend.complete(prompt_for(make_triplet())).attempts == 2
+    assert sleeps == [waited]
+
+
+@pytest.mark.parametrize(
+    "status, header",
+    [(429, "soon"), (429, "1.5"), (429, "-1"), (429, "²"), (500, "0"), (502, "0")],
+)
+def test_http_unreadable_or_unhonoured_retry_after_keeps_the_jitter(chat_server, status, header):
+    url, state = chat_server
+    state["script"] += [(status, {}, ("Retry-After", header)), (200, ok_payload("#### 24"))]
+    spec = fast_spec(url, retry=RetryPolicy(max_attempts=3, base_delay=1.0, max_delay=2.0))
+    backend, sleeps = backend_for(spec, seed=7)
+    backend.complete(prompt_for(make_triplet()))
+    assert sleeps == [random.Random(7).uniform(0.0, spec.retry.delay_before(2))]
+
+
+def test_http_retry_after_holds_for_one_retry_only(chat_server):
+    url, state = chat_server
+    state["script"] += [
+        (429, {}, ("Retry-After", "0")),
+        (500, {}),
+        (200, ok_payload("#### 24")),
+    ]
+    spec = fast_spec(url, retry=RetryPolicy(max_attempts=3, base_delay=1.0))
+    backend, sleeps = backend_for(spec, seed=3)
+    backend.complete(prompt_for(make_triplet()))
+    assert sleeps == [0.0, random.Random(3).uniform(0.0, spec.retry.delay_before(3))]
 
 
 def test_http_gives_up_after_max_attempts(chat_server):

@@ -404,7 +404,7 @@ def test_report_on_a_scored_line_whose_task_and_dop_disagree(
     assert main(["report", "--scored", str(scored),
                  "--out-dir", str(tmp_path / "report")]) == 2
     err = capsys.readouterr().err
-    assert "line 2" in err and message in err
+    assert f"{scored} line 2: scored outcome: " in err and message in err
     assert not (tmp_path / "report").exists()
 
 

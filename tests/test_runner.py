@@ -10,6 +10,8 @@ import signal
 import tempfile
 import threading
 import time
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwpeval import (
+    CompletionResult,
     DataError,
     Dataset,
     DopLevel,
@@ -175,12 +178,22 @@ def test_index_keeps_latest_but_never_drops_a_success():
     ok = record_with(response_text="#### 24", error=None)
     newer_error = record_with(response_text=None, error="boom", attempts=0)
     retried_ok = record_with(response_text="#### 25")
-    # success then error: the success stays
-    assert index_records([ok, newer_error])[("m", "c" * 64)] is ok
+    kept = []
+
+    def keep(record):
+        kept.append(record)
+        return record
+
+    # success then error: the success stays, and the error is never kept
+    assert index_records([ok, newer_error], keep)[("m", "c" * 64)] is ok
+    assert kept == [ok]
     # error then success: the success replaces it
-    assert index_records([newer_error, ok])[("m", "c" * 64)] is ok
+    assert index_records([newer_error, ok], keep)[("m", "c" * 64)] is ok
     # success then success: latest wins
-    assert index_records([ok, retried_ok])[("m", "c" * 64)] is retried_ok
+    assert index_records([ok, retried_ok], keep)[("m", "c" * 64)] is retried_ok
+    # only what keep returns is held per key
+    texts = index_records([ok, newer_error], lambda record: record.response_text)
+    assert texts == {("m", "c" * 64): "#### 24"}
 
 
 # cell planning
@@ -189,9 +202,9 @@ def test_index_keeps_latest_but_never_drops_a_success():
 def test_build_cells_covers_tasks_times_modes(fixture_dataset, tmp_path):
     config = sp_config(tmp_path, modes=tuple(DopLevel))
     registry = TemplateRegistry.load()
-    cells, skipped, no_explanation = build_cells(fixture_dataset, config, registry)
+    cells, cached, skipped, no_explanation = build_cells(fixture_dataset, config, registry)
     assert len(cells) == 20 + 20 * 4
-    assert skipped == no_explanation == 0
+    assert cached == skipped == no_explanation == 0
 
 
 def test_build_cells_skips_reasoning_only_in_correction(tmp_path):
@@ -205,7 +218,7 @@ def test_build_cells_skips_reasoning_only_in_correction(tmp_path):
     )
     dataset = Dataset([make_triplet(), solver_only])
     config = sp_config(tmp_path, modes=(DopLevel.SP, DopLevel.NA))
-    cells, skipped, no_explanation = build_cells(dataset, config, TemplateRegistry.load())
+    cells, cached, skipped, no_explanation = build_cells(dataset, config, TemplateRegistry.load())
     assert skipped == 2  # one per correction mode
     assert no_explanation == 0
     assert len(cells) == 2 + 2
@@ -459,7 +472,7 @@ def test_concurrency_reaches_the_same_records(tmp_path):
 def test_concurrency_one_appends_in_cell_order(tmp_path, fixture_dataset):
     config = sp_config(tmp_path / "out")
     run(config, backend=ScriptedBackend(SCRIPTED))
-    cells, _, _ = build_cells(fixture_dataset, config, TemplateRegistry.load())
+    cells, _, _, _ = build_cells(fixture_dataset, config, TemplateRegistry.load())
     logged = load_records(Path(config.output_dir) / "records.jsonl")
     assert [r.content_hash for r in logged] == [c.content_hash for c in cells]
 
@@ -756,3 +769,126 @@ def test_scored_outcomes_round_trip(tmp_path):
     path = tmp_path / "scored.jsonl"
     write_scored(outcomes, path)
     assert load_scored(path) == outcomes
+
+
+# the record log is streamed, never held
+
+
+class FixedBackend:
+    """Answers every cell with the same text and counts its calls."""
+
+    def __init__(self, text: str = "#### 24") -> None:
+        self.text = text
+        self.calls = 0
+
+    def complete(self, prompt):
+        self.calls += 1
+        return CompletionResult(text=self.text, latency_ms=0.0, attempts=1)
+
+
+def test_a_cached_rerun_and_a_rescore_never_load_the_whole_log(tmp_path, monkeypatch):
+    config = sp_config(tmp_path / "out")
+    run(config, backend=ScriptedBackend(SCRIPTED))
+    log = Path(config.output_dir) / "records.jsonl"
+    log_before = log.read_bytes()
+    outcomes = rescore(config.output_dir, config.dataset)
+
+    def refuse(path):
+        raise AssertionError(f"{path} was loaded whole")
+
+    monkeypatch.setattr(mwpeval.runner, "load_records", refuse)
+    backend = ScriptedBackend(SCRIPTED)
+    summary = run(config, backend=backend)
+    assert (summary.total_cells, summary.cached, summary.fresh, backend.calls) == (40, 40, 0, 0)
+    assert log.read_bytes() == log_before
+    assert rescore(config.output_dir, config.dataset) == outcomes
+
+
+def test_repeated_records_for_one_key_resolve_the_same_in_run_and_rescore(tmp_path):
+    config = sp_config(tmp_path / "out")
+    run(config, backend=ScriptedBackend(SCRIPTED))
+    log = Path(config.output_dir) / "records.jsonl"
+    records = load_whole_log(log)
+    baseline = rescore(config.output_dir, config.dataset)
+    assert all(o.reason == "matched" for o in baseline[:4])
+
+    def failed(record):
+        return replace(record, response_text=None, error="HTTP 503", attempts=0, latency_ms=0.0)
+
+    ok_then_error, error_then_ok, ok_then_ok, error_only = records[:4]
+    rewritten = [
+        ok_then_error, failed(ok_then_error),
+        failed(error_then_ok), error_then_ok,
+        ok_then_ok, replace(ok_then_ok, response_text="#### 99999"),
+        failed(error_only),
+        *records[4:],
+    ]
+    log.write_text("".join(r.to_json_line() + "\n" for r in rewritten), encoding="utf-8")
+
+    by_triplet = {
+        o.triplet_id: o.reason for o in rescore(config.output_dir, config.dataset) if o.dop is None
+    }
+    assert [by_triplet[r.triplet_id] for r in records[:4]] == [
+        "matched", "matched", "mismatched", "backend-error"
+    ]
+    assert len(by_triplet) == 20
+
+    backend = ScriptedBackend(SCRIPTED)
+    summary = run(config, backend=backend)
+    assert (summary.cached, summary.fresh, backend.calls) == (40, 0, 0)
+    summary = run(sp_config(tmp_path / "out", retry_failed=True), backend=backend)
+    assert (summary.cached, summary.fresh, summary.failed, backend.calls) == (39, 1, 0, 1)
+    assert load_whole_log(log)[-1].triplet_id == error_only.triplet_id
+
+
+def eggs(n: int) -> list[Triplet]:
+    """n triplets with distinct texts."""
+    return [
+        make_triplet(
+            id=f"e{i:03d}",
+            question=f"A box holds {i} eggs. How many eggs are in 4 boxes?",
+            reference_solution=f"Four boxes hold {i} * 4 = {4 * i} eggs.",
+            reference_numeric=str(4 * i),
+            brief_explanation=f"Four boxes hold {i} * 4 = {4 * i} eggs.",
+            wrong_solution=f"{i} + 4 = {i + 4} eggs.",
+        )
+        for i in range(1, n + 1)
+    ]
+
+
+def test_a_cached_rerun_holds_less_than_its_log(tmp_path):
+    config = ExperimentConfig(
+        dataset=str(save_dataset(Dataset(eggs(120), source="unit"), tmp_path / "eggs.jsonl")),
+        model=ModelSpec(name="m", endpoint="unused"),
+        output_dir=str(tmp_path / "out"),
+    )
+    run(config, backend=FixedBackend())
+    log_bytes = (tmp_path / "out" / "records.jsonl").stat().st_size
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        summary = run(config, backend=FixedBackend())
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert (summary.cached, summary.fresh) == (600, 0)
+    # holding every record, or every cached cell's prompt, costs more
+    # than the log itself
+    assert peak < log_bytes
+
+
+def test_a_hash_collision_writes_no_config_and_a_rerun_without_it_runs(tmp_path):
+    dataset_path = tmp_path / "twins.jsonl"
+    save_dataset(Dataset([make_triplet(), make_triplet(id="x02")], source="unit"), dataset_path)
+    config = sp_config(tmp_path / "out", dataset=str(dataset_path))
+    backend = FixedBackend()
+    with pytest.raises(DataError, match="collision"):
+        run(config, backend=backend)
+    assert backend.calls == 0
+    assert not (tmp_path / "out" / "config.json").exists()
+
+    save_dataset(Dataset([make_triplet()], source="unit"), dataset_path)
+    summary = run(config, backend=backend)
+    assert (summary.total_cells, summary.fresh, summary.failed) == (2, 2, 0)
+    assert (tmp_path / "out" / "config.json").exists()
