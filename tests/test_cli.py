@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -18,6 +19,8 @@ from conftest import DATA_DIR, fixture_without_explanation
 FIXTURE_DATASET = DATA_DIR / "fixture_triplets.jsonl"
 SCRIPTED = DATA_DIR / "scripted_responses.jsonl"
 MATHDIAL = DATA_DIR / "mathdial_sample.jsonl"
+GSM8K = DATA_DIR / "gsm8k_sample.jsonl"
+GOLDEN_INGEST = DATA_DIR / "golden_ingest"
 PUBLISHED = Path(mwpeval.__file__).with_name("data") / "published_results.json"
 
 
@@ -137,6 +140,33 @@ def test_ingest_mathdial_sample(tmp_path, capsys):
     assert rejects["kept"] == 5
     assert rejects["rejected"] == 2
     assert {r["record_id"] for r in rejects["rejections"]} == {"md-106", "md-107"}
+
+
+def test_ingest_mathdial_matches_the_golden_files(tmp_path, capsys):
+    output = tmp_path / "triplets.jsonl"
+    rejects = Path(str(output) + ".rejects.json")
+    assert main(["ingest", "--source", "mathdial", "--input", str(MATHDIAL),
+                 "--output", str(output)]) == 0
+    # the manifest sidecar is left out: it carries created_at
+    assert output.read_bytes() == (GOLDEN_INGEST / "mathdial_triplets.jsonl").read_bytes()
+    assert rejects.read_bytes() == (GOLDEN_INGEST / "mathdial_rejects.json").read_bytes()
+    digest = hashlib.sha256(output.read_bytes()).hexdigest()
+    assert capsys.readouterr().out == (
+        f"ingested 5 triplets from {MATHDIAL} (2 rejected); digest {digest}\n"
+        f"wrote {output} and {rejects}\n"
+    )
+
+
+def test_ingest_gsm8k_sample_keeps_the_golden_rows(tmp_path):
+    output = tmp_path / "triplets.jsonl"
+    assert main(["ingest", "--source", "gsm8k", "--input", str(GSM8K),
+                 "--output", str(output)]) == 0
+    assert output.read_bytes() == (GOLDEN_INGEST / "gsm8k_triplets.jsonl").read_bytes()
+    rejects = json.loads(Path(str(output) + ".rejects.json").read_text())
+    assert (rejects["kept"], rejects["rejected"]) == (6, 5)
+    assert [(r["index"], r["record_id"]) for r in rejects["rejections"]] == [
+        (2, None), (3, "gs-04"), (5, "gs-06"), (6, None), (8, "gs-08")
+    ]
 
 
 def test_ingest_reports_unparseable_lines_once(tmp_path):
