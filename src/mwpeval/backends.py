@@ -196,7 +196,6 @@ class HttpChatBackend:
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
-        limiter: RateLimiter | None = None,
         concurrency: int = 1,
     ) -> None:
         self._spec = spec
@@ -217,7 +216,7 @@ class HttpChatBackend:
         self._session = session
         self._sleep = sleep
         self._rng = rng or random.Random()
-        self._limiter = limiter or RateLimiter(spec.requests_per_second)
+        self._limiter = RateLimiter(spec.requests_per_second)
         self._url = spec.endpoint.rstrip("/") + "/chat/completions"
 
     def complete(self, prompt: RenderedPrompt) -> CompletionResult:

@@ -59,9 +59,6 @@ from .triplets import (
     save_dataset,
 )
 
-log = logging.getLogger(__name__)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that raises UsageError instead of exiting with code 2."""
 
@@ -73,6 +70,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     input_path = Path(args.input)
     output_path = Path(args.output)
 
+    if args.field_map and args.source != "mathdial":
+        raise UsageError(f"--field-map applies to --source mathdial only, not {args.source}")
     rejections: list[Rejection] = []
     if args.source == "triplets":
         dataset = load_dataset(input_path)
@@ -243,7 +242,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True, help="triplet JSONL to write")
     p.add_argument(
         "--field-map",
-        help="JSON object (or @file) mapping triplet fields to source fields",
+        help="JSON object (or @file) mapping triplet fields to mathdial source fields",
     )
     p.add_argument("--rejects", help="rejection report path (default: <output>.rejects.json)")
     p.add_argument("--source-name", help="source label stored on each triplet")
@@ -317,9 +316,6 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         _emit_error(exc, as_json)
         return 3
-    except DataError as exc:
-        _emit_error(exc, as_json)
-        return 2
     except HarnessError as exc:
         _emit_error(exc, as_json)
         return 2

@@ -190,26 +190,26 @@ class TemplateRegistry:
 
 
 def _substitution_values(triplet: Triplet, mode: PromptMode) -> dict[str, str]:
-    values = {"question": triplet.question}
-    if mode.task is TaskKind.CORRECTION:
-        if triplet.reasoning_only:
-            raise DataError(
-                f"triplet {triplet.id} is reasoning-only and has no wrong "
-                "solution to correct"
-            )
-        values["wrong_solution"] = triplet.wrong_solution
-        if mode.dop is DopLevel.NA:
-            values["numeric_answer"] = triplet.reference_numeric
-        elif mode.dop is DopLevel.BE:
-            if triplet.brief_explanation is None:
-                raise DataError(
-                    f"triplet {triplet.id} has no brief explanation; it cannot "
-                    "be prompted at the dop_be level"
-                )
-            values["brief_explanation"] = triplet.brief_explanation
-        elif mode.dop is DopLevel.SA:
-            values["reference_solution"] = triplet.reference_solution
-    return values
+    """The values of the placeholders mode's template requires;
+    REQUIRED_PLACEHOLDERS states which resource each level adds."""
+    if mode.task is TaskKind.CORRECTION and triplet.reasoning_only:
+        raise DataError(
+            f"triplet {triplet.id} is reasoning-only and has no wrong "
+            "solution to correct"
+        )
+    if mode.dop is DopLevel.BE and triplet.brief_explanation is None:
+        raise DataError(
+            f"triplet {triplet.id} has no brief explanation; it cannot "
+            "be prompted at the dop_be level"
+        )
+    resources = {
+        "question": triplet.question,
+        "wrong_solution": triplet.wrong_solution,
+        "numeric_answer": triplet.reference_numeric,
+        "brief_explanation": triplet.brief_explanation,
+        "reference_solution": triplet.reference_solution,
+    }
+    return {name: resources[name] for name in REQUIRED_PLACEHOLDERS[mode.template_name]}
 
 
 def render(

@@ -298,6 +298,20 @@ def _cache_identity(config: ExperimentConfig, dataset: Dataset, registry: Templa
     }
 
 
+# Model settings that shape how a completion is fetched, not its content:
+# a resume may change them, e.g. to slow down after rate-limit errors.
+_TRANSPORT_FIELDS = frozenset({"auth_env", "retry", "requests_per_second", "timeout"})
+
+
+def _binding(identity: Any) -> Any:
+    """The part of a cache identity that binds an output dir: all of it
+    but the model's transport settings."""
+    if not isinstance(identity, dict) or not isinstance(identity.get("model"), dict):
+        return identity
+    model = {k: v for k, v in identity["model"].items() if k not in _TRANSPORT_FIELDS}
+    return {**identity, "model": model}
+
+
 def _dispatch(
     cells: list[RenderedPrompt], work: Callable[[RenderedPrompt], bool], concurrency: int
 ) -> tuple[int, int]:
@@ -392,7 +406,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
                 raise DataError(
                     f"{identity_path} must hold a JSON object, got {type(previous).__name__}"
                 )
-            if previous.get("identity") != identity:
+            if _binding(previous.get("identity")) != _binding(identity):
                 raise DataError(
                     f"{run_dir} already holds records for a different "
                     "dataset/model/template combination; use a fresh output_dir"

@@ -30,6 +30,8 @@ DEFAULT_MATHDIAL_FIELD_MAP = {
     "reference_solution": "ground_truth",
     "wrong_solution": "student_incorrect_solution",
 }
+# No wrong_solution: a GSM8K problem yields a reasoning-only triplet.
+GSM8K_FIELD_MAP = {"id": "id", "question": "question", "reference_solution": "answer"}
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+|\n+")
 
@@ -220,43 +222,33 @@ def _require_text(record: dict[str, Any], key: str | None) -> str | None:
     return value
 
 
-def ingest_mathdial(
-    records: Iterable[dict[str, Any]],
-    field_map: dict[str, str] | None = None,
-    source: str = "mathdial",
+def _ingest(
+    records: Iterable[dict[str, Any]], mapping: dict[str, Any], source: str
 ) -> tuple[list[Triplet], list[Rejection]]:
-    """Map tutoring-dialog records onto triplets.
+    """Map source records onto triplets.
 
-    field_map maps triplet fields to source record fields; unmapped
-    brief_explanation is derived as the last sentence of the reference
-    solution containing the reference value. Records that cannot be
-    mapped are rejected with a reason. A rejection rate above 50%
-    aborts, since it almost always means the field map is wrong.
+    mapping names the source field of each triplet field. A field mapped
+    to None reads as missing: a missing id numbers the triplet by
+    position, and a missing required text rejects the record. A mapping
+    without a wrong_solution key yields reasoning-only triplets. An
+    unmapped brief_explanation is derived as the last sentence of the
+    reference solution containing the reference value. Records that
+    cannot be mapped are rejected with a reason. A rejection rate above
+    50% aborts, since it almost always means the mapping is wrong.
     """
-    mapping = dict(DEFAULT_MATHDIAL_FIELD_MAP)
-    if field_map:
-        mapping.update(field_map)
+    reasoning_only = "wrong_solution" not in mapping
+    required = ["question", "reference_solution"]
+    if not reasoning_only:
+        required.append("wrong_solution")
     triplets: list[Triplet] = []
     rejections: list[Rejection] = []
-    total = 0
     for index, record in enumerate(records):
-        total += 1
         if not isinstance(record, dict):
             rejections.append(Rejection(index, "record is not a JSON object"))
             continue
         record_id = _require_text(record, mapping.get("id"))
-        question = _require_text(record, mapping["question"])
-        reference_solution = _require_text(record, mapping["reference_solution"])
-        wrong_solution = _require_text(record, mapping["wrong_solution"])
-        problems = [
-            name
-            for name, value in [
-                ("question", question),
-                ("reference_solution", reference_solution),
-                ("wrong_solution", wrong_solution),
-            ]
-            if value is None
-        ]
+        texts = {name: _require_text(record, mapping[name]) for name in required}
+        problems = [name for name, value in texts.items() if value is None]
         if problems:
             rejections.append(
                 Rejection(
@@ -267,13 +259,14 @@ def ingest_mathdial(
                 )
             )
             continue
+        reference_solution = texts["reference_solution"]
         reference = extract(reference_solution)
         if reference is None:
             rejections.append(
                 Rejection(index, "no numeric answer in reference_solution", record_id)
             )
             continue
-        meta: dict[str, Any] = {}
+        meta: dict[str, Any] = {"reasoning_only": True} if reasoning_only else {}
         explanation_key = mapping.get("brief_explanation")
         explanation = _require_text(record, explanation_key) if explanation_key else None
         if explanation is not None:
@@ -286,16 +279,17 @@ def ingest_mathdial(
                 meta["be_derivation"] = "last-sentence"
         triplet = Triplet(
             id=record_id or f"{source}-{index:04d}",
-            question=question,
+            question=texts["question"],
             reference_solution=reference_solution,
             reference_numeric=reference.canonical,
             brief_explanation=explanation,
-            wrong_solution=wrong_solution,
+            wrong_solution=texts.get("wrong_solution", ""),
             source=source,
             meta=meta,
         )
         triplets.append(triplet)
-    if total and len(rejections) > total / 2:
+    total = len(triplets) + len(rejections)
+    if len(rejections) > total / 2:
         raise DataError(
             f"{len(rejections)} of {total} records rejected; the field map "
             f"{mapping!r} most likely does not match this source"
@@ -303,52 +297,19 @@ def ingest_mathdial(
     return triplets, rejections
 
 
+def ingest_mathdial(
+    records: Iterable[dict[str, Any]],
+    field_map: dict[str, str] | None = None,
+    source: str = "mathdial",
+) -> tuple[list[Triplet], list[Rejection]]:
+    """Map tutoring-dialog records onto triplets; field_map overrides
+    DEFAULT_MATHDIAL_FIELD_MAP entry by entry."""
+    return _ingest(records, {**DEFAULT_MATHDIAL_FIELD_MAP, **(field_map or {})}, source)
+
+
 def ingest_gsm8k(
     records: Iterable[dict[str, Any]], source: str = "gsm8k"
 ) -> tuple[list[Triplet], list[Rejection]]:
     """Map grade-school problem records (question + worked answer) onto
-    reasoning-only triplets. These carry no wrong solution and are
-    excluded from correction runs."""
-    triplets: list[Triplet] = []
-    rejections: list[Rejection] = []
-    total = 0
-    for index, record in enumerate(records):
-        total += 1
-        if not isinstance(record, dict):
-            rejections.append(Rejection(index, "record is not a JSON object"))
-            continue
-        record_id = _require_text(record, "id")
-        question = _require_text(record, "question")
-        answer = _require_text(record, "answer")
-        if question is None or answer is None:
-            rejections.append(
-                Rejection(index, "missing or blank question/answer fields", record_id)
-            )
-            continue
-        reference = extract(answer)
-        if reference is None:
-            rejections.append(
-                Rejection(index, "no numeric answer in answer text", record_id)
-            )
-            continue
-        meta: dict[str, Any] = {"reasoning_only": True}
-        explanation = derive_brief_explanation(answer, reference.canonical)
-        if explanation is not None:
-            meta["be_derivation"] = "last-sentence"
-        triplet = Triplet(
-            id=record_id or f"{source}-{index:04d}",
-            question=question,
-            reference_solution=answer,
-            reference_numeric=reference.canonical,
-            brief_explanation=explanation,
-            wrong_solution="",
-            source=source,
-            meta=meta,
-        )
-        triplets.append(triplet)
-    if total and len(rejections) > total / 2:
-        raise DataError(
-            f"{len(rejections)} of {total} records rejected; input does not "
-            "look like a question/answer problem file"
-        )
-    return triplets, rejections
+    reasoning-only triplets, which are excluded from correction runs."""
+    return _ingest(records, GSM8K_FIELD_MAP, source)

@@ -167,6 +167,12 @@ def test_ingest_gsm8k_sample_keeps_the_golden_rows(tmp_path):
     assert [(r["index"], r["record_id"]) for r in rejects["rejections"]] == [
         (2, None), (3, "gs-04"), (5, "gs-06"), (6, None), (8, "gs-08")
     ]
+    reasons = {r["index"]: r["reason"] for r in rejects["rejections"]}
+    assert reasons[2] == "record is not a JSON object"
+    assert reasons[3] == "missing or blank source fields: question ('question')"
+    assert reasons[5] == "missing or blank source fields: reference_solution ('answer')"
+    assert reasons[6].startswith("invalid JSON: ")
+    assert reasons[8] == "no numeric answer in reference_solution"
 
 
 def test_ingest_reports_unparseable_lines_once(tmp_path):
@@ -293,6 +299,19 @@ def test_ingest_bad_field_map_is_a_usage_error(tmp_path, capsys):
                  "--output", str(tmp_path / "x.jsonl"),
                  "--field-map", "{broken"]) == 1
     assert "field-map" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source, input_path",
+    [("gsm8k", GSM8K), ("triplets", FIXTURE_DATASET)],
+    ids=["gsm8k", "triplets"],
+)
+def test_ingest_refuses_a_field_map_outside_mathdial(tmp_path, capsys, source, input_path):
+    output = tmp_path / "x.jsonl"
+    assert main(["ingest", "--source", source, "--input", str(input_path),
+                 "--output", str(output), "--field-map", '{"question": "nope"}']) == 1
+    assert "--field-map applies to --source mathdial only" in capsys.readouterr().err
+    assert not output.exists()
 
 
 # run, rescore, report pipeline
@@ -492,6 +511,32 @@ def test_inspect_prints_every_applicable_prompt(capsys):
 def test_inspect_unknown_id_is_a_data_error(capsys):
     assert main(["inspect", "--dataset", str(FIXTURE_DATASET), "--id", "zz"]) == 2
     assert "no triplet" in capsys.readouterr().err
+
+
+def test_inspect_a_reasoning_only_triplet_prints_its_reasoning_prompt_alone(tmp_path, capsys):
+    dataset = tmp_path / "gsm8k.jsonl"
+    assert main(["ingest", "--source", "gsm8k", "--input", str(GSM8K),
+                 "--output", str(dataset)]) == 0
+    capsys.readouterr()
+    assert main(["inspect", "--dataset", str(dataset), "--id", "gs-01"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "note: gs-01 is reasoning-only; correction modes do not apply\n\n"
+        "=== reasoning|- ===\n"
+    )
+    assert out.count("===") == 2
+    assert "correction|" not in out
+    assert "12 loaves a day" in out
+
+
+def test_inspect_a_triplet_without_a_brief_explanation_skips_dop_be(tmp_path, capsys):
+    dataset_path, _ = fixture_without_explanation(tmp_path, "t05")
+    assert main(["inspect", "--dataset", str(dataset_path), "--id", "t05"]) == 0
+    out = capsys.readouterr().out
+    assert "=== correction|dop_be ===\n(skipped: no brief explanation)\n\n" in out
+    assert out.count("===") == 2 * 5
+    assert out.count("content hash:") == 4
+    assert "correction|dop_sa" in out
 
 
 # inputs that are not UTF-8, missing or not files

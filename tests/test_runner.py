@@ -24,7 +24,9 @@ from mwpeval import (
     Dataset,
     DopLevel,
     ExperimentConfig,
+    GenerationParams,
     ModelSpec,
+    RetryPolicy,
     ScriptedBackend,
     TaskKind,
     Triplet,
@@ -449,6 +451,72 @@ def test_output_dir_is_bound_to_its_identity(tmp_path):
     with pytest.raises(DataError, match="fresh output_dir"):
         run(sp_config(tmp_path / "out", dataset=str(other)),
             backend=ScriptedBackend(SCRIPTED))
+
+
+def test_a_resume_may_change_the_model_transport_settings(tmp_path):
+    run(sp_config(tmp_path / "out"), backend=ScriptedBackend(SCRIPTED))
+    model = ModelSpec(
+        name="fixture-model",
+        endpoint=f"scripted:{SCRIPTED}",
+        auth_env="FIXTURE_MODEL_KEY",
+        timeout=300.0,
+        retry=RetryPolicy(max_attempts=2),
+        requests_per_second=0.5,
+    )
+    backend = ScriptedBackend(SCRIPTED)
+    summary = run(sp_config(tmp_path / "out", model=model), backend=backend)
+    assert (summary.fresh, summary.cached) == (0, 40)
+    assert backend.calls == 0
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"endpoint": "http://localhost:1/v1"},
+        {"name": "other-model"},
+        {"params": GenerationParams(temperature=0.7)},
+    ],
+    ids=["endpoint", "name", "params"],
+)
+def test_a_resume_may_not_change_what_shapes_a_completion(tmp_path, change):
+    run(sp_config(tmp_path / "out"), backend=ScriptedBackend(SCRIPTED))
+    fields = {"name": "fixture-model", "endpoint": f"scripted:{SCRIPTED}", **change}
+    with pytest.raises(DataError, match="fresh output_dir"):
+        run(sp_config(tmp_path / "out", model=ModelSpec(**fields)),
+            backend=ScriptedBackend(SCRIPTED))
+
+
+def test_a_custom_template_is_what_the_backend_receives_and_binds_the_output_dir(
+    tmp_path, fixture_dataset
+):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "reasoning.txt").write_text(
+        "Solve this.\n{{question}}\nEnd with: Final answer: <number>\n", encoding="utf-8"
+    )
+    inner = ScriptedBackend(SCRIPTED)
+    sent = []
+
+    class Recording:
+        def complete(self, prompt):
+            sent.append(prompt)
+            return inner.complete(prompt)
+
+    config = sp_config(tmp_path / "out", templates_dir=str(templates))
+    assert run(config, backend=Recording()).fresh == 40
+    texts = {p.triplet_id: p.text for p in sent if p.mode.task is TaskKind.REASONING}
+    assert texts == {
+        t.id: f"Solve this.\n{t.question}\nEnd with: Final answer: <number>\n"
+        for t in fixture_dataset
+    }
+    corrections = [p for p in sent if p.mode.task is TaskKind.CORRECTION]
+    assert len(corrections) == 20
+    assert not any(p.text.startswith("Solve this.") for p in corrections)
+
+    # an edited template against the same output dir: refuse
+    (templates / "reasoning.txt").write_text("Edited.\n{{question}}\n", encoding="utf-8")
+    with pytest.raises(DataError, match="fresh output_dir"):
+        run(config, backend=ScriptedBackend(SCRIPTED))
 
 
 def test_a_config_json_that_is_not_an_object_is_a_data_error(tmp_path):

@@ -290,14 +290,29 @@ def test_gsm8k_majority_rejection_aborts():
         ingest_gsm8k(records)
 
 
+def test_gsm8k_abort_names_its_field_map():
+    records = [{"id": "g-1", "question": "Why?", "answer": "Because."}]
+    with pytest.raises(
+        DataError, match=r"^1 of 1 records rejected; the field map .*'reference_solution': 'answer'"
+    ):
+        ingest_gsm8k(records)
+
+
 # fuzzed record shapes must never crash ingestion, only reject
 
 junk_values = st.one_of(
     st.none(), st.booleans(), st.integers(), st.text(max_size=10), st.lists(st.integers(), max_size=2)
 )
+# the field names of both sources, so that some junk reaches past the
+# missing-field check
+junk_keys = st.one_of(
+    st.sampled_from(["id", "qid", "question", "answer", "ground_truth",
+                     "student_incorrect_solution"]),
+    st.text(max_size=8),
+)
 junk_records = st.lists(
     st.one_of(
-        st.dictionaries(st.text(max_size=8), junk_values, max_size=4),
+        st.dictionaries(junk_keys, junk_values, max_size=4),
         st.integers(),
         st.text(max_size=8),
     ),
@@ -305,10 +320,11 @@ junk_records = st.lists(
 )
 
 
+@pytest.mark.parametrize("ingest", [ingest_mathdial, ingest_gsm8k], ids=["mathdial", "gsm8k"])
 @given(junk_records)
-def test_ingestion_survives_junk(records):
+def test_ingestion_survives_junk(ingest, records):
     try:
-        kept, rejected = ingest_mathdial(records)
+        kept, rejected = ingest(records)
     except DataError:
         return  # majority-rejection abort is an acceptable outcome
     assert len(kept) + len(rejected) == len(records)
