@@ -48,6 +48,7 @@ from conftest import DATA_DIR, fixture_without_explanation, load_whole_log, make
 
 FIXTURE_DATASET = DATA_DIR / "fixture_triplets.jsonl"
 SCRIPTED = DATA_DIR / "scripted_responses.jsonl"
+GOLDEN_HASHES = DATA_DIR / "golden_hashes.txt"
 
 
 def record_with(**overrides) -> RunRecord:
@@ -207,6 +208,15 @@ def test_build_cells_covers_tasks_times_modes(fixture_dataset, tmp_path):
     cells, cached, skipped, no_explanation = build_cells(fixture_dataset, config, registry)
     assert len(cells) == 20 + 20 * 4
     assert cached == skipped == no_explanation == 0
+
+
+def test_build_cells_matches_the_golden_hashes(fixture_dataset, tmp_path):
+    """Every fixture cell's content hash under the default params. A
+    render change fails here until this file is regenerated."""
+    config = sp_config(tmp_path, modes=tuple(DopLevel))
+    cells, _, _, _ = build_cells(fixture_dataset, config, TemplateRegistry.load())
+    got = [f"{c.triplet_id} {c.mode.key} {c.content_hash}" for c in cells]
+    assert got == GOLDEN_HASHES.read_text(encoding="utf-8").splitlines()
 
 
 def test_build_cells_skips_reasoning_only_in_correction(tmp_path):
