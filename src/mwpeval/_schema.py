@@ -14,8 +14,9 @@ annotations. The supported annotations are ``str``, ``int``, ``float``
 any of these ``| None``. A bool is never accepted as a number.
 
 The file half lives here too: ``read_json`` and ``read_jsonl`` are the
-only readers of the harness's JSON and JSONL input files, and
-``dump_line`` is the one JSONL line encoder.
+only readers of the harness's JSON and JSONL input files, ``dump_line``
+is the one JSONL line encoder, and ``write_atomic`` replaces a whole
+file so that no reader sees it half written.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ import functools
 import json
 import logging
 import operator
+import os
 import types
 import typing
+import uuid
 from enum import Enum
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, NamedTuple
@@ -189,6 +192,23 @@ def read_jsonl(
                     return
                 raise error(f"{path} line {lineno}: {exc}") from None
             yield lineno, row
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Make text the content of path, so that path always holds either
+    its old content or all of text: text goes to a temp file in the same
+    dir, is flushed and fsynced, then renamed onto path."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with temp.open("xb") as handle:
+            handle.write(text.encode("utf-8"))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _open(path: str | Path, what: str, error: type[HarnessError]) -> BinaryIO:

@@ -90,6 +90,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                     raise UsageError(f"--field-map is not valid JSON: {exc}") from exc
             if not isinstance(field_map, dict):
                 raise UsageError("--field-map must be a JSON object")
+            for key, value in field_map.items():
+                if value is not None and not isinstance(value, str):
+                    raise UsageError(
+                        f"--field-map value for {key!r} must be a source field name "
+                        f"or null, got {value!r:.60}"
+                    )
         # Rejections of both kinds are numbered by 0-based input line.
         lines: list[int] = []
         records: list[Any] = []

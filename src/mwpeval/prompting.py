@@ -7,13 +7,16 @@ in increasing strength: the numeric answer, a brief explanation, or the
 full reference solution. The plain correction mode (sp) adds nothing.
 
 Every rendered prompt gets a content hash over (template_id, prompt
-text, sampling params). The hash is the cache identity of the cell, so
-editing a template or changing sampling forces fresh completions while
-a resumed identical run replays from disk.
+text, sampling params), which every record keeps. The runner binds an
+output dir to what fixes those hashes (the dataset digest, the template
+ids, the params and RENDERER in runner.py), so inside the dir a cell's
+identity stands for its hash: editing a template or changing sampling
+needs a fresh dir, while a resumed identical run replays from disk.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from typing import Any
 
 from ._schema import dump
 from .errors import DataError, UsageError
@@ -88,6 +92,15 @@ REQUIRED_PLACEHOLDERS = {
     "correction_dop_sa": frozenset({"question", "wrong_solution", "reference_solution"}),
 }
 
+# The Triplet field each placeholder reads.
+PLACEHOLDER_FIELDS = {
+    "question": "question",
+    "wrong_solution": "wrong_solution",
+    "numeric_answer": "reference_numeric",
+    "brief_explanation": "brief_explanation",
+    "reference_solution": "reference_solution",
+}
+
 
 @dataclass(frozen=True)
 class GenerationParams:
@@ -126,12 +139,24 @@ class RenderedPrompt:
 def compute_content_hash(
     template_id: str, text: str, params: GenerationParams
 ) -> str:
-    payload = json.dumps(
-        {"template_id": template_id, "text": text, "params": params.to_dict()},
+    """sha256 of the UTF-8 JSON object {"params", "template_id", "text"}
+    with sorted keys. Everything before the text is fixed per template
+    and params, so it is hashed once and the digest state copied."""
+    # The key holds each param's type: 0 == 0.0, but they dump apart.
+    kinds = tuple(map(type, vars(params).values()))
+    digest = _payload_head(template_id, params, kinds).copy()
+    digest.update((json.dumps(text, ensure_ascii=False) + "}").encode("utf-8"))
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=64)
+def _payload_head(template_id: str, params: GenerationParams, kinds: tuple[type, ...]) -> Any:
+    head = json.dumps(
+        {"params": params.to_dict(), "template_id": template_id},
         sort_keys=True,
         ensure_ascii=False,
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256((head[:-1] + ', "text": ').encode("utf-8"))
 
 
 def _template_id(name: str, text: str) -> str:
@@ -202,14 +227,10 @@ def _substitution_values(triplet: Triplet, mode: PromptMode) -> dict[str, str]:
             f"triplet {triplet.id} has no brief explanation; it cannot "
             "be prompted at the dop_be level"
         )
-    resources = {
-        "question": triplet.question,
-        "wrong_solution": triplet.wrong_solution,
-        "numeric_answer": triplet.reference_numeric,
-        "brief_explanation": triplet.brief_explanation,
-        "reference_solution": triplet.reference_solution,
+    return {
+        name: getattr(triplet, PLACEHOLDER_FIELDS[name])
+        for name in REQUIRED_PLACEHOLDERS[mode.template_name]
     }
-    return {name: resources[name] for name in REQUIRED_PLACEHOLDERS[mode.template_name]}
 
 
 def render(

@@ -1,10 +1,13 @@
 """Experiment runner: content-addressed, append-only, resumable.
 
 A run expands the dataset into cells, one per (triplet, task, mode).
-Each cell's prompt gets a content hash, and (model name, content hash)
-is the cache key. Records append to records.jsonl, one full line per
-completed cell, so a killed run loses at most its in-flight cells and a
-rerun with the same config replays everything already on disk and
+An output dir is bound (config.json) to the dataset digest, the template
+ids, the model's params and the renderer, which together fix each
+cell's prompt and content hash; inside it, (model name, triplet id,
+mode) is the cache key, and a cell already answered is never rendered.
+Records append to records.jsonl, one full line per completed cell, each
+with its content hash, so a killed run loses at most its in-flight cells
+and a rerun with the same config replays everything already on disk and
 dispatches only the remainder. Rerunning a completed run performs zero
 backend calls.
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import fcntl
 import json
 import logging
+import operator
 import os
 import threading
 import uuid
@@ -25,13 +29,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-from ._schema import dump, dump_line, load, load_line, read_json, read_jsonl
+from ._schema import dump, dump_line, load, load_line, read_json, read_jsonl, write_atomic
 from .backends import Backend, ModelSpec, create_backend
 from .errors import BackendError, ConfigurationError, DataError, UsageError
 from .prompting import (
     CORRECTION_MODES,
     HASH_ALGORITHM,
+    PLACEHOLDER_FIELDS,
     REASONING_MODE,
+    REQUIRED_PLACEHOLDERS,
     ALL_DOP_LEVELS,
     DopLevel,
     PromptMode,
@@ -44,6 +50,14 @@ from .scoring import Outcome, score
 from .triplets import TOOL_VERSION, Dataset, Triplet, _utc_now, load_dataset
 
 log = logging.getLogger(__name__)
+
+# The version of render and compute_content_hash an output dir is bound
+# to. Bump it with any change to a rendered prompt or its hash, and
+# regenerate tests/data/golden_hashes.txt.
+RENDERER = f"{HASH_ALGORITHM}/1"
+# Identities written before the renderer was recorded were made by this one.
+_UNRECORDED_RENDERER = "sha256/1"
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -182,16 +196,20 @@ def _mend_tail(path: Path) -> None:
 _Kept = TypeVar("_Kept")
 
 
+CellKey = tuple[str, str, PromptMode]
+
+
 def index_records(
     records: Iterable[RunRecord], keep: Callable[[RunRecord], _Kept]
-) -> dict[tuple[str, str], _Kept]:
-    """keep(record) of the latest record per (model, content hash); a
-    success is never displaced by a later error, and keep sees only the
-    records that take their key's place."""
-    index: dict[tuple[str, str], _Kept] = {}
-    succeeded: set[tuple[str, str]] = set()
+) -> dict[CellKey, _Kept]:
+    """keep(record) of the latest record per cell, keyed by (model,
+    triplet id, mode); a success is never displaced by a later error,
+    and keep sees only the records that take their key's place. A record
+    whose (task, dop) pair names no mode raises DataError."""
+    index: dict[CellKey, _Kept] = {}
+    succeeded: set[CellKey] = set()
     for record in records:
-        key = (record.model, record.content_hash)
+        key = (record.model, record.triplet_id, record.mode)
         if record.error is None:
             succeeded.add(key)
         elif key in succeeded:
@@ -204,51 +222,51 @@ def build_cells(
     dataset: Dataset,
     config: ExperimentConfig,
     registry: TemplateRegistry,
-    answered: Callable[[str], bool] = lambda content_hash: False,
+    answered: Callable[[str, PromptMode], bool] = lambda triplet_id, mode: False,
 ) -> tuple[list[RenderedPrompt], int, int, int]:
-    """One rendered prompt per (triplet, task, mode) cell, with
+    """One rendered prompt per pending (triplet, task, mode) cell, with
     reasoning-only triplets excluded from correction and triplets
-    without a brief explanation excluded from dop_be. Every cell's hash
-    is checked for a collision; a cell whose hash answered() accepts is
-    then only counted, so its text is not kept. Returns (pending cells,
-    answered cells, skipped reasoning-only cells, skipped cells without
-    an explanation)."""
+    without a brief explanation excluded from dop_be. Two triplets that
+    give a mode's template equal values would give it equal prompts, so
+    they are refused; a cell that answered(triplet id, mode) accepts is
+    then only counted, never rendered. Returns (pending cells, answered
+    cells, skipped reasoning-only cells, skipped cells without an
+    explanation)."""
     pending: list[RenderedPrompt] = []
-    first_by_hash: dict[str, tuple[str, PromptMode]] = {}
     cached = skipped = no_explanation = 0
 
-    def plan(triplet: Triplet, mode: PromptMode) -> None:
+    def plan(triplets: Iterable[Triplet], mode: PromptMode) -> None:
         nonlocal cached
-        cell = render(triplet, mode, config.model.params, registry)
-        other = first_by_hash.get(cell.content_hash)
-        if other is not None:
-            raise DataError(
-                "content hash collision between cells "
-                f"{other[0]}/{other[1].key} and "
-                f"{cell.triplet_id}/{mode.key}; triplet texts "
-                "are probably duplicated"
-            )
-        first_by_hash[cell.content_hash] = (cell.triplet_id, mode)
-        if answered(cell.content_hash):
-            cached += 1
-        else:
-            pending.append(cell)
+        values = operator.attrgetter(
+            *(PLACEHOLDER_FIELDS[name] for name in REQUIRED_PLACEHOLDERS[mode.template_name])
+        )
+        first_by_values: dict[Any, str] = {}
+        for triplet in triplets:
+            other = first_by_values.setdefault(values(triplet), triplet.id)
+            if other != triplet.id:
+                raise DataError(
+                    f"prompt collision between cells {other}/{mode.key} and "
+                    f"{triplet.id}/{mode.key}; triplet texts are probably duplicated"
+                )
+            if answered(triplet.id, mode):
+                cached += 1
+            else:
+                pending.append(render(triplet, mode, config.model.params, registry))
 
     for task in config.tasks:
         if task is TaskKind.REASONING:
+            plan(dataset, REASONING_MODE)
+            continue
+        for mode_level in config.modes:
+            kept = []
             for triplet in dataset:
-                plan(triplet, REASONING_MODE)
-        else:
-            for mode_level in config.modes:
-                mode = CORRECTION_MODES[mode_level]
-                for triplet in dataset:
-                    if triplet.reasoning_only:
-                        skipped += 1
-                        continue
-                    if mode_level is DopLevel.BE and triplet.brief_explanation is None:
-                        no_explanation += 1
-                        continue
-                    plan(triplet, mode)
+                if triplet.reasoning_only:
+                    skipped += 1
+                elif mode_level is DopLevel.BE and triplet.brief_explanation is None:
+                    no_explanation += 1
+                else:
+                    kept.append(triplet)
+            plan(kept, CORRECTION_MODES[mode_level])
     if skipped:
         log.warning(
             "excluded %d correction cells for reasoning-only triplets", skipped
@@ -294,6 +312,7 @@ def _cache_identity(config: ExperimentConfig, dataset: Dataset, registry: Templa
     return {
         "dataset_digest": dataset.digest,
         "model": config.model.to_dict(),
+        "renderer": RENDERER,
         "template_ids": registry.template_ids(),
     }
 
@@ -303,13 +322,43 @@ def _cache_identity(config: ExperimentConfig, dataset: Dataset, registry: Templa
 _TRANSPORT_FIELDS = frozenset({"auth_env", "retry", "requests_per_second", "timeout"})
 
 
-def _binding(identity: Any) -> Any:
-    """The part of a cache identity that binds an output dir: all of it
-    but the model's transport settings."""
-    if not isinstance(identity, dict) or not isinstance(identity.get("model"), dict):
-        return identity
-    model = {k: v for k, v in identity["model"].items() if k not in _TRANSPORT_FIELDS}
-    return {**identity, "model": model}
+def _binding(identity: Any) -> str:
+    """The part of a cache identity that binds an output dir, as JSON
+    text: all of it but the model's transport settings. An identity
+    without a renderer was written by _UNRECORDED_RENDERER. Text, not
+    the dict, is compared, since a temperature of 0 == 0.0 but the two
+    hash apart."""
+    if isinstance(identity, dict) and isinstance(identity.get("model"), dict):
+        model = {k: v for k, v in identity["model"].items() if k not in _TRANSPORT_FIELDS}
+        identity = {"renderer": _UNRECORDED_RENDERER, **identity, "model": model}
+    return json.dumps(identity, sort_keys=True)
+
+
+def _spot_check(
+    records: Iterable[RunRecord],
+    dataset: Dataset,
+    config: ExperimentConfig,
+    registry: TemplateRegistry,
+) -> None:
+    """Re-render the cells of records and compare each hash with the one
+    logged. This catches a render change shipped without a new RENDERER
+    on the few cells checked; checking every record needs a full
+    re-render, which a resume does not make."""
+    for record in records:
+        triplet = dataset.by_id.get(record.triplet_id)
+        if triplet is None:
+            raise DataError(
+                f"logged record references unknown triplet id {record.triplet_id!r}; "
+                "the log does not belong to this dataset"
+            )
+        cell = render(triplet, record.mode, config.model.params, registry)
+        if cell.content_hash != record.content_hash:
+            raise DataError(
+                f"the logged record for cell {record.triplet_id}/{record.mode.key} "
+                f"(content hash {record.content_hash}) does not match that cell as "
+                f"rendered now; rendering changed under renderer {RENDERER}, so "
+                "use a fresh output_dir"
+            )
 
 
 def _dispatch(
@@ -409,16 +458,24 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
             if _binding(previous.get("identity")) != _binding(identity):
                 raise DataError(
                     f"{run_dir} already holds records for a different "
-                    "dataset/model/template combination; use a fresh output_dir"
+                    "dataset/model/template/renderer combination; use a fresh output_dir"
                 )
 
-        # Per cache key, only whether its record succeeded is kept.
-        succeeded = index_records(
-            _stream_records(records_path), lambda record: record.error is None
-        )
+        # Per cache key, only whether its record succeeded is kept, plus
+        # the first record of each mode for the spot check.
+        model_name = config.model.name
+        first_of_mode: dict[PromptMode, RunRecord] = {}
 
-        def answered(content_hash: str) -> bool:
-            ok = succeeded.get((config.model.name, content_hash))
+        def keep(record: RunRecord) -> bool:
+            if record.model == model_name:
+                first_of_mode.setdefault(record.mode, record)
+            return record.error is None
+
+        succeeded = index_records(_stream_records(records_path), keep)
+        _spot_check(first_of_mode.values(), dataset, config, registry)
+
+        def answered(triplet_id: str, mode: PromptMode) -> bool:
+            ok = succeeded.get((model_name, triplet_id, mode))
             return ok is not None and (ok or not config.retry_failed)
 
         pending, cached, skipped, no_explanation = build_cells(
@@ -426,16 +483,14 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
         )
         total = len(pending) + cached
         # Bound only now, so a dataset that fails build_cells binds no dir.
-        identity_path.write_text(
-            json.dumps(
-                {"config": config.to_dict(), "identity": identity},
-                ensure_ascii=False,
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        bound = json.dumps(
+            {"config": config.to_dict(), "identity": identity},
+            ensure_ascii=False,
+            indent=2,
+            sort_keys=True,
+        ) + "\n"
+        if not identity_path.exists() or identity_path.read_bytes() != bound.encode("utf-8"):
+            write_atomic(identity_path, bound)
         _mend_tail(records_path)
 
         if backend is None and pending:

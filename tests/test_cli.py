@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import fcntl
 import hashlib
 import json
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import mwpeval
+import mwpeval.prompting
+import mwpeval.runner
 from mwpeval import Triplet
 from mwpeval.cli import main
 
@@ -301,6 +304,17 @@ def test_ingest_bad_field_map_is_a_usage_error(tmp_path, capsys):
     assert "field-map" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ['["a"]', '{"a": 1}', "3", "true"])
+def test_ingest_refuses_a_field_map_value_that_is_not_a_name(tmp_path, capsys, value):
+    output = tmp_path / "x.jsonl"
+    assert main(["ingest", "--source", "mathdial", "--input", str(MATHDIAL),
+                 "--output", str(output), "--field-map", f'{{"question": {value}}}']) == 1
+    err = capsys.readouterr().err
+    assert "--field-map value for 'question' must be a source field name or null" in err
+    assert "Traceback" not in err
+    assert not output.exists()
+
+
 @pytest.mark.parametrize(
     "source, input_path",
     [("gsm8k", GSM8K), ("triplets", FIXTURE_DATASET)],
@@ -485,6 +499,30 @@ def test_run_on_an_output_dir_in_use_is_a_usage_error(tmp_path, capsys):
     assert str(out) in capsys.readouterr().err
     assert (out / "records.jsonl").read_bytes() == b""
     assert not (out / "config.json").exists()
+
+
+def test_run_refuses_a_render_change_that_kept_the_renderer_version(
+    tmp_path, capsys, monkeypatch
+):
+    config = write_config(tmp_path)
+    assert main(["run", "--config", str(config)]) == 0
+    records = (tmp_path / "out" / "records.jsonl").read_bytes()
+    render = mwpeval.runner.render
+
+    def one_character_off(triplet, mode, params, registry):
+        cell = render(triplet, mode, params, registry)
+        text = cell.text[:-1] + "?"
+        content_hash = mwpeval.prompting.compute_content_hash(cell.template_id, text, params)
+        return dataclasses.replace(cell, text=text, content_hash=content_hash)
+
+    monkeypatch.setattr(mwpeval.runner, "render", one_character_off)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    first = json.loads(records.splitlines()[0])
+    assert f"cell {first['triplet_id']}/reasoning|- (content hash {first['content_hash']})" in err
+    assert "fresh output_dir" in err
+    assert (tmp_path / "out" / "records.jsonl").read_bytes() == records
 
 
 def test_run_with_a_mistyped_model_field_is_a_usage_error(tmp_path, capsys):

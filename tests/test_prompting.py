@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mwpeval import DataError, GenerationParams, UsageError
 from mwpeval.prompting import (
@@ -179,6 +184,47 @@ def test_content_hash_changes_with_every_ingredient():
     hot = GenerationParams(temperature=0.7)
     assert compute_content_hash("reasoning@aaaaaaaa", "text", hot) != base
     assert compute_content_hash("reasoning@aaaaaaaa", "text", params) == base
+
+
+def hash_as_first_written(template_id: str, text: str, params: GenerationParams) -> str:
+    """The content hash built from one json.dumps of the whole payload,
+    as it was before the part ahead of the text was hashed once."""
+    payload = json.dumps(
+        {"template_id": template_id, "text": text, "params": params.to_dict()},
+        sort_keys=True,
+        ensure_ascii=False,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+TRICKY_TEXT = st.text(
+    alphabet=st.sampled_from(['"', "\\", "\n", "\u2028", "\u0085", "\x00", "é", "€", "😀", "{", "}", "a", " "]),
+    max_size=12,
+)
+
+
+@given(
+    template_id=st.sampled_from(["reasoning@aaaaaaaa", 'correction_sp@"q\\"', "t@é"]),
+    texts=st.lists(st.one_of(TRICKY_TEXT, st.text(max_size=12)), min_size=1, max_size=3),
+    temperature=st.one_of(
+        st.sampled_from([0, 0.0, 1, 1.0]), st.floats(0, 2, allow_nan=False)
+    ),
+    max_tokens=st.sampled_from([1, 256, 1024]),
+)
+def test_content_hash_equals_one_dump_of_the_whole_payload(template_id, texts, temperature, max_tokens):
+    params = GenerationParams(temperature=temperature, max_tokens=max_tokens)
+    for text in texts:
+        assert compute_content_hash(template_id, text, params) == hash_as_first_written(
+            template_id, text, params
+        )
+
+
+def test_equal_params_of_other_types_keep_their_own_hashes():
+    # 0 == 0.0, yet the payload dumps them apart
+    as_int, as_float = GenerationParams(temperature=0), GenerationParams(temperature=0.0)
+    for params in (as_int, as_float, as_int):
+        assert compute_content_hash("t@1", "x", params) == hash_as_first_written("t@1", "x", params)
+    assert compute_content_hash("t@1", "x", as_int) != compute_content_hash("t@1", "x", as_float)
 
 
 def test_rendered_prompts_differ_by_triplet_and_mode():

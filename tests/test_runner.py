@@ -39,9 +39,11 @@ from mwpeval import (
     save_dataset,
     write_scored,
 )
+import mwpeval._schema
+import mwpeval.prompting
 import mwpeval.runner
 import mwpeval.triplets
-from mwpeval.prompting import TemplateRegistry
+from mwpeval.prompting import CORRECTION_MODES, REASONING_MODE, TemplateRegistry, render
 from mwpeval.runner import RunRecord, build_cells, index_records
 
 from conftest import DATA_DIR, fixture_without_explanation, load_whole_log, make_triplet
@@ -182,21 +184,31 @@ def test_index_keeps_latest_but_never_drops_a_success():
     newer_error = record_with(response_text=None, error="boom", attempts=0)
     retried_ok = record_with(response_text="#### 25")
     kept = []
+    key = ("m", "x01", REASONING_MODE)
 
     def keep(record):
         kept.append(record)
         return record
 
     # success then error: the success stays, and the error is never kept
-    assert index_records([ok, newer_error], keep)[("m", "c" * 64)] is ok
+    assert index_records([ok, newer_error], keep)[key] is ok
     assert kept == [ok]
     # error then success: the success replaces it
-    assert index_records([newer_error, ok], keep)[("m", "c" * 64)] is ok
+    assert index_records([newer_error, ok], keep)[key] is ok
     # success then success: latest wins
-    assert index_records([ok, retried_ok], keep)[("m", "c" * 64)] is retried_ok
+    assert index_records([ok, retried_ok], keep)[key] is retried_ok
     # only what keep returns is held per key
     texts = index_records([ok, newer_error], lambda record: record.response_text)
-    assert texts == {("m", "c" * 64): "#### 24"}
+    assert texts == {key: "#### 24"}
+    # the key is the cell's identity, with the shared mode, whatever its hash
+    (only,) = index_records([ok, replace(retried_ok, content_hash="d" * 64)], keep)
+    assert only == key and only[2] is REASONING_MODE
+    others = [
+        replace(ok, model="m2"),
+        replace(ok, triplet_id="x02"),
+        replace(ok, task="correction", dop="sp"),
+    ]
+    assert len(index_records([ok, *others], keep)) == 4
 
 
 # cell planning
@@ -485,8 +497,9 @@ def test_a_resume_may_change_the_model_transport_settings(tmp_path):
         {"endpoint": "http://localhost:1/v1"},
         {"name": "other-model"},
         {"params": GenerationParams(temperature=0.7)},
+        {"params": GenerationParams(temperature=0)},  # == 0.0, but hashes apart
     ],
-    ids=["endpoint", "name", "params"],
+    ids=["endpoint", "name", "params", "params-type"],
 )
 def test_a_resume_may_not_change_what_shapes_a_completion(tmp_path, change):
     run(sp_config(tmp_path / "out"), backend=ScriptedBackend(SCRIPTED))
@@ -970,3 +983,233 @@ def test_a_hash_collision_writes_no_config_and_a_rerun_without_it_runs(tmp_path)
     summary = run(config, backend=backend)
     assert (summary.total_cells, summary.fresh, summary.failed) == (2, 2, 0)
     assert (tmp_path / "out" / "config.json").exists()
+
+
+# resume by cell identity
+
+
+def all_modes_config(output_dir: Path, **overrides) -> ExperimentConfig:
+    return sp_config(output_dir, modes=tuple(DopLevel), **overrides)
+
+
+def counting_render(monkeypatch) -> list:
+    """Count the renders run() makes; returns the list of rendered cells."""
+    rendered = []
+    render = mwpeval.runner.render
+
+    def counting(triplet, mode, *args, **kwargs):
+        rendered.append((triplet.id, mode))
+        return render(triplet, mode, *args, **kwargs)
+
+    monkeypatch.setattr(mwpeval.runner, "render", counting)
+    return rendered
+
+
+def rewrite_identity(run_dir: Path, edit) -> None:
+    path = run_dir / "config.json"
+    bound = json.loads(path.read_text(encoding="utf-8"))
+    edit(bound["identity"])
+    path.write_text(json.dumps(bound, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def test_a_cached_rerun_renders_at_most_one_cell_per_mode(tmp_path, monkeypatch):
+    config = all_modes_config(tmp_path / "out")
+    run(config, backend=FixedBackend())
+    rendered = counting_render(monkeypatch)
+    backend = FixedBackend()
+    summary = run(config, backend=backend)
+    assert (summary.cached, summary.fresh, backend.calls) == (100, 0, 0)
+    assert len(rendered) <= 5
+    assert len(set(mode for _, mode in rendered)) == len(rendered)
+
+
+def test_a_resume_renders_only_its_pending_cells_and_the_spot_checks(tmp_path, monkeypatch):
+    run(sp_config(tmp_path / "out"), backend=FixedBackend())
+    rendered = counting_render(monkeypatch)
+    summary = run(all_modes_config(tmp_path / "out"), backend=FixedBackend())
+    assert (summary.cached, summary.fresh) == (40, 60)
+    checked = [(t, m) for t, m in rendered if m.dop in (None, DopLevel.SP)]
+    assert len(checked) == 2  # the first logged cell of each mode
+    assert len(rendered) == 60 + 2
+
+
+def test_a_dir_bound_before_the_renderer_was_recorded_resumes(tmp_path, monkeypatch):
+    config = all_modes_config(tmp_path / "out")
+    run(config, backend=FixedBackend())
+    rewrite_identity(tmp_path / "out", lambda identity: identity.pop("renderer"))
+    rendered = counting_render(monkeypatch)
+    backend = FixedBackend()
+    summary = run(config, backend=backend)
+    assert (summary.cached, summary.fresh, backend.calls) == (100, 0, 0)
+    assert len(rendered) <= 5
+    bound = json.loads((tmp_path / "out" / "config.json").read_text(encoding="utf-8"))
+    assert bound["identity"]["renderer"] == mwpeval.runner.RENDERER
+
+
+def test_a_dir_bound_to_another_renderer_is_refused(tmp_path):
+    config = sp_config(tmp_path / "out")
+    run(config, backend=FixedBackend())
+    rewrite_identity(tmp_path / "out", lambda identity: identity.update(renderer="sha256/0"))
+    backend = FixedBackend()
+    with pytest.raises(DataError, match="fresh output_dir"):
+        run(config, backend=backend)
+    assert backend.calls == 0
+
+
+def test_rescore_keeps_one_outcome_per_cell_identity(tmp_path):
+    config = sp_config(tmp_path / "out")
+    run(config, backend=ScriptedBackend(SCRIPTED))
+    log = Path(config.output_dir) / "records.jsonl"
+    first = load_whole_log(log)[0]
+    # the same cell logged again under another hash, as an older renderer
+    # would have written it: the later record wins, as it does in run()
+    again = replace(first, content_hash="d" * 64, response_text="#### 99999")
+    with log.open("a", encoding="utf-8") as handle:
+        handle.write(again.to_json_line() + "\n")
+    outcomes = rescore(config.output_dir, config.dataset)
+    assert len(outcomes) == 40
+    (mine,) = [o for o in outcomes if (o.triplet_id, o.dop) == (first.triplet_id, None)]
+    assert mine.reason == "mismatched"
+
+
+def test_run_refuses_a_logged_record_with_an_unknown_task_and_dop(tmp_path):
+    config = sp_config(tmp_path / "out")
+    run(config, backend=FixedBackend())
+    log = Path(config.output_dir) / "records.jsonl"
+    stray = replace(load_whole_log(log)[-1], task="solve", dop=None)
+    with log.open("a", encoding="utf-8") as handle:
+        handle.write(stray.to_json_line() + "\n")
+    with pytest.raises(DataError, match=r"unknown \(task, dop\) pair \('solve', None\)"):
+        run(config, backend=FixedBackend())
+
+
+def test_a_changed_render_under_the_same_renderer_is_refused(tmp_path, monkeypatch):
+    config = all_modes_config(tmp_path / "out")
+    run(config, backend=FixedBackend())
+    log_before = (tmp_path / "out" / "records.jsonl").read_bytes()
+    render = mwpeval.runner.render
+
+    def one_character_off(triplet, mode, params, registry):
+        cell = render(triplet, mode, params, registry)
+        text = cell.text.replace("Final answer", "Final Answer", 1)
+        content_hash = mwpeval.prompting.compute_content_hash(cell.template_id, text, params)
+        return replace(cell, text=text, content_hash=content_hash)
+
+    monkeypatch.setattr(mwpeval.runner, "render", one_character_off)
+    backend = FixedBackend()
+    with pytest.raises(DataError, match=r"cell t01/reasoning\|- \(content hash [0-9a-f]{64}\)"):
+        run(config, backend=backend)
+    assert backend.calls == 0
+    assert (tmp_path / "out" / "records.jsonl").read_bytes() == log_before
+
+
+def collision_before_identity_keys(dataset, config, registry):
+    """The check build_cells made while cells were keyed by content hash:
+    every cell rendered, and the first hash two cells share refused.
+    Returns the pair of cells, or None."""
+    first = {}
+    for task in config.tasks:
+        levels = [None] if task is TaskKind.REASONING else config.modes
+        for level in levels:
+            mode = REASONING_MODE if level is None else CORRECTION_MODES[level]
+            for triplet in dataset:
+                if level is not None and triplet.reasoning_only:
+                    continue
+                if level is DopLevel.BE and triplet.brief_explanation is None:
+                    continue
+                content_hash = render(triplet, mode, config.model.params, registry).content_hash
+                if content_hash in first:
+                    return first[content_hash], f"{triplet.id}/{mode.key}"
+                first[content_hash] = f"{triplet.id}/{mode.key}"
+    return None
+
+
+SHORT_TEXTS = ["Two?", "Two? ", "How many?", "6 + 4 = 10."]
+REFERENCES = [("Four boxes hold 24.", "24"), ("It is 7.", "7")]
+
+
+@st.composite
+def small_triplets(draw, index):
+    solution, numeric = draw(st.sampled_from(REFERENCES))
+    reasoning_only = draw(st.booleans())
+    return make_triplet(
+        id=f"p{index}",
+        question=draw(st.sampled_from(SHORT_TEXTS)),
+        reference_solution=solution,
+        reference_numeric=numeric,
+        brief_explanation=draw(st.sampled_from([None, *SHORT_TEXTS[:2]])),
+        wrong_solution="" if reasoning_only else draw(st.sampled_from(SHORT_TEXTS)),
+        meta={"reasoning_only": True} if reasoning_only else {},
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 4),
+    tasks=st.sampled_from([(TaskKind.REASONING,), (TaskKind.CORRECTION,), tuple(TaskKind)]),
+    modes=st.lists(st.sampled_from(list(DopLevel)), min_size=1, max_size=4, unique=True),
+)
+def test_the_dataset_check_refuses_exactly_what_the_hash_check_refused(data, n, tasks, modes):
+    dataset = Dataset([data.draw(small_triplets(i)) for i in range(n)], source="unit")
+    config = sp_config(Path("unused"), tasks=tasks, modes=tuple(modes))
+    registry = TemplateRegistry.load()
+    expected = collision_before_identity_keys(dataset, config, registry)
+    if expected is None:
+        build_cells(dataset, config, registry)
+    else:
+        a, b = expected
+        with pytest.raises(DataError, match=f"collision between cells {re.escape(a)} and {re.escape(b)};"):
+            build_cells(dataset, config, registry)
+
+
+# config.json is rewritten only when it changes, and then atomically
+
+
+def test_an_unchanged_rerun_leaves_config_json_alone(tmp_path):
+    config = sp_config(tmp_path / "out")
+    run(config, backend=FixedBackend())
+    path = tmp_path / "out" / "config.json"
+    before = path.stat()
+    time.sleep(0.01)
+    run(config, backend=FixedBackend())
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_a_failed_config_write_leaves_the_old_file_whole(tmp_path, monkeypatch):
+    config = sp_config(tmp_path / "out")
+    run(config, backend=FixedBackend())
+    path = tmp_path / "out" / "config.json"
+    before = path.read_bytes()
+    slower = replace(config.model, requests_per_second=0.5)  # changes the file's bytes
+
+    def killed(source, target):
+        raise OSError("killed between the temp write and the replace")
+
+    monkeypatch.setattr(mwpeval._schema.os, "replace", killed)
+    with pytest.raises(OSError, match="killed"):
+        run(replace(config, model=slower), backend=FixedBackend())
+    assert path.read_bytes() == before
+    json.loads(before)
+    # and the temp file is gone
+    assert sorted(p.name for p in path.parent.iterdir()) == [
+        "config.json", "manifest.json", "records.jsonl"
+    ]
+
+    monkeypatch.undo()
+    summary = run(replace(config, model=slower), backend=FixedBackend())
+    assert (summary.cached, summary.fresh) == (40, 0)
+    assert json.loads(path.read_text())["config"]["model"]["requests_per_second"] == 0.5
+
+
+def test_a_logged_record_of_an_unknown_triplet_is_refused(tmp_path):
+    config = sp_config(tmp_path / "out")
+    log = Path(config.output_dir) / "records.jsonl"
+    log.parent.mkdir()
+    log.write_text(record_with(model="fixture-model", triplet_id="nope").to_json_line() + "\n", encoding="utf-8")
+    backend = FixedBackend()
+    with pytest.raises(DataError, match="unknown triplet id 'nope'"):
+        run(config, backend=backend)
+    assert backend.calls == 0
+    assert not (tmp_path / "out" / "config.json").exists()
