@@ -19,13 +19,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import operator
 import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ._schema import dump
 from .errors import DataError, UsageError
@@ -93,13 +94,26 @@ REQUIRED_PLACEHOLDERS = {
 }
 
 # The Triplet field each placeholder reads.
-PLACEHOLDER_FIELDS = {
+_PLACEHOLDER_FIELDS = {
     "question": "question",
     "wrong_solution": "wrong_solution",
     "numeric_answer": "reference_numeric",
     "brief_explanation": "brief_explanation",
     "reference_solution": "reference_solution",
 }
+
+
+@functools.cache
+def template_inputs(mode: PromptMode) -> tuple[tuple[str, ...], Callable[[Triplet], tuple[Any, ...]]]:
+    """The placeholders mode's template requires, sorted, and a function
+    giving a triplet's values for them in that order. Two triplets with
+    equal values get equal prompts for mode."""
+    names = tuple(sorted(REQUIRED_PLACEHOLDERS[mode.template_name]))
+    fields = [_PLACEHOLDER_FIELDS[name] for name in names]
+    if len(fields) == 1:  # attrgetter of one field gives a bare value
+        (field,) = fields
+        return names, lambda triplet: (getattr(triplet, field),)
+    return names, operator.attrgetter(*fields)
 
 
 @dataclass(frozen=True)
@@ -227,10 +241,8 @@ def _substitution_values(triplet: Triplet, mode: PromptMode) -> dict[str, str]:
             f"triplet {triplet.id} has no brief explanation; it cannot "
             "be prompted at the dop_be level"
         )
-    return {
-        name: getattr(triplet, PLACEHOLDER_FIELDS[name])
-        for name in REQUIRED_PLACEHOLDERS[mode.template_name]
-    }
+    names, values = template_inputs(mode)
+    return dict(zip(names, values(triplet)))
 
 
 def render(

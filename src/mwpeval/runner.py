@@ -21,7 +21,6 @@ from __future__ import annotations
 import fcntl
 import json
 import logging
-import operator
 import os
 import threading
 import uuid
@@ -35,9 +34,7 @@ from .errors import BackendError, ConfigurationError, DataError, UsageError
 from .prompting import (
     CORRECTION_MODES,
     HASH_ALGORITHM,
-    PLACEHOLDER_FIELDS,
     REASONING_MODE,
-    REQUIRED_PLACEHOLDERS,
     ALL_DOP_LEVELS,
     DopLevel,
     PromptMode,
@@ -45,6 +42,7 @@ from .prompting import (
     TaskKind,
     TemplateRegistry,
     render,
+    template_inputs,
 )
 from .scoring import Outcome, score
 from .triplets import TOOL_VERSION, Dataset, Triplet, _utc_now, load_dataset
@@ -237,9 +235,7 @@ def build_cells(
 
     def plan(triplets: Iterable[Triplet], mode: PromptMode) -> None:
         nonlocal cached
-        values = operator.attrgetter(
-            *(PLACEHOLDER_FIELDS[name] for name in REQUIRED_PLACEHOLDERS[mode.template_name])
-        )
+        _, values = template_inputs(mode)
         first_by_values: dict[Any, str] = {}
         for triplet in triplets:
             other = first_by_values.setdefault(values(triplet), triplet.id)
@@ -472,6 +468,14 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
             return record.error is None
 
         succeeded = index_records(_stream_records(records_path), keep)
+        if succeeded and not identity_path.exists():
+            # Nothing fixes these records' hashes, so their cell
+            # identities cannot stand for them.
+            raise DataError(
+                f"{records_path} holds records but {identity_path} is missing, so "
+                "nothing binds them to a dataset/model/template/renderer "
+                "combination; use a fresh output_dir"
+            )
         _spot_check(first_of_mode.values(), dataset, config, registry)
 
         def answered(triplet_id: str, mode: PromptMode) -> bool:

@@ -32,6 +32,7 @@ from mwpeval import (
     Triplet,
     UsageError,
     build_reports,
+    load_dataset,
     load_records,
     load_scored,
     rescore,
@@ -1205,11 +1206,32 @@ def test_a_failed_config_write_leaves_the_old_file_whole(tmp_path, monkeypatch):
 
 def test_a_logged_record_of_an_unknown_triplet_is_refused(tmp_path):
     config = sp_config(tmp_path / "out")
+    run(config, backend=FixedBackend())
     log = Path(config.output_dir) / "records.jsonl"
-    log.parent.mkdir()
-    log.write_text(record_with(model="fixture-model", triplet_id="nope").to_json_line() + "\n", encoding="utf-8")
+    stray = record_with(model="fixture-model", triplet_id="nope").to_json_line() + "\n"
+    log.write_text(stray + log.read_text(encoding="utf-8"), encoding="utf-8")
     backend = FixedBackend()
     with pytest.raises(DataError, match="unknown triplet id 'nope'"):
         run(config, backend=backend)
     assert backend.calls == 0
-    assert not (tmp_path / "out" / "config.json").exists()
+
+
+def test_a_log_without_its_config_json_is_refused(tmp_path):
+    # Without config.json nothing ties the logged hashes to a dataset, and
+    # the spot check re-renders only the first record of each mode: an
+    # edited t02 would be counted as cached with its stale answer.
+    config = sp_config(tmp_path / "out")
+    run(config, backend=FixedBackend())
+    out = Path(config.output_dir)
+    (out / "config.json").unlink()
+    log_before = (out / "records.jsonl").read_bytes()
+    triplets = list(load_dataset(FIXTURE_DATASET))
+    assert triplets[1].id == "t02"
+    triplets[1] = replace(triplets[1], question=triplets[1].question + " Explain.")
+    edited = save_dataset(Dataset(triplets, source="unit"), tmp_path / "edited.jsonl")
+    backend = FixedBackend()
+    with pytest.raises(DataError, match="config.json is missing.*use a fresh output_dir"):
+        run(replace(config, dataset=str(edited)), backend=backend)
+    assert backend.calls == 0
+    assert (out / "records.jsonl").read_bytes() == log_before
+    assert not (out / "config.json").exists()
