@@ -4,12 +4,12 @@ A run expands the dataset into cells, one per (triplet, task, mode).
 An output dir is bound (config.json) to the dataset digest, the template
 ids, the model's params and the renderer, which together fix each
 cell's prompt and content hash; inside it, (model name, triplet id,
-mode) is the cache key, and a cell already answered is never rendered.
-Records append to records.jsonl, one full line per completed cell, each
-with its content hash, so a killed run loses at most its in-flight cells
-and a rerun with the same config replays everything already on disk and
-dispatches only the remainder. Rerunning a completed run performs zero
-backend calls.
+mode) is the cache key. A cell already answered is never rendered, and
+a pending one is rendered by the worker that sends it. Records append to
+records.jsonl, one full line per completed cell, each with its content
+hash, so a killed run loses at most its in-flight cells and a rerun with
+the same config replays everything already on disk and dispatches only
+the remainder. Rerunning a completed run performs zero backend calls.
 
 Backend errors are recorded on the affected cell and do not abort the
 run; anything else (including interrupts) does abort, leaving the log
@@ -23,6 +23,7 @@ import json
 import logging
 import os
 import threading
+import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +39,6 @@ from .prompting import (
     ALL_DOP_LEVELS,
     DopLevel,
     PromptMode,
-    RenderedPrompt,
     TaskKind,
     TemplateRegistry,
     render,
@@ -216,21 +216,24 @@ def index_records(
     return index
 
 
+Cell = tuple[Triplet, PromptMode]
+
+
 def build_cells(
     dataset: Dataset,
     config: ExperimentConfig,
-    registry: TemplateRegistry,
     answered: Callable[[str, PromptMode], bool] = lambda triplet_id, mode: False,
-) -> tuple[list[RenderedPrompt], int, int, int]:
-    """One rendered prompt per pending (triplet, task, mode) cell, with
-    reasoning-only triplets excluded from correction and triplets
-    without a brief explanation excluded from dop_be. Two triplets that
-    give a mode's template equal values would give it equal prompts, so
-    they are refused; a cell that answered(triplet id, mode) accepts is
-    then only counted, never rendered. Returns (pending cells, answered
-    cells, skipped reasoning-only cells, skipped cells without an
-    explanation)."""
-    pending: list[RenderedPrompt] = []
+) -> tuple[list[Cell], int, int, int]:
+    """The pending (triplet, mode) cells in dispatch order, one per
+    (triplet, task, mode), with reasoning-only triplets excluded from
+    correction and triplets without a brief explanation excluded from
+    dop_be. Two triplets that give a mode's template equal values would
+    give it equal prompts, so they are refused; a cell that
+    answered(triplet id, mode) accepts is then only counted. Nothing is
+    rendered: each cell is rendered by the worker that sends it. Returns
+    (pending cells, answered cells, skipped reasoning-only cells,
+    skipped cells without an explanation)."""
+    pending: list[Cell] = []
     cached = skipped = no_explanation = 0
 
     def plan(triplets: Iterable[Triplet], mode: PromptMode) -> None:
@@ -247,7 +250,7 @@ def build_cells(
             if answered(triplet.id, mode):
                 cached += 1
             else:
-                pending.append(render(triplet, mode, config.model.params, registry))
+                pending.append((triplet, mode))
 
     for task in config.tasks:
         if task is TaskKind.REASONING:
@@ -276,32 +279,38 @@ def build_cells(
 
 
 class _RecordWriter:
-    """Serialized append-and-flush so each record lands as one full line.
+    """Appends each record as one whole line, from any thread, unlocked.
 
-    The log's handle also carries an exclusive advisory lock for as long
-    as the writer is open, so an output dir admits one run at a time.
+    Each record is one os.write to an O_APPEND descriptor: Linux places
+    and writes it under the file's own lock, so the lines of concurrent
+    appends to a regular file never interleave. A short write raises,
+    leaving a torn tail for _mend_tail. The descriptor also carries an
+    exclusive advisory lock for as long as the writer is open, so an
+    output dir admits one run at a time.
     """
 
     def __init__(self, path: Path) -> None:
-        self._handle = path.open("a", encoding="utf-8")
+        self._path = path
+        self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
-            fcntl.flock(self._handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            self._handle.close()
+            os.close(self._fd)
             raise UsageError(
                 f"{path.parent} is in use by another run; an output dir "
                 "admits one writer at a time"
             ) from None
-        self._lock = threading.Lock()
 
     def append(self, record: RunRecord) -> None:
-        line = record.to_json_line() + "\n"
-        with self._lock:
-            self._handle.write(line)
-            self._handle.flush()
+        line = (record.to_json_line() + "\n").encode("utf-8")
+        written = os.write(self._fd, line)
+        if written != len(line):
+            raise OSError(
+                f"short write to {self._path}: {written} of {len(line)} bytes of a record"
+            )
 
     def close(self) -> None:
-        self._handle.close()
+        os.close(self._fd)
 
 
 def _cache_identity(config: ExperimentConfig, dataset: Dataset, registry: TemplateRegistry) -> dict[str, Any]:
@@ -357,12 +366,12 @@ def _spot_check(
             )
 
 
-def _dispatch(
-    cells: list[RenderedPrompt], work: Callable[[RenderedPrompt], bool], concurrency: int
-) -> tuple[int, int]:
+def _dispatch(cells: list[Cell], work: Callable[[Cell], bool], concurrency: int) -> tuple[int, int]:
     """Complete cells on min(concurrency, len(cells)) threads. Each
     thread pulls the next cell when it finishes one, so exactly
-    `concurrency` cells are in flight. Returns (succeeded, failed).
+    `concurrency` cells are in flight; work(cell) runs outside the lock.
+    Returns (succeeded, failed). Progress is logged at INFO at most once
+    per 5 % of the cells, and once at the end.
 
     The first exception (from a worker, from starting one, or a
     KeyboardInterrupt reaching the waiting main thread) stops all
@@ -374,6 +383,9 @@ def _dispatch(
     all_exited = threading.Condition(lock)
     succeeded = failed = exited = 0
     abort: BaseException | None = None
+    started = time.perf_counter()
+    step = -(-len(cells) // 20)
+    next_report = step
 
     def stop(exc: BaseException) -> None:
         nonlocal abort
@@ -382,19 +394,25 @@ def _dispatch(
                 abort = exc
 
     def worker() -> None:
-        nonlocal succeeded, failed, exited
+        nonlocal succeeded, failed, exited, next_report
         ok: bool | None = None
         try:
             while True:
+                report = None
                 with lock:
                     if ok is not None:
                         if ok:
                             succeeded += 1
                         else:
                             failed += 1
+                        if next_report <= succeeded + failed < len(cells):
+                            next_report += step
+                            report = succeeded + failed, failed
                     if abort is not None:
                         return
                     cell = next(remaining, None)
+                if report:
+                    _log_progress(*report, len(cells), started)
                 if cell is None:
                     return
                 ok = work(cell)
@@ -427,9 +445,33 @@ def _dispatch(
         stop(exc)
     for thread in threads:
         thread.join()
+    if cells:
+        elapsed = time.perf_counter() - started
+        log.info(
+            "%s %d/%d cells in %.1f s (%.0f cells/s), %d failed",
+            "stopped after" if abort is not None else "completed",
+            succeeded + failed,
+            len(cells),
+            elapsed,
+            (succeeded + failed) / max(elapsed, 1e-9),
+            failed,
+        )
     if abort is not None:
         raise abort
     return succeeded, failed
+
+
+def _log_progress(done: int, failed: int, total: int, started: float) -> None:
+    rate = done / max(time.perf_counter() - started, 1e-9)
+    log.info(
+        "%d/%d cells (%d%%), %.0f cells/s, %d failed, ETA %.0f s",
+        done,
+        total,
+        100 * done // total,
+        rate,
+        failed,
+        (total - done) / rate,
+    )
 
 
 def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
@@ -482,9 +524,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
             ok = succeeded.get((model_name, triplet_id, mode))
             return ok is not None and (ok or not config.retry_failed)
 
-        pending, cached, skipped, no_explanation = build_cells(
-            dataset, config, registry, answered
-        )
+        pending, cached, skipped, no_explanation = build_cells(dataset, config, answered)
         total = len(pending) + cached
         # Bound only now, so a dataset that fails build_cells binds no dir.
         bound = json.dumps(
@@ -502,8 +542,10 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
 
         run_id = uuid.uuid4().hex[:12]
 
-        def work(prompt: RenderedPrompt) -> bool:
-            """Complete one cell and append its record. True means success."""
+        def work(cell: Cell) -> bool:
+            """Render one cell, complete it and append its record. True
+            means success."""
+            prompt = render(*cell, config.model.params, registry)
             base = dict(
                 run_id=run_id,
                 triplet_id=prompt.triplet_id,
@@ -562,9 +604,9 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
                 "skipped_no_explanation": no_explanation,
             },
         }
-        (run_dir / "manifest.json").write_text(
+        write_atomic(
+            run_dir / "manifest.json",
             json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
         )
     finally:
         writer.close()

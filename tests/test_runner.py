@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import fcntl
 import json
+import logging
+import os
+import random
 import re
 import shutil
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -45,7 +50,7 @@ import mwpeval.prompting
 import mwpeval.runner
 import mwpeval.triplets
 from mwpeval.prompting import CORRECTION_MODES, REASONING_MODE, TemplateRegistry, render
-from mwpeval.runner import RunRecord, build_cells, index_records
+from mwpeval.runner import RunRecord, _mend_tail, _RecordWriter, build_cells, index_records
 
 from conftest import DATA_DIR, fixture_without_explanation, load_whole_log, make_triplet
 
@@ -215,10 +220,15 @@ def test_index_keeps_latest_but_never_drops_a_success():
 # cell planning
 
 
+def rendered(cells, config):
+    """The planned (triplet, mode) cells rendered as a run renders them."""
+    registry = TemplateRegistry.load(config.templates_dir)
+    return [render(triplet, mode, config.model.params, registry) for triplet, mode in cells]
+
+
 def test_build_cells_covers_tasks_times_modes(fixture_dataset, tmp_path):
     config = sp_config(tmp_path, modes=tuple(DopLevel))
-    registry = TemplateRegistry.load()
-    cells, cached, skipped, no_explanation = build_cells(fixture_dataset, config, registry)
+    cells, cached, skipped, no_explanation = build_cells(fixture_dataset, config)
     assert len(cells) == 20 + 20 * 4
     assert cached == skipped == no_explanation == 0
 
@@ -227,8 +237,8 @@ def test_build_cells_matches_the_golden_hashes(fixture_dataset, tmp_path):
     """Every fixture cell's content hash under the default params. A
     render change fails here until this file is regenerated."""
     config = sp_config(tmp_path, modes=tuple(DopLevel))
-    cells, _, _, _ = build_cells(fixture_dataset, config, TemplateRegistry.load())
-    got = [f"{c.triplet_id} {c.mode.key} {c.content_hash}" for c in cells]
+    cells, _, _, _ = build_cells(fixture_dataset, config)
+    got = [f"{c.triplet_id} {c.mode.key} {c.content_hash}" for c in rendered(cells, config)]
     assert got == GOLDEN_HASHES.read_text(encoding="utf-8").splitlines()
 
 
@@ -243,7 +253,7 @@ def test_build_cells_skips_reasoning_only_in_correction(tmp_path):
     )
     dataset = Dataset([make_triplet(), solver_only])
     config = sp_config(tmp_path, modes=(DopLevel.SP, DopLevel.NA))
-    cells, cached, skipped, no_explanation = build_cells(dataset, config, TemplateRegistry.load())
+    cells, cached, skipped, no_explanation = build_cells(dataset, config)
     assert skipped == 2  # one per correction mode
     assert no_explanation == 0
     assert len(cells) == 2 + 2
@@ -254,7 +264,7 @@ def test_build_cells_rejects_duplicate_prompt_content(tmp_path):
     dataset = Dataset([make_triplet(), twin])
     config = sp_config(tmp_path)
     with pytest.raises(DataError, match="collision"):
-        build_cells(dataset, config, TemplateRegistry.load())
+        build_cells(dataset, config)
 
 
 # experiment config
@@ -564,9 +574,9 @@ def test_concurrency_reaches_the_same_records(tmp_path):
 def test_concurrency_one_appends_in_cell_order(tmp_path, fixture_dataset):
     config = sp_config(tmp_path / "out")
     run(config, backend=ScriptedBackend(SCRIPTED))
-    cells, _, _, _ = build_cells(fixture_dataset, config, TemplateRegistry.load())
+    cells, _, _, _ = build_cells(fixture_dataset, config)
     logged = load_records(Path(config.output_dir) / "records.jsonl")
-    assert [r.content_hash for r in logged] == [c.content_hash for c in cells]
+    assert [r.content_hash for r in logged] == [c.content_hash for c in rendered(cells, config)]
 
 
 class GaugedBackend:
@@ -1157,11 +1167,11 @@ def test_the_dataset_check_refuses_exactly_what_the_hash_check_refused(data, n, 
     registry = TemplateRegistry.load()
     expected = collision_before_identity_keys(dataset, config, registry)
     if expected is None:
-        build_cells(dataset, config, registry)
+        build_cells(dataset, config)
     else:
         a, b = expected
         with pytest.raises(DataError, match=f"collision between cells {re.escape(a)} and {re.escape(b)};"):
-            build_cells(dataset, config, registry)
+            build_cells(dataset, config)
 
 
 # config.json is rewritten only when it changes, and then atomically
@@ -1235,3 +1245,253 @@ def test_a_log_without_its_config_json_is_refused(tmp_path):
     assert backend.calls == 0
     assert (out / "records.jsonl").read_bytes() == log_before
     assert not (out / "config.json").exists()
+
+
+def test_a_failed_manifest_write_leaves_the_old_manifest_whole(tmp_path, monkeypatch):
+    config = sp_config(tmp_path / "out")
+    run(config, backend=FixedBackend())
+    path = tmp_path / "out" / "manifest.json"
+    before = path.read_bytes()
+    replace_file = os.replace
+
+    def killed_at_the_manifest(source, target):
+        if Path(target).name == "manifest.json":
+            raise OSError("killed between the temp write and the replace")
+        replace_file(source, target)
+
+    monkeypatch.setattr(mwpeval._schema.os, "replace", killed_at_the_manifest)
+    with pytest.raises(OSError, match="killed"):
+        run(config, backend=FixedBackend())
+    assert path.read_bytes() == before
+    json.loads(before)
+    assert sorted(p.name for p in path.parent.iterdir()) == [
+        "config.json", "manifest.json", "records.jsonl"
+    ]
+
+
+# each cell is rendered by the worker that sends it
+
+
+class RenderGauge:
+    """A backend that notes, at each call, how many renders runner has made."""
+
+    def __init__(self, monkeypatch):
+        self.renders = 0
+        self.seen: list[int] = []
+
+        def counted(*args, **kwargs):
+            self.renders += 1
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(mwpeval.runner, "render", counted)
+
+    def complete(self, prompt):
+        self.seen.append(self.renders)
+        return CompletionResult(text="#### 24", latency_ms=0.0, attempts=1)
+
+
+def test_the_kth_backend_call_follows_exactly_k_renders(tmp_path, monkeypatch):
+    gauge = RenderGauge(monkeypatch)
+    summary = run(sp_config(tmp_path / "out"), backend=gauge)
+    assert summary.fresh == 40
+    assert gauge.seen == list(range(1, 41))
+
+
+def test_a_render_error_in_a_worker_aborts_the_run_and_the_log_resumes(tmp_path, monkeypatch):
+    config = sp_config(tmp_path / "out")
+    renders = []
+
+    def third_fails(*args, **kwargs):
+        renders.append(args[0].id)
+        if len(renders) == 3:
+            raise DataError("render failed on the third cell")
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(mwpeval.runner, "render", third_fails)
+    backend = ScriptedBackend(SCRIPTED)
+    with pytest.raises(DataError, match="third cell"):
+        run(config, backend=backend)
+    log = Path(config.output_dir) / "records.jsonl"
+    assert [r.triplet_id for r in load_whole_log(log)] == renders[:2]
+    assert backend.calls == 2
+    assert not (Path(config.output_dir) / "manifest.json").exists()
+
+    monkeypatch.undo()
+    summary = run(config, backend=ScriptedBackend(SCRIPTED))
+    assert (summary.cached, summary.fresh, summary.failed) == (2, 38, 0)
+    hashes = [r.content_hash for r in load_whole_log(log)]
+    assert len(hashes) == len(set(hashes)) == 40
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_dispatch_logs_progress_every_five_percent_and_once_at_the_end(
+    tmp_path, caplog, concurrency
+):
+    rows = [json.loads(l) for l in SCRIPTED.read_text().splitlines() if l.strip()]
+    partial = tmp_path / "partial.jsonl"
+    partial.write_text(
+        "".join(json.dumps(row) + "\n" for row in rows if row["key"] != "t20|correction|sp"),
+        encoding="utf-8",
+    )
+    config = sp_config(tmp_path / "out", concurrency=concurrency)
+    with caplog.at_level(logging.INFO, logger="mwpeval.runner"):
+        run(config, backend=ScriptedBackend(partial))
+    *progress, final = [r.getMessage() for r in caplog.records if r.name == "mwpeval.runner"]
+    pattern = re.compile(r"(\d+)/40 cells \(\d+%\), \d+ cells/s, [01] failed, ETA \d+ s$")
+    done = [int(pattern.match(message)[1]) for message in progress]
+    # 5 % of 40 cells is 2: one line per 2 cells, and none at the end
+    assert done == list(range(2, 40, 2))
+    assert re.match(r"completed 40/40 cells in [\d.]+ s \(\d+ cells/s\), 1 failed$", final)
+
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="mwpeval.runner"):
+        run(config, backend=ScriptedBackend(SCRIPTED))
+    assert not [r for r in caplog.records if r.name == "mwpeval.runner"]
+
+
+def test_a_stopped_dispatch_says_so_in_its_last_progress_line(tmp_path, caplog):
+    config = sp_config(tmp_path / "out")
+    with caplog.at_level(logging.INFO, logger="mwpeval.runner"):
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            run(config, backend=ExplodingBackend(ScriptedBackend(SCRIPTED), fuse=10))
+    final = [r.getMessage() for r in caplog.records if r.name == "mwpeval.runner"][-1]
+    assert final.startswith("stopped after 10/40 cells in ")
+
+
+# the record log is appended without a lock
+
+
+def test_concurrent_appends_of_large_records_never_interleave(tmp_path):
+    path = tmp_path / "records.jsonl"
+    writer = _RecordWriter(path)
+    sizes = random.Random(8)
+    expected = {}
+    for thread in range(8):
+        for i in range(4):
+            size = sizes.randrange(100 << 10, (1 << 20) + 1)
+            # three UTF-8 bytes per character, distinct per thread
+            text = chr(0x4E00 + thread) * (size // 3)
+            expected[f"t{thread}-{i}"] = text
+    start = threading.Barrier(8, timeout=10)
+
+    def append_all(thread):
+        start.wait()
+        for i in range(4):
+            key = f"t{thread}-{i}"
+            writer.append(record_with(triplet_id=key, prompt_text=expected[key]))
+
+    workers = [threading.Thread(target=append_all, args=(t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        writer.close()
+    assert not any(worker.is_alive() for worker in workers)
+    records = load_whole_log(path)
+    assert sorted(r.triplet_id for r in records) == sorted(expected)
+    assert all(r.prompt_text == expected[r.triplet_id] for r in records)
+
+
+def test_a_short_write_raises_and_leaves_a_tail_the_next_run_mends(tmp_path, monkeypatch):
+    path = tmp_path / "records.jsonl"
+    writer = _RecordWriter(path)
+    first = record_with(triplet_id="x01")
+    writer.append(first)
+    write = os.write
+
+    def half_written(fd, data):
+        return write(fd, data[: len(data) // 2] if fd == writer._fd else data)
+
+    monkeypatch.setattr(mwpeval.runner.os, "write", half_written)
+    with pytest.raises(OSError, match="short write"):
+        writer.append(record_with(triplet_id="x02"))
+    monkeypatch.undo()
+    writer.close()
+    assert not path.read_bytes().endswith(b"\n")
+    _mend_tail(path)
+    assert load_whole_log(path) == [first]
+
+
+# real kills: a SIGKILLed run resumes to the same results
+
+
+KILLABLE_RUN = """
+import sys, time
+from mwpeval import ExperimentConfig, ScriptedBackend, run
+
+class Slow:
+    def __init__(self, inner):
+        self.inner = inner
+
+    def complete(self, prompt):
+        time.sleep(float(sys.argv[3]))
+        return self.inner.complete(prompt)
+
+config = ExperimentConfig.from_json_file(sys.argv[1])
+print("ready", flush=True)
+run(config, backend=Slow(ScriptedBackend(sys.argv[2])))
+"""
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_a_run_killed_at_seeded_times_resumes_to_an_unkilled_runs_results(tmp_path, concurrency):
+    """SIGKILL lands anywhere from binding config.json to writing
+    manifest.json. Power loss is not covered: what a kill leaves is what
+    the process wrote, while a power cut can also lose or reorder what
+    the page cache held."""
+    config = sp_config(tmp_path / "out", concurrency=concurrency)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    package_root = str(Path(mwpeval.__file__).resolve().parent.parent)
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+    }
+    sleep_s = 0.01
+    delays = random.Random(concurrency)
+    out = Path(config.output_dir)
+    log = out / "records.jsonl"
+
+    def start():
+        child = subprocess.Popen(
+            [sys.executable, "-c", KILLABLE_RUN, str(config_path), str(SCRIPTED), str(sleep_s)],
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        assert child.stdout.readline() == "ready\n"
+        return child
+
+    for _ in range(4):
+        # a delay up to a little past the end of what is left to send
+        left = 40 - len(load_records(log))
+        child = start()
+        time.sleep(delays.uniform(0, 1.2 * left * sleep_s / concurrency + 0.03))
+        child.kill()
+        child.wait(timeout=60)
+        child.stdout.close()
+        if (out / "config.json").exists():
+            json.loads((out / "config.json").read_bytes())
+    child = start()
+    assert child.wait(timeout=60) == 0
+    child.stdout.close()
+
+    records = load_whole_log(out / "records.jsonl")
+    successes = [(r.triplet_id, r.mode) for r in records if r.error is None]
+    assert len(successes) == len(set(successes)) == 40
+    json.loads((out / "config.json").read_bytes())
+    json.loads((out / "manifest.json").read_bytes())
+    backend = ScriptedBackend(SCRIPTED)
+    summary = run(config, backend=backend)  # not refused: the flock went with the child
+    assert (summary.cached, summary.fresh, backend.calls) == (40, 0, 0)
+
+    unkilled = sp_config(tmp_path / "unkilled")
+    run(unkilled, backend=ScriptedBackend(SCRIPTED))
+    killed_scored = write_scored(rescore(out, config.dataset), tmp_path / "killed.jsonl")
+    unkilled_scored = write_scored(rescore(unkilled.output_dir, config.dataset), tmp_path / "unkilled.jsonl")
+    assert killed_scored.read_bytes() == unkilled_scored.read_bytes()
