@@ -14,9 +14,12 @@ annotations. The supported annotations are ``str``, ``int``, ``float``
 any of these ``| None``. A bool is never accepted as a number.
 
 The file half lives here too: ``read_json`` and ``read_jsonl`` are the
-only readers of the harness's JSON and JSONL input files, ``dump_line``
-is the one JSONL line encoder, and ``write_atomic`` replaces a whole
-file so that no reader sees it half written.
+only readers of the harness's JSON and JSONL input files. ``dump_line``
+is the one JSONL line encoder and ``json_text`` the one JSON file
+encoding. ``write_atomic`` is the one writer of a whole file: it streams
+a str, or an iterable of str chunks such as JSONL lines, into a temp
+file and renames it onto the target, so that no reader sees the file
+half written. Only the run's record log is appended instead (runner).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import typing
 import uuid
 from enum import Enum
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator, NamedTuple
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import HarnessError, UsageError
 
@@ -194,21 +197,33 @@ def read_jsonl(
             yield lineno, row
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Make text the content of path, so that path always holds either
-    its old content or all of text: text goes to a temp file in the same
-    dir, is flushed and fsynced, then renamed onto path."""
+def json_text(payload: Any) -> str:
+    """The text of a JSON file: indented, keys sorted, newline-terminated."""
+    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+def write_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
+    """Make text, a str or an iterable of str chunks, the content of
+    path, so that path always holds either its old content or all of
+    text: the chunks are streamed to a temp file in the same dir, which
+    is flushed and fsynced, then renamed onto path. Makes the parent dir
+    and returns path."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with temp.open("xb") as handle:
-            handle.write(text.encode("utf-8"))
+        with temp.open("x", encoding="utf-8", newline="") as handle:
+            if isinstance(text, str):
+                handle.write(text)
+            else:
+                handle.writelines(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+    return path
 
 
 def _open(path: str | Path, what: str, error: type[HarnessError]) -> BinaryIO:

@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
-from ._schema import read_json, read_jsonl
+from ._schema import json_text, read_json, read_jsonl, write_atomic
 from .errors import (
     DataError,
     HarnessError,
@@ -56,6 +56,7 @@ from .triplets import (
     ingest_gsm8k,
     ingest_mathdial,
     load_dataset,
+    manifest_path_for,
     save_dataset,
 )
 
@@ -117,18 +118,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     save_dataset(dataset, output_path)
     rejects_path = Path(args.rejects) if args.rejects else Path(str(output_path) + ".rejects.json")
-    rejects_path.write_text(
-        json.dumps(
+    write_atomic(
+        rejects_path,
+        json_text(
             {
                 "kept": len(dataset),
                 "rejected": len(rejections),
                 "rejections": [r.to_dict() for r in rejections],
-            },
-            ensure_ascii=False,
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+            }
+        ),
     )
     print(
         f"ingested {len(dataset)} triplets from {input_path} "
@@ -166,7 +164,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_rescore(args: argparse.Namespace) -> int:
-    outcomes = rescore(args.run, args.dataset)
+    output = Path(args.output)
+    log = Path(args.run)
+    if log.is_dir():
+        log = log / "records.jsonl"
+    dataset = Path(args.dataset)
+    for source in (log, dataset, manifest_path_for(dataset)):
+        if output.exists() and source.exists() and output.samefile(source):
+            raise UsageError(f"--output {output} is the rescore input {source}; name another file")
+    outcomes = rescore(log, dataset)
     path = write_scored(outcomes, args.output)
     print(f"scored {len(outcomes)} outcomes into {path}")
     return 0

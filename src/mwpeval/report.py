@@ -8,13 +8,12 @@ half-up rounding to three places; report.json keeps full precision.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from ._schema import dump, read_json
+from ._schema import dump, json_text, read_json, write_atomic
 from .errors import DataError
 from .metrics import (
     QuadrantCounts,
@@ -279,33 +278,22 @@ def write_report_bundle(
     bootstrap: BootstrapSpec | None = None,
 ) -> dict[str, Path]:
     """Write report.json, report.md, report.csv, chart_data.json and
-    chart.svg into out_dir. Returns the paths."""
+    chart.svg into out_dir. Each file is replaced atomically on its own,
+    not the bundle as a unit. Returns the paths."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "meta": dict(sorted((meta or {}).items())),
         "bootstrap": bootstrap.to_dict() if bootstrap else None,
         "reports": [r.to_dict() for r in reports],
     }
     chart = chart_data(reports)
-    paths = {
-        "json": out_dir / "report.json",
-        "markdown": out_dir / "report.md",
-        "csv": out_dir / "report.csv",
-        "chart": out_dir / "chart_data.json",
-        "svg": out_dir / "chart.svg",
+    return {
+        "json": write_atomic(out_dir / "report.json", json_text(payload)),
+        "markdown": write_atomic(out_dir / "report.md", render_markdown(reports, meta)),
+        "csv": write_atomic(out_dir / "report.csv", render_csv(reports)),
+        "chart": write_atomic(out_dir / "chart_data.json", json_text(chart)),
+        "svg": write_atomic(out_dir / "chart.svg", render_svg(chart)),
     }
-    paths["json"].write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    paths["markdown"].write_text(render_markdown(reports, meta), encoding="utf-8")
-    paths["csv"].write_text(render_csv(reports), encoding="utf-8")
-    paths["chart"].write_text(
-        json.dumps(chart, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
-    paths["svg"].write_text(render_svg(chart), encoding="utf-8")
-    return paths
 
 
 # --- published reference results ---------------------------------------

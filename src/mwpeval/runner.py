@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-from ._schema import dump, dump_line, load, load_line, read_json, read_jsonl, write_atomic
+from ._schema import (
+    dump, dump_line, json_text, load, load_line, read_json, read_jsonl, write_atomic
+)
 from .backends import Backend, ModelSpec, create_backend
 from .errors import BackendError, ConfigurationError, DataError, UsageError
 from .prompting import (
@@ -527,12 +529,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
         pending, cached, skipped, no_explanation = build_cells(dataset, config, answered)
         total = len(pending) + cached
         # Bound only now, so a dataset that fails build_cells binds no dir.
-        bound = json.dumps(
-            {"config": config.to_dict(), "identity": identity},
-            ensure_ascii=False,
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+        bound = json_text({"config": config.to_dict(), "identity": identity})
         if not identity_path.exists() or identity_path.read_bytes() != bound.encode("utf-8"):
             write_atomic(identity_path, bound)
         _mend_tail(records_path)
@@ -604,10 +601,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
                 "skipped_no_explanation": no_explanation,
             },
         }
-        write_atomic(
-            run_dir / "manifest.json",
-            json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        )
+        write_atomic(run_dir / "manifest.json", json_text(manifest))
     finally:
         writer.close()
     return RunSummary(
@@ -665,12 +659,7 @@ def rescore(
 
 
 def write_scored(outcomes: Iterable[Outcome], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for outcome in outcomes:
-            handle.write(dump_line(outcome) + "\n")
-    return path
+    return write_atomic(path, (dump_line(outcome) + "\n" for outcome in outcomes))
 
 
 def load_scored(path: str | Path) -> list[Outcome]:

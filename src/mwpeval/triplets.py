@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,7 +19,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from . import __version__ as TOOL_VERSION
-from ._schema import dump, dump_line, load_line, read_json, read_jsonl
+from ._schema import dump, dump_line, json_text, load_line, read_json, read_jsonl, write_atomic
 from .errors import DataError
 from .extraction import NumericAnswer, extract, parse_numeric, scan_numbers
 
@@ -175,15 +174,8 @@ def manifest_path_for(dataset_path: str | Path) -> Path:
 
 def save_dataset(dataset: Dataset, path: str | Path) -> Path:
     """Write the dataset JSONL plus its manifest sidecar. Returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for triplet in dataset.triplets:
-            handle.write(triplet.to_json_line() + "\n")
-    manifest_path_for(path).write_text(
-        json.dumps(dataset.manifest(), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    path = write_atomic(path, (triplet.to_json_line() + "\n" for triplet in dataset.triplets))
+    write_atomic(manifest_path_for(path), json_text(dataset.manifest()))
     return path
 
 

@@ -416,6 +416,25 @@ def test_report_with_bootstrap_records_the_spec(tmp_path, capsys):
     assert row["r_ci"][0] <= row["r_rate"] <= row["r_ci"][1]
 
 
+@pytest.mark.parametrize("target", ["records.jsonl", "d.jsonl", "d.jsonl.manifest.json"])
+def test_rescore_refuses_an_output_that_is_one_of_its_inputs(tmp_path, capsys, target):
+    dataset = tmp_path / "d.jsonl"
+    assert main(["ingest", "--source", "triplets", "--input", str(FIXTURE_DATASET),
+                 "--output", str(dataset)]) == 0
+    config = write_config(tmp_path, dataset=str(dataset))
+    assert main(["run", "--config", str(config)]) == 0
+    inputs = [tmp_path / "out" / "records.jsonl", dataset, Path(f"{dataset}.manifest.json")]
+    before = [path.read_bytes() for path in inputs]
+    output = next(path for path in inputs if path.name == target)
+    capsys.readouterr()
+    assert main(["rescore", "--run", str(tmp_path / "out"), "--dataset", str(dataset),
+                 "--output", str(output)]) == 1
+    assert f"--output {output} is the rescore input" in capsys.readouterr().err
+    assert [path.read_bytes() for path in inputs] == before
+    assert main(["run", "--config", str(config)]) == 0
+    assert "40 cached, 0 fresh" in capsys.readouterr().out
+
+
 def test_rescore_of_a_record_with_an_unknown_task_is_a_data_error(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0

@@ -1,6 +1,9 @@
-"""The package's public names."""
+"""The package's public names, and the one module that writes whole files."""
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import mwpeval
 
@@ -9,3 +12,54 @@ def test_every_public_name_resolves_once():
     assert len(mwpeval.__all__) == len(set(mwpeval.__all__))
     missing = [name for name in mwpeval.__all__ if not hasattr(mwpeval, name)]
     assert missing == []
+
+
+# Appending is the record log's own write path; every whole file goes
+# through _schema.write_atomic.
+APPENDERS = {("runner", "_RecordWriter"), ("runner", "_mend_tail")}
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
+
+
+def writes(call: ast.Call) -> bool:
+    """Whether a call writes a file: write_text, write_bytes, json.dump,
+    a write-mode open or Path.open, or an os.open with a write flag."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    owner = getattr(func, "value", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name == "dump":
+        return getattr(owner, "id", None) == "json"
+    if name != "open":
+        return False
+    if getattr(owner, "id", None) == "os":
+        flags = call.args[1:2]
+        return any(
+            isinstance(node, ast.Attribute) and node.attr in WRITE_FLAGS
+            for flag in flags
+            for node in ast.walk(flag)
+        )
+    modes = call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    modes += [k.value for k in call.keywords if k.arg == "mode"]
+    return any(
+        not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+")
+        for mode in modes
+    )
+
+
+def file_writers(module: str, tree: ast.AST) -> set[tuple[str, str]]:
+    """(module, top-level def or class) of every call that writes a file."""
+    found = set()
+    for top in ast.iter_child_nodes(tree):
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and writes(node):
+                found.add((module, getattr(top, "name", f"line {node.lineno}")))
+    return found
+
+
+def test_only_schema_writes_a_whole_file():
+    found = set()
+    for path in sorted(Path(mwpeval.__file__).parent.glob("*.py")):
+        if path.stem != "_schema":
+            found |= file_writers(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+    assert found == APPENDERS

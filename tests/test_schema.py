@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import mwpeval
 from mwpeval import (
     ConfigurationError,
     DataError,
+    Dataset,
     DopLevel,
     ExperimentConfig,
     ModelSpec,
@@ -16,10 +21,17 @@ from mwpeval import (
     RunRecord,
     TaskKind,
     Triplet,
+    load_dataset,
+    published_reports,
+    save_dataset,
     score,
+    write_report_bundle,
+    write_scored,
 )
+from mwpeval._schema import json_text, write_atomic
+from mwpeval.cli import main
 
-from conftest import make_triplet
+from conftest import DATA_DIR, make_triplet
 
 
 def triplet_payload() -> dict:
@@ -167,3 +179,147 @@ def test_nested_config_round_trips_and_names_its_part():
     bad = {**config_payload(), "model": {**model_payload(), "retry": {"max_attempts": 2.5}}}
     with pytest.raises(ConfigurationError, match="bad config: bad model: retry: 'max_attempts'"):
         ExperimentConfig.from_dict(bad)
+
+
+# every whole file is replaced, never cut
+
+
+def test_write_atomic_streams_chunks_into_a_new_dir(tmp_path):
+    path = tmp_path / "new" / "dir" / "rows.jsonl"
+    assert write_atomic(path, (f"{i}\n" for i in range(3))) == path
+    assert path.read_text(encoding="utf-8") == "0\n1\n2\n"
+    assert write_atomic(str(path), "é\r\n") == path
+    assert path.read_bytes() == "é\r\n".encode("utf-8")
+    assert [p.name for p in path.parent.iterdir()] == ["rows.jsonl"]
+
+
+def test_json_text_is_the_one_json_file_encoding():
+    assert json_text({"b": "é", "a": [1]}) == '{\n  "a": [\n    1\n  ],\n  "b": "é"\n}\n'
+
+
+class Killed(Exception):
+    """Stands for a process killed part way through a write."""
+
+
+def first(count: int) -> Dataset:
+    fixture = load_dataset(DATA_DIR / "fixture_triplets.jsonl")
+    return Dataset(fixture.triplets[:count], source=f"first-{count}")
+
+
+def outcomes(count: int) -> list[Outcome]:
+    return [score(t, "#### 24", TaskKind.REASONING, None, model="m") for t in first(count)]
+
+
+def cut_after(rows, count):
+    for index, row in enumerate(rows):
+        if index == count:
+            raise Killed(f"killed after {count} rows")
+        yield row
+
+
+# Each writes the old file under tmp_path, then returns the write that
+# would replace it with other bytes.
+
+
+def dataset_write(tmp_path, monkeypatch):
+    path = save_dataset(first(20), tmp_path / "d.jsonl")
+    return lambda: save_dataset(first(5), path)
+
+
+def rejects_write(tmp_path, monkeypatch):
+    def ingest(source, name):
+        argv = ["ingest", "--source", source, "--input", str(DATA_DIR / name),
+                "--output", str(tmp_path / f"{source}.jsonl"),
+                "--rejects", str(tmp_path / "rejects.json")]
+        assert main(argv) == 0
+
+    ingest("mathdial", "mathdial_sample.jsonl")
+    return lambda: ingest("triplets", "fixture_triplets.jsonl")
+
+
+def scored_write(tmp_path, monkeypatch):
+    path = write_scored(outcomes(20), tmp_path / "scored.jsonl")
+    return lambda: write_scored(outcomes(5), path)
+
+
+def report_write(tmp_path, monkeypatch):
+    reports = published_reports()
+    write_report_bundle(reports, tmp_path / "report")
+    return lambda: write_report_bundle(reports[:3], tmp_path / "report")
+
+
+def dataset_write_cut_after_3_rows(tmp_path, monkeypatch):
+    path = save_dataset(first(20), tmp_path / "d.jsonl")
+    smaller = first(5)
+    to_json_line = Triplet.to_json_line
+    calls = itertools.count()
+
+    def cut(self):
+        if next(calls) == 3:
+            raise Killed("killed after 3 rows")
+        return to_json_line(self)
+
+    monkeypatch.setattr(Triplet, "to_json_line", cut)
+    return lambda: save_dataset(smaller, path)
+
+
+def scored_write_cut_after_3_rows(tmp_path, monkeypatch):
+    path = write_scored(outcomes(20), tmp_path / "scored.jsonl")
+    return lambda: write_scored(cut_after(outcomes(5), 3), path)
+
+
+REPORT_FILES = ["report.json", "report.md", "report.csv", "chart_data.json", "chart.svg"]
+
+
+@pytest.mark.parametrize(
+    "target, prepare",
+    [
+        ("d.jsonl", dataset_write),
+        ("d.jsonl.manifest.json", dataset_write),
+        ("rejects.json", rejects_write),
+        ("scored.jsonl", scored_write),
+        *((f"report/{name}", report_write) for name in REPORT_FILES),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_a_write_killed_before_its_rename_leaves_the_old_file_whole(
+    tmp_path, monkeypatch, target, prepare
+):
+    write = prepare(tmp_path, monkeypatch)
+    path = tmp_path / target
+    before = path.read_bytes()
+    replace_file = os.replace
+
+    def killed_at_the_target(source, destination):
+        if Path(destination) == path:
+            raise Killed("killed between the temp write and the replace")
+        replace_file(source, destination)
+
+    monkeypatch.setattr(mwpeval._schema.os, "replace", killed_at_the_target)
+    with pytest.raises(Killed):
+        write()
+    assert path.read_bytes() == before
+    assert list(tmp_path.rglob("*.tmp")) == []
+    monkeypatch.undo()
+    write()  # the same write, not killed, does change the file
+    assert path.read_bytes() != before
+
+
+@pytest.mark.parametrize(
+    "target, prepare",
+    [
+        ("d.jsonl", dataset_write_cut_after_3_rows),
+        ("scored.jsonl", scored_write_cut_after_3_rows),
+    ],
+    ids=["dataset", "scored"],
+)
+def test_a_write_killed_part_way_through_its_rows_leaves_the_old_file_whole(
+    tmp_path, monkeypatch, target, prepare
+):
+    write = prepare(tmp_path, monkeypatch)
+    path = tmp_path / target
+    before = path.read_bytes()
+    with pytest.raises(Killed):
+        write()
+    assert path.read_bytes() == before
+    assert list(tmp_path.rglob("*.tmp")) == []
