@@ -157,7 +157,7 @@ def read_jsonl(
     error: type[HarnessError],
     cls: type[Any] | None = None,
     *,
-    torn_tail: bool = False,
+    torn_tail: Callable[[int], None] | None = None,
     bad: Callable[[int, ValueError], None] | None = None,
 ) -> Iterator[tuple[int, Any]]:
     """(line number, row) for each non-blank line of a JSONL file of whats.
@@ -167,8 +167,9 @@ def read_jsonl(
     Each line must be UTF-8 JSON, and with cls is loaded as one. A line
     that fails raises error naming the path and the line, except that
     bad(lineno, exc), when given, takes each line that is not UTF-8
-    JSON, and torn_tail drops a failing last line (a killed writer's)
-    with a warning. A line after it, even a blank one, still raises.
+    JSON, and with torn_tail a failing last line (a killed writer's) is
+    dropped with a warning and torn_tail(the byte offset where it
+    starts) is called. A line after it, even a blank one, still raises.
     """
     with _open(path, f"{what} file", error) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -192,6 +193,7 @@ def read_jsonl(
                         what,
                         lineno,
                     )
+                    torn_tail(handle.tell() - len(line))
                     return
                 raise error(f"{path} line {lineno}: {exc}") from None
             yield lineno, row

@@ -158,39 +158,15 @@ def load_records(path: str | Path) -> list[RunRecord]:
     return list(_stream_records(Path(path)))
 
 
-def _stream_records(path: Path) -> Iterator[RunRecord]:
+def _stream_records(
+    path: Path, torn: Callable[[int], None] = lambda offset: None
+) -> Iterator[RunRecord]:
     """The records of a log one at a time, read as load_records reads
-    them, so a caller keeps only what it takes from each."""
+    them, so a caller keeps only what it takes from each. A dropped torn
+    final line is passed to torn as the byte offset where it starts."""
     if path.exists():
-        for _, record in read_jsonl(path, "run record", DataError, RunRecord, torn_tail=True):
+        for _, record in read_jsonl(path, "run record", DataError, RunRecord, torn_tail=torn):
             yield record
-
-
-def _mend_tail(path: Path) -> None:
-    """Make a log end in a whole line before appending to it: cut off a
-    torn final line (the one load_records drops), or end a whole final
-    record with its missing newline."""
-    if not path.exists():
-        return
-    with path.open("r+b") as handle:
-        start = size = handle.seek(0, os.SEEK_END)
-        tail = b""
-        while start and tail.find(b"\n", 0, len(tail) - 1) < 0:
-            step = min(start, 1 << 16)
-            start -= step
-            handle.seek(start)
-            tail = handle.read(step) + tail
-        line_start = start + tail.rfind(b"\n", 0, len(tail) - 1) + 1
-        line = tail[line_start - start :]
-        if line.strip():
-            try:
-                RunRecord.from_json_line(line)
-            except DataError:
-                handle.truncate(line_start)
-                return
-        if size and not line.endswith(b"\n"):
-            handle.seek(size)
-            handle.write(b"\n")
 
 
 _Kept = TypeVar("_Kept")
@@ -286,14 +262,16 @@ class _RecordWriter:
     Each record is one os.write to an O_APPEND descriptor: Linux places
     and writes it under the file's own lock, so the lines of concurrent
     appends to a regular file never interleave. A short write raises,
-    leaving a torn tail for _mend_tail. The descriptor also carries an
-    exclusive advisory lock for as long as the writer is open, so an
-    output dir admits one run at a time.
+    leaving a torn tail that the next run's resume scan drops and its
+    writer's mend cuts: this class is the one code that writes or cuts
+    the log. The descriptor also carries an exclusive advisory lock for
+    as long as the writer is open, so an output dir admits one run at a
+    time.
     """
 
     def __init__(self, path: Path) -> None:
         self._path = path
-        self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        self._fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
@@ -302,6 +280,16 @@ class _RecordWriter:
                 f"{path.parent} is in use by another run; an output dir "
                 "admits one writer at a time"
             ) from None
+
+    def mend(self, torn_at: int | None = None) -> None:
+        """Make the log end in a whole line before the first append: cut
+        the torn final line that the resume scan dropped at byte torn_at,
+        and end a whole final line with its missing newline."""
+        if torn_at is not None:
+            os.ftruncate(self._fd, torn_at)
+        size = os.fstat(self._fd).st_size
+        if size and os.pread(self._fd, 1, size - 1) != b"\n":
+            os.write(self._fd, b"\n")
 
     def append(self, record: RunRecord) -> None:
         line = (record.to_json_line() + "\n").encode("utf-8")
@@ -511,7 +499,8 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
                 first_of_mode.setdefault(record.mode, record)
             return record.error is None
 
-        succeeded = index_records(_stream_records(records_path), keep)
+        torn: list[int] = []  # where the scan dropped a torn final line
+        succeeded = index_records(_stream_records(records_path, torn.append), keep)
         if succeeded and not identity_path.exists():
             # Nothing fixes these records' hashes, so their cell
             # identities cannot stand for them.
@@ -532,7 +521,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
         bound = json_text({"config": config.to_dict(), "identity": identity})
         if not identity_path.exists() or identity_path.read_bytes() != bound.encode("utf-8"):
             write_atomic(identity_path, bound)
-        _mend_tail(records_path)
+        writer.mend(*torn)
 
         if backend is None and pending:
             backend = create_backend(config.model, config.concurrency)

@@ -16,7 +16,7 @@ def test_every_public_name_resolves_once():
 
 # Appending is the record log's own write path; every whole file goes
 # through _schema.write_atomic.
-APPENDERS = {("runner", "_RecordWriter"), ("runner", "_mend_tail")}
+APPENDERS = {("runner", "_RecordWriter")}
 WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
 
 

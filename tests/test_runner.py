@@ -50,7 +50,7 @@ import mwpeval.prompting
 import mwpeval.runner
 import mwpeval.triplets
 from mwpeval.prompting import CORRECTION_MODES, REASONING_MODE, TemplateRegistry, render
-from mwpeval.runner import RunRecord, _mend_tail, _RecordWriter, build_cells, index_records
+from mwpeval.runner import RunRecord, _RecordWriter, _stream_records, build_cells, index_records
 
 from conftest import DATA_DIR, fixture_without_explanation, load_whole_log, make_triplet
 
@@ -1413,7 +1413,12 @@ def test_a_short_write_raises_and_leaves_a_tail_the_next_run_mends(tmp_path, mon
     monkeypatch.undo()
     writer.close()
     assert not path.read_bytes().endswith(b"\n")
-    _mend_tail(path)
+    torn: list[int] = []
+    assert list(_stream_records(path, torn.append)) == [first]
+    assert torn == [len(first.to_json_line()) + 1]
+    writer = _RecordWriter(path)
+    writer.mend(*torn)
+    writer.close()
     assert load_whole_log(path) == [first]
 
 
