@@ -15,7 +15,7 @@ import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from ._schema import json_text, read_json, read_jsonl, write_atomic
 from .errors import (
@@ -67,9 +67,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _refuse_same_file(flag: str, path: Path, what: str, others: Iterable[Path]) -> None:
+    """Raise UsageError if path, named by flag, is one of others: equal
+    once resolved (a file not written yet), or, both existing, the same
+    file (hard links and other spellings)."""
+    for other in others:
+        if path.resolve() == other.resolve() or (
+            path.exists() and other.exists() and path.samefile(other)
+        ):
+            raise UsageError(f"{flag} {path} is {what} {other}; name another file")
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     input_path = Path(args.input)
     output_path = Path(args.output)
+    rejects_path = Path(args.rejects) if args.rejects else Path(str(output_path) + ".rejects.json")
+    ingest_files = (output_path, manifest_path_for(output_path), input_path)
+    _refuse_same_file("--rejects", rejects_path, "the ingest file", ingest_files)
 
     if args.field_map and args.source != "mathdial":
         raise UsageError(f"--field-map applies to --source mathdial only, not {args.source}")
@@ -117,7 +131,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         dataset = Dataset(triplets, source=source_name)
 
     save_dataset(dataset, output_path)
-    rejects_path = Path(args.rejects) if args.rejects else Path(str(output_path) + ".rejects.json")
     write_atomic(
         rejects_path,
         json_text(
@@ -169,9 +182,9 @@ def cmd_rescore(args: argparse.Namespace) -> int:
     if log.is_dir():
         log = log / "records.jsonl"
     dataset = Path(args.dataset)
-    for source in (log, dataset, manifest_path_for(dataset)):
-        if output.exists() and source.exists() and output.samefile(source):
-            raise UsageError(f"--output {output} is the rescore input {source}; name another file")
+    _refuse_same_file(
+        "--output", output, "the rescore input", (log, dataset, manifest_path_for(dataset))
+    )
     outcomes = rescore(log, dataset)
     path = write_scored(outcomes, args.output)
     print(f"scored {len(outcomes)} outcomes into {path}")

@@ -388,21 +388,19 @@ def _dispatch(cells: list[Cell], work: Callable[[Cell], bool], concurrency: int)
         ok: bool | None = None
         try:
             while True:
-                report = None
                 with lock:
                     if ok is not None:
                         if ok:
                             succeeded += 1
                         else:
                             failed += 1
+                        # Logged under the lock, so lines come in count order.
                         if next_report <= succeeded + failed < len(cells):
                             next_report += step
-                            report = succeeded + failed, failed
+                            _log_progress(succeeded + failed, failed, len(cells), started)
                     if abort is not None:
                         return
                     cell = next(remaining, None)
-                if report:
-                    _log_progress(*report, len(cells), started)
                 if cell is None:
                     return
                 ok = work(cell)

@@ -20,7 +20,7 @@ from typing import Any, Iterable, Iterator
 
 from . import __version__ as TOOL_VERSION
 from ._schema import dump, dump_line, json_text, load_line, read_json, read_jsonl, write_atomic
-from .errors import DataError
+from .errors import DataError, UsageError
 from .extraction import NumericAnswer, extract, parse_numeric, scan_numbers
 
 DEFAULT_MATHDIAL_FIELD_MAP = {
@@ -29,6 +29,8 @@ DEFAULT_MATHDIAL_FIELD_MAP = {
     "reference_solution": "ground_truth",
     "wrong_solution": "student_incorrect_solution",
 }
+# The triplet fields a MathDial field map may name a source field for.
+_MATHDIAL_FIELD_MAP_KEYS = (*DEFAULT_MATHDIAL_FIELD_MAP, "brief_explanation")
 # No wrong_solution: a GSM8K problem yields a reasoning-only triplet.
 GSM8K_FIELD_MAP = {"id": "id", "question": "question", "reference_solution": "answer"}
 
@@ -295,7 +297,13 @@ def ingest_mathdial(
     source: str = "mathdial",
 ) -> tuple[list[Triplet], list[Rejection]]:
     """Map tutoring-dialog records onto triplets; field_map overrides
-    DEFAULT_MATHDIAL_FIELD_MAP entry by entry."""
+    DEFAULT_MATHDIAL_FIELD_MAP entry by entry. A key that names no
+    mappable triplet field raises UsageError."""
+    unknown = sorted(set(field_map or ()) - set(_MATHDIAL_FIELD_MAP_KEYS))
+    if unknown:
+        raise UsageError(
+            f"unknown field map keys {unknown}; accepted keys are {list(_MATHDIAL_FIELD_MAP_KEYS)}"
+        )
     return _ingest(records, {**DEFAULT_MATHDIAL_FIELD_MAP, **(field_map or {})}, source)
 
 

@@ -328,6 +328,31 @@ def test_ingest_refuses_a_field_map_outside_mathdial(tmp_path, capsys, source, i
     assert not output.exists()
 
 
+def test_ingest_refuses_a_misspelt_field_map_key(tmp_path, capsys):
+    output = tmp_path / "x.jsonl"
+    field_map = '{"qestion": "nope", "brief_explanaton": "hint", "id": "qid"}'
+    assert main(["ingest", "--source", "mathdial", "--input", str(MATHDIAL),
+                 "--output", str(output), "--field-map", field_map]) == 1
+    err = capsys.readouterr().err
+    assert "unknown field map keys ['brief_explanaton', 'qestion']" in err
+    assert ("accepted keys are ['id', 'question', 'reference_solution', 'wrong_solution', "
+            "'brief_explanation']") in err
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("target", ["output", "sidecar", "input"])
+def test_ingest_refuses_rejects_that_name_one_of_its_files(tmp_path, capsys, target):
+    source = tmp_path / "in.jsonl"
+    shutil.copy(MATHDIAL, source)
+    output = tmp_path / "o.jsonl"
+    rejects = {"output": output, "sidecar": Path(f"{output}.manifest.json"), "input": source}
+    assert main(["ingest", "--source", "mathdial", "--input", str(source),
+                 "--output", str(output), "--rejects", str(rejects[target])]) == 1
+    assert f"--rejects {rejects[target]} is the ingest file" in capsys.readouterr().err
+    assert source.read_bytes() == MATHDIAL.read_bytes()
+    assert sorted(tmp_path.iterdir()) == [source]
+
+
 # run, rescore, report pipeline
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 import mwpeval
 
 
@@ -14,19 +16,20 @@ def test_every_public_name_resolves_once():
     assert missing == []
 
 
-# Appending is the record log's own write path; every whole file goes
-# through _schema.write_atomic.
+# Appending to the record log, and cutting its torn tail, is the log
+# writer's alone; every whole file goes through _schema.write_atomic.
 APPENDERS = {("runner", "_RecordWriter")}
 WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
 
 
 def writes(call: ast.Call) -> bool:
     """Whether a call writes a file: write_text, write_bytes, json.dump,
-    a write-mode open or Path.open, or an os.open with a write flag."""
+    a write-mode open or Path.open, an os.open with a write flag, or a
+    cut (truncate, os.truncate, os.ftruncate)."""
     func = call.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
     owner = getattr(func, "value", None)
-    if name in ("write_text", "write_bytes"):
+    if name in ("write_text", "write_bytes", "truncate", "ftruncate"):
         return True
     if name == "dump":
         return getattr(owner, "id", None) == "json"
@@ -63,3 +66,22 @@ def test_only_schema_writes_a_whole_file():
         if path.stem != "_schema":
             found |= file_writers(path.stem, ast.parse(path.read_text(encoding="utf-8")))
     assert found == APPENDERS
+
+
+@pytest.mark.parametrize(
+    "code, wrote",
+    [
+        ("path.write_text(text)", True),
+        ("json.dump(payload, handle)", True),
+        ("open(path, 'a')", True),
+        ("os.open(path, os.O_WRONLY)", True),
+        ("handle.truncate(0)", True),
+        ("os.truncate(path, 0)", True),
+        ("os.ftruncate(fd, 0)", True),
+        ("open(path, 'rb')", False),
+        ("os.open(path, os.O_RDONLY)", False),
+        ("os.pread(fd, 1, 0)", False),
+    ],
+)
+def test_the_guard_counts_every_write_and_cut(code, wrote):
+    assert writes(ast.parse(code).body[0].value) is wrote

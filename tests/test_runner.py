@@ -389,6 +389,40 @@ def test_a_whole_final_record_without_newline_is_kept(tmp_path):
     assert path.read_bytes() == log
 
 
+def resume_twice_after(tmp_path: Path, tail: bytes) -> tuple[bytes, bytes]:
+    """Resume a copy of a complete log cut to its first 10 records plus
+    tail, twice; return the 10 records' bytes and the log after both."""
+    lines = complete_log(tmp_path / "full").splitlines(keepends=True)
+    out = tmp_path / "out"
+    shutil.copytree(tmp_path / "full", out)
+    kept = b"".join(lines[:10])
+    (out / "records.jsonl").write_bytes(kept + tail)
+    config = sp_config(out)
+    backend = ScriptedBackend(SCRIPTED)
+    first = run(config, backend=backend)
+    second = run(config, backend=backend)
+    assert ((first.cached, first.fresh), (second.cached, second.fresh)) == ((10, 30), (40, 0))
+    assert backend.calls == 30
+    records = load_whole_log(out / "records.jsonl")
+    assert len({(r.triplet_id, r.mode) for r in records}) == len(records) == 40
+    return kept, (out / "records.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("newline", [b"", b"\n"], ids=["bare", "newline"])
+def test_a_final_json_line_that_is_no_record_is_dropped_then_cut(tmp_path, caplog, newline):
+    with caplog.at_level(logging.WARNING, logger="mwpeval._schema"):
+        kept, log = resume_twice_after(tmp_path, b'{"unknown": 1}' + newline)
+    assert "dropping torn final run record line 11" in caplog.text
+    assert log.startswith(kept) and b"unknown" not in log
+
+
+def test_a_torn_final_record_longer_than_64_kib_is_cut(tmp_path):
+    torn = record_with(prompt_text="x" * (1 << 17)).to_json_line().encode()[:-20]
+    assert len(torn) > 1 << 16
+    kept, log = resume_twice_after(tmp_path, torn)
+    assert log.startswith(kept) and b"x" * 100 not in log
+
+
 @pytest.fixture(scope="module")
 def fixture_log(tmp_path_factory) -> tuple[Path, bytes]:
     directory = tmp_path_factory.mktemp("full") / "out"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mwpeval import DataError, Dataset, Triplet, load_dataset, save_dataset
+from mwpeval import DataError, Dataset, Triplet, UsageError, load_dataset, save_dataset
 from mwpeval.triplets import (
     derive_brief_explanation,
     ingest_gsm8k,
@@ -216,6 +216,11 @@ def test_mathdial_custom_field_map():
     assert not rejected
     assert kept[0].id == "alt-1"
     assert kept[0].reference_numeric == "54"
+
+
+def test_mathdial_refuses_a_field_map_key_that_is_no_triplet_field():
+    with pytest.raises(UsageError, match=r"unknown field map keys \['qestion'\]; accepted keys"):
+        ingest_mathdial([], field_map={"qestion": "nope"})
 
 
 def test_mathdial_explanation_from_source_field():
