@@ -186,8 +186,16 @@ class HttpChatBackend:
     status is treated as permanent. Jitter only shifts timing, never
     content. A session the backend creates keeps a connection pool of
     max(concurrency, 10), so `concurrency` threads calling complete() at
-    once never discard connections; a session the caller supplies is
-    used as given.
+    once never discard connections, and never reads `.netrc`, so the
+    `auth_env` credential is the only one sent; a session the caller
+    supplies is used as given.
+
+    The proxy and CA-bundle environment variables (`HTTP_PROXY`,
+    `NO_PROXY`, `REQUESTS_CA_BUNDLE` and the like) are read once, here,
+    for the one URL the backend posts to, together with the session's
+    own proxies, verify, cert and stream; changing them later has no
+    effect on this backend. Its headers, cookies, auth and hooks are
+    still applied to every request.
     """
 
     def __init__(
@@ -208,16 +216,21 @@ class HttpChatBackend:
                     f"hold the credential for {spec.name}"
                 )
             self._headers["Authorization"] = f"Bearer {secret}"
-        if session is None:
+        own_session = session is None
+        if own_session:
             session = requests.Session()
             adapter = HTTPAdapter(pool_maxsize=max(concurrency, 10))
             session.mount("http://", adapter)
             session.mount("https://", adapter)
+        self._url = spec.endpoint.rstrip("/") + "/chat/completions"
+        # what Session.request would re-read from os.environ on every call
+        self._send_settings = session.merge_environment_settings(self._url, {}, None, None, None)
+        if own_session:
+            session.trust_env = False  # so no request reads .netrc
         self._session = session
         self._sleep = sleep
         self._rng = rng or random.Random()
         self._limiter = RateLimiter(spec.requests_per_second)
-        self._url = spec.endpoint.rstrip("/") + "/chat/completions"
 
     def complete(self, prompt: RenderedPrompt) -> CompletionResult:
         payload = {
@@ -238,11 +251,12 @@ class HttpChatBackend:
             asked = None
             self._limiter.acquire()
             try:
-                response = self._session.post(
-                    self._url,
-                    json=payload,
-                    headers=self._headers,
+                request = requests.Request("POST", self._url, headers=self._headers, json=payload)
+                response = self._session.send(
+                    self._session.prepare_request(request),
                     timeout=self._spec.timeout,
+                    allow_redirects=True,
+                    **self._send_settings,
                 )
             except requests.RequestException as exc:
                 last_failure = f"transport failure: {exc.__class__.__name__}: {exc}"

@@ -82,8 +82,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     input_path = Path(args.input)
     output_path = Path(args.output)
     rejects_path = Path(args.rejects) if args.rejects else Path(str(output_path) + ".rejects.json")
-    ingest_files = (output_path, manifest_path_for(output_path), input_path)
-    _refuse_same_file("--rejects", rejects_path, "the ingest file", ingest_files)
+    output_files = (output_path, manifest_path_for(output_path))
+    _refuse_same_file("--input", input_path, "the ingest output", output_files)
+    _refuse_same_file("--rejects", rejects_path, "the ingest file", (*output_files, input_path))
 
     if args.field_map and args.source != "mathdial":
         raise UsageError(f"--field-map applies to --source mathdial only, not {args.source}")

@@ -401,6 +401,67 @@ def test_http_keeps_a_session_the_caller_supplies(chat_server):
     assert backend.complete(prompt_for(make_triplet())).text == "unscripted"
 
 
+def test_http_reads_the_proxy_environment_once_at_construction(chat_server, monkeypatch):
+    url, state = chat_server
+    scans = []
+    get_environ_proxies = requests.sessions.get_environ_proxies
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return get_environ_proxies(*args, **kwargs)
+
+    monkeypatch.setattr(requests.sessions, "get_environ_proxies", counted)
+    backend, sleeps = backend_for(fast_spec(url))
+    assert len(scans) == 1
+    state["script"].append((429, {}))
+    for _ in range(3):
+        assert backend.complete(prompt_for(make_triplet())).text == "unscripted"
+    assert len(state["seen"]) == 4 and len(sleeps) == 1
+    assert len(scans) == 1
+
+
+def unset_proxy_bypass(monkeypatch):
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+
+
+def test_http_honours_the_environment_proxy(chat_server, monkeypatch):
+    url, state = chat_server
+    unset_proxy_bypass(monkeypatch)
+    # nothing listens on port 1, so a request that goes through the proxy fails
+    for name in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.setenv(name, "http://127.0.0.1:1")
+    proxied, _ = backend_for(fast_spec(url, retry=RetryPolicy(max_attempts=2)))
+    with pytest.raises(BackendError, match="transport failure"):
+        proxied.complete(prompt_for(make_triplet()))
+    assert state["seen"] == []
+
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    bypassed, _ = backend_for(fast_spec(url))
+    assert bypassed.complete(prompt_for(make_triplet())).text == "unscripted"
+
+
+def test_http_ignores_proxy_variables_set_after_construction(chat_server, monkeypatch):
+    url, _ = chat_server
+    unset_proxy_bypass(monkeypatch)
+    backend, _ = backend_for(fast_spec(url))
+    for name in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.setenv(name, "http://127.0.0.1:1")
+    assert backend.complete(prompt_for(make_triplet())).text == "unscripted"
+
+
+@pytest.mark.parametrize("auth_env", ["STUB_MODEL_KEY", None])
+def test_http_never_reads_netrc(chat_server, monkeypatch, tmp_path, auth_env):
+    url, state = chat_server
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login user password pw\n", encoding="utf-8")
+    monkeypatch.setenv("NETRC", str(netrc))
+    monkeypatch.setenv("STUB_MODEL_KEY", "s3cret")
+    backend, _ = backend_for(fast_spec(url, auth_env=auth_env))
+    backend.complete(prompt_for(make_triplet()))
+    assert state["seen"][0]["auth"] == ("Bearer s3cret" if auth_env else None)
+
+
 def test_jitter_shifts_timing_never_content(chat_server):
     url, state = chat_server
     results = []

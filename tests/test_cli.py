@@ -353,6 +353,20 @@ def test_ingest_refuses_rejects_that_name_one_of_its_files(tmp_path, capsys, tar
     assert sorted(tmp_path.iterdir()) == [source]
 
 
+@pytest.mark.parametrize("target", ["output", "sidecar"])
+@pytest.mark.parametrize("source_kind", ["mathdial", "gsm8k", "triplets"])
+def test_ingest_refuses_an_input_that_is_one_of_its_outputs(tmp_path, capsys, source_kind, target):
+    original = {"mathdial": MATHDIAL, "gsm8k": GSM8K, "triplets": FIXTURE_DATASET}[source_kind]
+    output = tmp_path / "o.jsonl"
+    source = {"output": output, "sidecar": Path(f"{output}.manifest.json")}[target]
+    shutil.copy(original, source)
+    assert main(["ingest", "--source", source_kind, "--input", str(source),
+                 "--output", str(output)]) == 1
+    assert f"--input {source} is the ingest output" in capsys.readouterr().err
+    assert source.read_bytes() == original.read_bytes()
+    assert sorted(tmp_path.iterdir()) == [source]
+
+
 # run, rescore, report pipeline
 
 
