@@ -7,7 +7,7 @@ message content. Credentials come only from the environment variable
 named in the model spec: they never appear in config files or logs.
 
 The scripted backend replays fixture responses keyed by prompt content
-hash or by "<triplet_id>|<task>|<dop>". An unmapped prompt raises, so a
+hash or by "<triplet_id>|<mode key>". An unmapped prompt raises, so a
 fixture gap fails loudly instead of polluting results.
 """
 
@@ -27,8 +27,8 @@ import requests
 from requests.adapters import HTTPAdapter
 
 from ._schema import dump, load, read_jsonl
-from .errors import BackendError, ConfigurationError, DataError, ScriptedLookupError
-from .prompting import GenerationParams, RenderedPrompt
+from .errors import BackendError, ConfigurationError, DataError, ScriptedLookupError, UsageError
+from .prompting import GenerationParams, RenderedPrompt, mode_for
 
 SCRIPTED_PREFIX = "scripted:"
 
@@ -135,7 +135,10 @@ class RateLimiter:
 
 
 def scripted_key(triplet_id: str, task: str, dop: str | None) -> str:
-    return f"{triplet_id}|{task}|{dop or '-'}"
+    mode = mode_for(task, dop)
+    if mode is None:
+        raise UsageError(f"(task, dop) pair {(task, dop)!r} names no mode")
+    return f"{triplet_id}|{mode.key}"
 
 
 @dataclass(frozen=True)
@@ -160,11 +163,7 @@ class ScriptedBackend:
     def complete(self, prompt: RenderedPrompt) -> CompletionResult:
         with self._lock:
             self.calls += 1
-        composite = scripted_key(
-            prompt.triplet_id,
-            prompt.mode.task.value,
-            prompt.mode.dop.value if prompt.mode.dop else None,
-        )
+        composite = scripted_key(prompt.triplet_id, prompt.mode.task, prompt.mode.dop)
         for key in (prompt.content_hash, composite):
             if key in self._responses:
                 return CompletionResult(

@@ -25,14 +25,12 @@ from .errors import (
     VerificationError,
 )
 from .prompting import (
-    ALL_DOP_LEVELS,
-    CORRECTION_MODES,
-    REASONING_MODE,
-    DopLevel,
+    MODES,
+    REASONING_ONLY,
     GenerationParams,
-    PromptMode,
     TemplateRegistry,
     render,
+    skip_reason,
 )
 from .report import (
     BootstrapSpec,
@@ -225,14 +223,14 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         raise DataError(f"no triplet {args.id!r} in {args.dataset}")
     registry = TemplateRegistry.load(args.templates)
     params = GenerationParams()
-    modes: list[PromptMode] = [REASONING_MODE]
-    if not triplet.reasoning_only:
-        modes += [CORRECTION_MODES[level] for level in ALL_DOP_LEVELS]
-    else:
+    skips = {mode: skip_reason(triplet, mode) for mode in MODES}
+    if REASONING_ONLY in skips.values():
         print(f"note: {triplet.id} is reasoning-only; correction modes do not apply\n")
-    for mode in modes:
-        if mode.dop is DopLevel.BE and triplet.brief_explanation is None:
-            print(f"=== {mode.key} ===\n(skipped: no brief explanation)\n")
+    for mode, reason in skips.items():
+        if reason == REASONING_ONLY:
+            continue
+        if reason is not None:
+            print(f"=== {mode.key} ===\n(skipped: {reason})\n")
             continue
         prompt = render(triplet, mode, params, registry)
         print(f"=== {mode.key} ===")

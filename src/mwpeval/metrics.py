@@ -29,7 +29,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .prompting import DopLevel, TaskKind
+from .prompting import DopLevel, PromptMode, mode_for
 from .scoring import Outcome
 
 
@@ -80,23 +80,14 @@ def quadrants(pairs: Iterable[tuple[bool, bool]]) -> QuadrantCounts:
     return counts
 
 
-# Per model: reasoning success by triplet id, and correction success by
-# triplet id for each mode in order of first appearance.
-_Successes = tuple[dict[str, bool], dict[DopLevel, dict[str, bool]]]
-
-
-def _successes(outcomes: Iterable[Outcome]) -> dict[str, _Successes]:
-    """Group outcomes by model in one pass. A second outcome for the
-    same (model, triplet, mode) raises."""
-    by_model: dict[str, _Successes] = {}
+def successes_by_mode(outcomes: Iterable[Outcome]) -> dict[str, dict[PromptMode, dict[str, bool]]]:
+    """Per model and mode, success by triplet id, modes in order of first
+    appearance, grouped in one pass. A second outcome for the same
+    (model, triplet, mode) raises."""
+    by_model: dict[str, dict[PromptMode, dict[str, bool]]] = {}
     for outcome in outcomes:
-        group = by_model.get(outcome.model)
-        if group is None:
-            group = by_model[outcome.model] = ({}, {})
-        if outcome.task is TaskKind.REASONING:
-            successes = group[0]
-        else:
-            successes = group[1].setdefault(outcome.dop, {})
+        by_mode = by_model.setdefault(outcome.model, {})
+        successes = by_mode.setdefault(mode_for(outcome.task, outcome.dop), {})
         if outcome.triplet_id in successes:
             mode = f"{outcome.dop.value} correction" if outcome.dop else "reasoning"
             raise DataError(
@@ -129,7 +120,11 @@ def dop_pass_rates(outcomes: Iterable[Outcome]) -> dict[DopLevel, float]:
 
     All correction outcomes must come from one model; mixing models in
     one pool would average incomparable things."""
-    by_model = {m: c for m, (_, c) in _successes(outcomes).items() if c}
+    by_model = {
+        model: corrections
+        for model, by_mode in successes_by_mode(outcomes).items()
+        if (corrections := {mode.dop: s for mode, s in by_mode.items() if mode.dop})
+    }
     if len(by_model) > 1:
         raise DataError(f"outcomes mix models: {sorted(by_model)}")
     return {

@@ -62,28 +62,61 @@ class PromptMode:
     dop: DopLevel | None = None
 
     def __post_init__(self) -> None:
-        if self.task is TaskKind.REASONING and self.dop is not None:
-            raise UsageError("the reasoning task takes no correction mode")
-        if self.task is TaskKind.CORRECTION and self.dop is None:
-            raise UsageError(
-                "the correction task needs a mode: sp, dop_na, dop_be or dop_sa"
-            )
+        # Correction, and correction alone, takes a dop.
+        if (self.dop is None) == (self.task is TaskKind.CORRECTION):
+            raise UsageError(MISPAIRED[self.task])
 
     @property
     def template_name(self) -> str:
-        if self.task is TaskKind.REASONING:
-            return "reasoning"
-        assert self.dop is not None
-        return f"correction_{self.dop.value}"
+        return f"correction_{self.dop.value}" if self.dop else "reasoning"
 
     @property
     def key(self) -> str:
         """Stable textual form, e.g. "reasoning|-" or "correction|dop_na"."""
         return f"{self.task.value}|{self.dop.value if self.dop else '-'}"
 
+    @property
+    def record_fields(self) -> dict[str, str | None]:
+        """task and dop as a run record stores them: plain strings."""
+        return {"task": self.task.value, "dop": self.dop.value if self.dop else None}
 
+
+# Why a task cannot take the dop it was given.
+MISPAIRED = {
+    TaskKind.REASONING: "the reasoning task takes no correction mode",
+    TaskKind.CORRECTION: "the correction task needs a mode: sp, dop_na, dop_be or dop_sa",
+}
+
+# The one mode table: the five modes in report order, each pair's mode,
+# and (skip_reason) whether a mode applies to a triplet.
 REASONING_MODE = PromptMode(TaskKind.REASONING)
 CORRECTION_MODES = {level: PromptMode(TaskKind.CORRECTION, level) for level in ALL_DOP_LEVELS}
+MODES = (REASONING_MODE, *CORRECTION_MODES.values())
+_MODES_BY_PAIR = {(mode.task, mode.dop): mode for mode in MODES}
+
+
+def mode_for(task: str, dop: str | None) -> PromptMode | None:
+    """The shared mode a (task, dop) pair names, or None for a pair that
+    names no mode. str enums hash and compare like their values, so the
+    pair may be given as enums or as the strings a record stores."""
+    return _MODES_BY_PAIR.get((task, dop))
+
+
+# Why a mode does not apply to a triplet, as skip_reason gives it.
+REASONING_ONLY = "reasoning-only"
+NO_EXPLANATION = "no brief explanation"
+
+
+def skip_reason(triplet: Triplet, mode: PromptMode) -> str | None:
+    """Why mode does not apply to triplet, or None when it does: a
+    reasoning-only triplet has no wrong solution to correct, and dop_be
+    needs a brief explanation."""
+    if mode.task is TaskKind.CORRECTION and triplet.reasoning_only:
+        return REASONING_ONLY
+    if mode.dop is DopLevel.BE and triplet.brief_explanation is None:
+        return NO_EXPLANATION
+    return None
+
 
 REQUIRED_PLACEHOLDERS = {
     "reasoning": frozenset({"question"}),
@@ -231,16 +264,9 @@ class TemplateRegistry:
 def _substitution_values(triplet: Triplet, mode: PromptMode) -> dict[str, str]:
     """The values of the placeholders mode's template requires;
     REQUIRED_PLACEHOLDERS states which resource each level adds."""
-    if mode.task is TaskKind.CORRECTION and triplet.reasoning_only:
-        raise DataError(
-            f"triplet {triplet.id} is reasoning-only and has no wrong "
-            "solution to correct"
-        )
-    if mode.dop is DopLevel.BE and triplet.brief_explanation is None:
-        raise DataError(
-            f"triplet {triplet.id} has no brief explanation; it cannot "
-            "be prompted at the dop_be level"
-        )
+    reason = skip_reason(triplet, mode)
+    if reason is not None:
+        raise DataError(f"triplet {triplet.id} cannot be prompted as {mode.key}: {reason}")
     names, values = template_inputs(mode)
     return dict(zip(names, values(triplet)))
 

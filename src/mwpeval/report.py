@@ -18,17 +18,15 @@ from .errors import DataError
 from .metrics import (
     QuadrantCounts,
     UNDEFINED_MARK,
-    _successes,
     bootstrap_ci,
     e_ratios,
     format_rate,
     quadrants,
     rates,
+    successes_by_mode,
 )
-from .prompting import ALL_DOP_LEVELS, DopLevel
+from .prompting import CORRECTION_MODES, REASONING_MODE, DopLevel
 from .scoring import Outcome
-
-_MODE_ORDER = {level: i for i, level in enumerate(ALL_DOP_LEVELS)}
 
 
 @dataclass(frozen=True)
@@ -90,15 +88,17 @@ def build_reports(
 
     Each row's counts and intervals come from one list of (reasoning
     success, correction success) pairs, one pair per corrected triplet."""
-    by_model = _successes(outcomes)
+    by_model = successes_by_mode(outcomes)
     reports: list[RateReport] = []
     for model in sorted(by_model):
-        reasoning, corrections = by_model[model]
-        if not corrections:
+        by_mode = by_model[model]
+        reasoning = by_mode.get(REASONING_MODE, {})
+        modes = [mode for mode in CORRECTION_MODES.values() if mode in by_mode]
+        if not modes:
             raise DataError(f"model {model}: no correction outcomes; nothing to report")
-        for mode in sorted(corrections, key=_MODE_ORDER.__getitem__):
+        for mode in modes:
             pairs = []
-            for triplet_id, corrected in corrections[mode].items():
+            for triplet_id, corrected in by_mode[mode].items():
                 solved = reasoning.get(triplet_id)
                 if solved is None:
                     raise DataError(
@@ -111,7 +111,7 @@ def build_reports(
                 r_ci, c_ci = bootstrap_ci(
                     pairs, bootstrap.resamples, bootstrap.level, bootstrap.seed
                 )
-            reports.append(report_from_counts(quadrants(pairs), model, mode, r_ci, c_ci))
+            reports.append(report_from_counts(quadrants(pairs), model, mode.dop, r_ci, c_ci))
     return reports
 
 
@@ -205,14 +205,8 @@ def render_csv(reports: Sequence[RateReport]) -> str:
 
 def chart_data(reports: Sequence[RateReport]) -> dict[str, Any]:
     """Correction rate per model, one series per mode."""
-    models: list[str] = []
-    for report in reports:
-        if report.model not in models:
-            models.append(report.model)
-    modes: list[DopLevel | None] = []
-    for report in reports:
-        if report.mode not in modes:
-            modes.append(report.mode)
+    models = list(dict.fromkeys(report.model for report in reports))
+    modes = list(dict.fromkeys(report.mode for report in reports))
     series = []
     for mode in modes:
         points = [

@@ -25,6 +25,7 @@ import os
 import threading
 import time
 import uuid
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
@@ -35,15 +36,17 @@ from ._schema import (
 from .backends import Backend, ModelSpec, create_backend
 from .errors import BackendError, ConfigurationError, DataError, UsageError
 from .prompting import (
-    CORRECTION_MODES,
     HASH_ALGORITHM,
-    REASONING_MODE,
+    NO_EXPLANATION,
+    REASONING_ONLY,
     ALL_DOP_LEVELS,
     DopLevel,
     PromptMode,
     TaskKind,
     TemplateRegistry,
+    mode_for,
     render,
+    skip_reason,
     template_inputs,
 )
 from .scoring import Outcome, score
@@ -61,7 +64,9 @@ _UNRECORDED_RENDERER = "sha256/1"
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One completed cell: the prompt sent and what came back."""
+    """One completed cell: the prompt sent and what came back. task and
+    dop stay plain strings, cheaper to load than enums; mode reads them
+    back."""
 
     run_id: str
     triplet_id: str
@@ -87,21 +92,13 @@ class RunRecord:
 
     @property
     def mode(self) -> PromptMode:
-        mode = _MODES_BY_FIELDS.get((self.task, self.dop))
+        mode = mode_for(self.task, self.dop)
         if mode is None:
             raise DataError(
                 f"record for triplet {self.triplet_id!r} has an unknown "
                 f"(task, dop) pair {(self.task, self.dop)!r}"
             )
         return mode
-
-
-# RunRecord keeps task and dop as plain strings (cheaper to load than
-# enums); this table is the one place they are read back as a mode.
-_MODES_BY_FIELDS = {
-    (mode.task.value, mode.dop.value if mode.dop else None): mode
-    for mode in (REASONING_MODE, *CORRECTION_MODES.values())
-}
 
 
 @dataclass(frozen=True)
@@ -202,23 +199,28 @@ def build_cells(
     config: ExperimentConfig,
     answered: Callable[[str, PromptMode], bool] = lambda triplet_id, mode: False,
 ) -> tuple[list[Cell], int, int, int]:
-    """The pending (triplet, mode) cells in dispatch order, one per
-    (triplet, task, mode), with reasoning-only triplets excluded from
-    correction and triplets without a brief explanation excluded from
-    dop_be. Two triplets that give a mode's template equal values would
-    give it equal prompts, so they are refused; a cell that
-    answered(triplet id, mode) accepts is then only counted. Nothing is
-    rendered: each cell is rendered by the worker that sends it. Returns
-    (pending cells, answered cells, skipped reasoning-only cells,
-    skipped cells without an explanation)."""
+    """The pending (triplet, mode) cells in dispatch order: the config's
+    modes in its order of tasks and modes, each over the triplets it
+    applies to by skip_reason. Two triplets that give a mode's template
+    equal values would give it equal prompts, so they are refused; a
+    cell that answered(triplet id, mode) accepts is then only counted.
+    Nothing is rendered: each cell is rendered by the worker that sends
+    it. Returns (pending cells, answered cells, skipped reasoning-only
+    cells, skipped cells without an explanation)."""
     pending: list[Cell] = []
-    cached = skipped = no_explanation = 0
-
-    def plan(triplets: Iterable[Triplet], mode: PromptMode) -> None:
-        nonlocal cached
+    cached = 0
+    skips: Counter[str] = Counter()
+    # Each task paired with no dop and with every configured dop: the
+    # pairs that name a mode are the config's modes, in its order.
+    modes = (mode_for(task, dop) for task in config.tasks for dop in (None, *config.modes))
+    for mode in filter(None, modes):
         _, values = template_inputs(mode)
         first_by_values: dict[Any, str] = {}
-        for triplet in triplets:
+        for triplet in dataset:
+            reason = skip_reason(triplet, mode)
+            if reason is not None:
+                skips[reason] += 1
+                continue
             other = first_by_values.setdefault(values(triplet), triplet.id)
             if other != triplet.id:
                 raise DataError(
@@ -229,21 +231,7 @@ def build_cells(
                 cached += 1
             else:
                 pending.append((triplet, mode))
-
-    for task in config.tasks:
-        if task is TaskKind.REASONING:
-            plan(dataset, REASONING_MODE)
-            continue
-        for mode_level in config.modes:
-            kept = []
-            for triplet in dataset:
-                if triplet.reasoning_only:
-                    skipped += 1
-                elif mode_level is DopLevel.BE and triplet.brief_explanation is None:
-                    no_explanation += 1
-                else:
-                    kept.append(triplet)
-            plan(kept, CORRECTION_MODES[mode_level])
+    skipped, no_explanation = skips[REASONING_ONLY], skips[NO_EXPLANATION]
     if skipped:
         log.warning(
             "excluded %d correction cells for reasoning-only triplets", skipped
@@ -534,8 +522,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
                 run_id=run_id,
                 triplet_id=prompt.triplet_id,
                 model=config.model.name,
-                task=prompt.mode.task.value,
-                dop=prompt.mode.dop.value if prompt.mode.dop else None,
+                **prompt.mode.record_fields,
                 template_id=prompt.template_id,
                 content_hash=prompt.content_hash,
                 prompt_text=prompt.text,
@@ -640,9 +627,9 @@ def rescore(
             error=record.error,
         )
 
-    outcomes = list(index_records(_stream_records(records_path), score_record).values())
-    outcomes.sort(key=lambda o: (o.triplet_id, o.task.value, o.dop.value if o.dop else ""))
-    return outcomes
+    by_cell = index_records(_stream_records(records_path), score_record)
+    # By triplet id, then mode key; the cells of several models keep log order.
+    return [by_cell[cell] for cell in sorted(by_cell, key=lambda cell: (cell[1], cell[2].key))]
 
 
 def write_scored(outcomes: Iterable[Outcome], path: str | Path) -> Path:

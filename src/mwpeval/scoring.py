@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from ._schema import dump, load
-from .errors import DataError, UsageError
+from .errors import DataError
 from .extraction import extract
-from .prompting import DopLevel, PromptMode, TaskKind
+from .prompting import MISPAIRED, DopLevel, TaskKind, mode_for
 from .triplets import Triplet
 
 REASON_MATCHED = "matched"
@@ -56,10 +56,8 @@ class Outcome:
                 f"scored outcome{where}: unknown reason {outcome.reason!r}, "
                 f"expected one of {list(REASONS)}"
             )
-        try:
-            PromptMode(outcome.task, outcome.dop)
-        except UsageError as exc:
-            raise DataError(f"scored outcome{where}: {exc}") from exc
+        if mode_for(outcome.task, outcome.dop) is None:
+            raise DataError(f"scored outcome{where}: {MISPAIRED[outcome.task]}")
         return outcome
 
 
