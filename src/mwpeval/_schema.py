@@ -15,16 +15,17 @@ any of these ``| None``. A bool is never accepted as a number.
 
 The file half lives here too: ``read_json`` and ``read_jsonl`` are the
 only readers of the harness's JSON and JSONL input files. ``dump_line``
-is the one JSONL line encoder and ``json_text`` the one JSON file
-encoding. ``write_atomic`` is the one writer of a whole file: it streams
-a str, or an iterable of str chunks such as JSONL lines, into a temp
-file and renames it onto the target, so that no reader sees the file
-half written. Only the run's record log is appended instead (runner).
+is the one JSONL line encoder, ``json_text`` the one JSON file encoding
+and ``utc_now`` the one timestamp format. ``write_atomic`` is the one
+writer of a whole file: it streams a str, or an iterable of str chunks
+such as JSONL lines, into a temp file and renames it onto the target,
+so that no reader sees the file half written. Only the run's record log is appended instead (runner).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import datetime
 import functools
 import json
 import logging
@@ -202,6 +203,11 @@ def read_jsonl(
 def json_text(payload: Any) -> str:
     """The text of a JSON file: indented, keys sorted, newline-terminated."""
     return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+def utc_now() -> str:
+    """The current UTC time to the second, as every file records it."""
+    return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> Path:

@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Iterable
 
-from ._schema import json_text, read_json, read_jsonl, write_atomic
+from ._schema import json_text, read_json, read_jsonl, utc_now, write_atomic
 from .errors import (
     DataError,
     HarnessError,
@@ -50,7 +50,6 @@ from .triplets import (
     TOOL_VERSION,
     Dataset,
     Rejection,
-    _utc_now,
     ingest_gsm8k,
     ingest_mathdial,
     load_dataset,
@@ -90,7 +89,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.source == "triplets":
         dataset = load_dataset(input_path)
         dataset.source = args.source_name or dataset.source
-        dataset.created_at = _utc_now()
+        dataset.created_at = utc_now()
     else:
         field_map = None
         if args.field_map:

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from ._schema import (
-    dump, dump_line, json_text, load, load_line, read_json, read_jsonl, write_atomic
+    dump, dump_line, json_text, load, load_line, read_json, read_jsonl, utc_now, write_atomic
 )
 from .backends import Backend, ModelSpec, create_backend
 from .errors import BackendError, ConfigurationError, DataError, UsageError
@@ -50,7 +50,7 @@ from .prompting import (
     template_inputs,
 )
 from .scoring import Outcome, score
-from .triplets import TOOL_VERSION, Dataset, Triplet, _utc_now, load_dataset
+from .triplets import TOOL_VERSION, Dataset, Triplet, load_dataset
 
 log = logging.getLogger(__name__)
 
@@ -535,7 +535,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
                     error=None,
                     attempts=result.attempts,
                     latency_ms=result.latency_ms,
-                    created_at=_utc_now(),
+                    created_at=utc_now(),
                 )
             except BackendError as exc:
                 record = RunRecord(
@@ -544,7 +544,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
                     error=str(exc),
                     attempts=0,
                     latency_ms=0.0,
-                    created_at=_utc_now(),
+                    created_at=utc_now(),
                 )
             writer.append(record)
             return record.error is None
@@ -553,7 +553,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
 
         manifest = {
             "run_id": run_id,
-            "created_at": _utc_now(),
+            "created_at": utc_now(),
             "tool_version": TOOL_VERSION,
             "hash_algorithm": HASH_ALGORITHM,
             "model": config.model.name,

@@ -10,7 +10,6 @@ pin exactly which data they saw.
 
 from __future__ import annotations
 
-import datetime as _dt
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -19,7 +18,9 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from . import __version__ as TOOL_VERSION
-from ._schema import dump, dump_line, json_text, load_line, read_json, read_jsonl, write_atomic
+from ._schema import (
+    dump, dump_line, json_text, load_line, read_json, read_jsonl, utc_now, write_atomic
+)
 from .errors import DataError, UsageError
 from .extraction import NumericAnswer, extract, parse_numeric, scan_numbers
 
@@ -129,7 +130,7 @@ class Dataset:
     ) -> None:
         self.triplets: list[Triplet] = list(triplets)
         self.source = source
-        self.created_at = created_at or _utc_now()
+        self.created_at = created_at or utc_now()
         seen: dict[str, int] = {}
         for i, triplet in enumerate(self.triplets):
             triplet.validate()
@@ -164,10 +165,6 @@ class Dataset:
             "created_at": self.created_at,
             "tool_version": TOOL_VERSION,
         }
-
-
-def _utc_now() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def manifest_path_for(dataset_path: str | Path) -> Path:

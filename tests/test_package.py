@@ -1,4 +1,5 @@
-"""The package's public names, and the one module that writes whole files."""
+"""The package's public names, the one module that writes whole files,
+and the private names no other module may import."""
 
 from __future__ import annotations
 
@@ -85,3 +86,46 @@ def test_only_schema_writes_a_whole_file():
 )
 def test_the_guard_counts_every_write_and_cut(code, wrote):
     assert writes(ast.parse(code).body[0].value) is wrote
+
+
+def private_imports(module: str, tree: ast.AST) -> set[tuple[str, str, str]]:
+    """(module, source, name) of every underscore name that module
+    imports from another package module; _schema, the shared codec,
+    is the one source exempt. Dunders such as __version__ are public."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = node.module or ""
+        if node.level == 0:
+            package, _, source = source.partition(".")
+            if package != "mwpeval":
+                continue
+        if source == "_schema":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and not alias.name.startswith("__"):
+                found.add((module, source, alias.name))
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    found = set()
+    for path in sorted(Path(mwpeval.__file__).parent.glob("*.py")):
+        found |= private_imports(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+    assert found == set()
+
+
+@pytest.mark.parametrize(
+    "code, found",
+    [
+        ("from .metrics import _successes", {("m", "metrics", "_successes")}),
+        ("from mwpeval.triplets import _utc_now", {("m", "triplets", "_utc_now")}),
+        ("from ._schema import _schema", set()),
+        ("from . import __version__", set()),
+        ("from ._private import public", set()),
+        ("from os import _exit", set()),
+    ],
+)
+def test_the_private_import_guard(code, found):
+    assert private_imports("m", ast.parse(code)) == found
