@@ -194,6 +194,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise UsageError("pass exactly one of --scored or --counts")
     bootstrap = None
     if args.bootstrap:
+        if args.counts:
+            raise UsageError("--bootstrap needs --scored; --counts has no outcomes to resample")
         bootstrap = BootstrapSpec(resamples=args.bootstrap, level=args.level, seed=args.seed)
     if args.scored:
         outcomes = load_scored(args.scored)

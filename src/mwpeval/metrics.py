@@ -157,6 +157,8 @@ def bootstrap_ci(
         raise DataError(f"resamples must be >= 100 for a usable interval, got {resamples}")
     if not 0 < level < 1:
         raise DataError(f"level must be in (0, 1), got {level}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     if len(successes) == 0:
         raise DataError("cannot bootstrap zero observations")
     table = np.asarray(successes)

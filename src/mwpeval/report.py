@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from ._schema import dump, json_text, read_json, write_atomic
-from .errors import DataError
+from .errors import DataError, UsageError
 from .metrics import (
     QuadrantCounts,
     UNDEFINED_MARK,
@@ -34,6 +34,14 @@ class BootstrapSpec:
     resamples: int = 1000
     level: float = 0.95
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.resamples < 100:
+            raise UsageError(f"bootstrap resamples must be >= 100, got {self.resamples}")
+        if not 0 < self.level < 1:
+            raise UsageError(f"bootstrap level must be in (0, 1), got {self.level}")
+        if self.seed < 0:
+            raise UsageError(f"bootstrap seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict[str, Any]:
         return dump(self)

@@ -455,6 +455,29 @@ def test_report_with_bootstrap_records_the_spec(tmp_path, capsys):
     assert row["r_ci"][0] <= row["r_rate"] <= row["r_ci"][1]
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--counts", "builtin", "--bootstrap", "1000"], "--bootstrap needs --scored"),
+        (["--counts", "builtin", "--bootstrap", "-5", "--level", "3"], "--bootstrap needs --scored"),
+        (["--scored", "{scored}", "--bootstrap", "50"], "resamples must be >= 100, got 50"),
+        (["--scored", "{scored}", "--bootstrap", "-5"], "resamples must be >= 100, got -5"),
+        (["--scored", "{scored}", "--bootstrap", "200", "--level", "1"], "level must be in (0, 1)"),
+        (["--scored", "{scored}", "--bootstrap", "200", "--level", "0"], "level must be in (0, 1)"),
+        (["--scored", "{scored}", "--bootstrap", "1000", "--seed", "-1"], "seed must be >= 0"),
+    ],
+    ids=["counts", "counts-bad-spec", "few", "negative", "level-1", "level-0", "seed"],
+)
+def test_report_refuses_bad_bootstrap_flags_before_reading(tmp_path, capsys, flags, message):
+    # The scored file is not JSON: reading it would be a data error (2).
+    scored = tmp_path / "scored.jsonl"
+    scored.write_text("{not json\n", encoding="utf-8")
+    flags = [flag.format(scored=scored) for flag in flags]
+    assert main(["report", *flags, "--out-dir", str(tmp_path / "report")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
 @pytest.mark.parametrize("target", ["records.jsonl", "d.jsonl", "d.jsonl.manifest.json"])
 def test_rescore_refuses_an_output_that_is_one_of_its_inputs(tmp_path, capsys, target):
     dataset = tmp_path / "d.jsonl"

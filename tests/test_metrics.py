@@ -163,6 +163,8 @@ def test_bootstrap_input_validation():
         bootstrap_ci([1], resamples=99)
     with pytest.raises(DataError, match="level"):
         bootstrap_ci([1], level=1.0)
+    with pytest.raises(DataError, match="seed"):
+        bootstrap_ci([1], seed=-1)
     with pytest.raises(DataError, match="zero observations"):
         bootstrap_ci([])
     with pytest.raises(DataError, match="0 or 1"):
