@@ -154,17 +154,10 @@ def render_markdown(
     for report in reports:
         c = report.counts
         row = [
-            report.model,
-            _mode_label(report.mode),
-            str(c.n),
-            format_rate(report.r_rate),
-            format_rate(report.c_rate),
-            str(c.srsc),
-            str(c.sruc),
-            str(c.ursc),
-            str(c.uruc),
-            format_rate(report.e_r),
-            format_rate(report.e_c),
+            report.model, _mode_label(report.mode), str(c.n),
+            format_rate(report.r_rate), format_rate(report.c_rate),
+            *map(str, (c.srsc, c.sruc, c.ursc, c.uruc)),
+            format_rate(report.e_r), format_rate(report.e_c),
         ]
         if with_ci:
             row += [_ci_text(report.r_ci), _ci_text(report.c_ci)]
@@ -187,27 +180,12 @@ def render_csv(reports: Sequence[RateReport]) -> str:
         c = report.counts
         r_ci = report.r_ci or (None, None)
         c_ci = report.c_ci or (None, None)
-        lines.append(
-            ",".join(
-                [
-                    report.model,
-                    _mode_label(report.mode),
-                    str(c.n),
-                    str(c.srsc),
-                    str(c.sruc),
-                    str(c.ursc),
-                    str(c.uruc),
-                    cell(report.r_rate),
-                    cell(report.c_rate),
-                    cell(report.e_r),
-                    cell(report.e_c),
-                    cell(r_ci[0]),
-                    cell(r_ci[1]),
-                    cell(c_ci[0]),
-                    cell(c_ci[1]),
-                ]
-            )
-        )
+        row = [
+            report.model, _mode_label(report.mode),
+            *map(str, (c.n, c.srsc, c.sruc, c.ursc, c.uruc)),
+            *map(cell, (report.r_rate, report.c_rate, report.e_r, report.e_c, *r_ci, *c_ci)),
+        ]
+        lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
