@@ -2,26 +2,45 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mwpeval import DataError, GenerationParams, UsageError
+from mwpeval import (
+    DataError,
+    Dataset,
+    ExperimentConfig,
+    GenerationParams,
+    ModelSpec,
+    Outcome,
+    UsageError,
+    build_reports,
+    scripted_key,
+)
 from mwpeval.prompting import (
     ALL_DOP_LEVELS,
     CORRECTION_MODES,
+    MODES,
+    NO_EXPLANATION,
     REASONING_MODE,
+    REASONING_ONLY,
     REQUIRED_PLACEHOLDERS,
     DopLevel,
     PromptMode,
     TaskKind,
     TemplateRegistry,
     compute_content_hash,
+    mode_for,
     render,
+    skip_reason,
 )
+from mwpeval.runner import build_cells
 
 from conftest import make_triplet
 
@@ -48,6 +67,61 @@ def test_invalid_mode_combinations_rejected():
         PromptMode(TaskKind.REASONING, DopLevel.SP)
     with pytest.raises(UsageError):
         PromptMode(TaskKind.CORRECTION, None)
+
+
+# The mode vocabulary, in table order: key, (task, dop) as a record stores it.
+VOCABULARY = [
+    ("reasoning|-", "reasoning", None),
+    ("correction|sp", "correction", "sp"),
+    ("correction|dop_na", "correction", "dop_na"),
+    ("correction|dop_be", "correction", "dop_be"),
+    ("correction|dop_sa", "correction", "dop_sa"),
+]
+
+
+def test_the_mode_table_names_reads_back_orders_and_admits_each_mode(fixture_dataset):
+    assert [(m.key, *m.record_fields.values()) for m in MODES] == VOCABULARY
+    for mode, (key, task, dop) in zip(MODES, VOCABULARY):
+        assert mode_for(task, dop) is mode
+        assert mode_for(TaskKind(task), dop and DopLevel(dop)) is mode
+        assert mode_for(**mode.record_fields) is mode
+        assert scripted_key("t07", task, dop) == f"t07|{key}"
+        assert scripted_key("t07", mode.task, mode.dop) == f"t07|{key}"
+    assert mode_for("reasoning", "sp") is mode_for("correction", None) is None
+
+    # Report rows follow the table, whatever order the outcomes come in.
+    outcomes = [
+        Outcome(t.id, mode.task, mode.dop, "m", "x@0", None, True, "matched")
+        for t in fixture_dataset
+        for mode in MODES
+    ]
+    random.Random(3).shuffle(outcomes)
+    assert [r.mode for r in build_reports(outcomes)] == [m.dop for m in MODES[1:]]
+
+    # A cell exists exactly when the skip rule gives no reason: render
+    # refuses the others, and build_cells counts them as the rule does.
+    def spoil(t):
+        if t.id == "t05":
+            return dataclasses.replace(t, brief_explanation=None)
+        if t.id in ("t06", "t11"):
+            return dataclasses.replace(t, wrong_solution="", meta={"reasoning_only": True})
+        return t
+
+    dataset = Dataset([spoil(t) for t in fixture_dataset], source="spoiled")
+    tally: Counter[str | None] = Counter()
+    for triplet in dataset:
+        for mode in MODES:
+            reason = skip_reason(triplet, mode)
+            tally[reason] += 1
+            if reason is None:
+                render(triplet, mode, registry=REGISTRY)
+            else:
+                with pytest.raises(DataError, match=f"{triplet.id} .*{reason}"):
+                    render(triplet, mode, registry=REGISTRY)
+    assert tally == {None: 91, REASONING_ONLY: 8, NO_EXPLANATION: 1}
+    config = ExperimentConfig("d", ModelSpec("m", "scripted:x"), "out")
+    cells, cached, skipped, no_explanation = build_cells(dataset, config)
+    assert (len(cells), cached, skipped, no_explanation) == (91, 0, 8, 1)
 
 
 def test_generation_params_validate():

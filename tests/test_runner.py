@@ -31,6 +31,7 @@ from mwpeval import (
     ExperimentConfig,
     GenerationParams,
     ModelSpec,
+    Outcome,
     RetryPolicy,
     ScriptedBackend,
     TaskKind,
@@ -138,6 +139,12 @@ def test_record_mode_property():
 def test_record_mode_refuses_unknown_pairs(task, dop):
     with pytest.raises(DataError, match=r"triplet 'x01'.*unknown \(task, dop\) pair"):
         record_with(task=task, dop=dop).mode
+    # A scored outcome refuses the same pairs.
+    outcome = {"triplet_id": "x01", "task": task, "dop": dop, "model": "m",
+               "template_id": "t@0", "extracted": None, "success": False,
+               "reason": "no-extraction"}
+    with pytest.raises(DataError, match="scored outcome"):
+        Outcome.from_dict(outcome)
 
 
 def test_load_records_missing_file_is_empty(tmp_path):
