@@ -120,23 +120,33 @@ def dop_pass_rates(outcomes: Iterable[Outcome]) -> dict[DopLevel, float]:
 
     All correction outcomes must come from one model; mixing models in
     one pool would average incomparable things."""
-    by_model = {
-        model: corrections
-        for model, by_mode in successes_by_mode(outcomes).items()
-        if (corrections := {mode.dop: s for mode, s in by_mode.items() if mode.dop})
-    }
-    if len(by_model) > 1:
-        raise DataError(f"outcomes mix models: {sorted(by_model)}")
+    by_model = successes_by_mode(outcomes)
+    corrected = [model for model, by_mode in by_model.items() if any(m.dop for m in by_mode)]
+    if len(corrected) > 1:
+        raise DataError(f"outcomes mix models: {sorted(corrected)}")
     return {
-        level: sum(successes.values()) / len(successes)
-        for corrections in by_model.values()
-        for level, successes in corrections.items()
+        mode.dop: sum(successes.values()) / len(successes)
+        for by_mode in by_model.values()
+        for mode, successes in by_mode.items()
+        if mode.dop
     }
 
 
 # Resamples drawn per index matrix: bounds the draw at _CHUNK x n int64
 # instead of resamples x n, without changing the generator's stream.
 _CHUNK = 100
+
+
+def check_bootstrap(
+    resamples: int, level: float, seed: int, error: type[Exception] = DataError
+) -> None:
+    """Raise error unless bootstrap_ci can take these settings."""
+    if resamples < 100:
+        raise error(f"resamples must be >= 100 for a usable interval, got {resamples}")
+    if not 0 < level < 1:
+        raise error(f"level must be in (0, 1), got {level}")
+    if seed < 0:
+        raise error(f"seed must be >= 0, got {seed}")
 
 
 def bootstrap_ci(
@@ -153,12 +163,7 @@ def bootstrap_ci(
     Deterministic for a given seed; record the seed wherever the
     interval is reported.
     """
-    if resamples < 100:
-        raise DataError(f"resamples must be >= 100 for a usable interval, got {resamples}")
-    if not 0 < level < 1:
-        raise DataError(f"level must be in (0, 1), got {level}")
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, got {seed}")
+    check_bootstrap(resamples, level, seed)
     if len(successes) == 0:
         raise DataError("cannot bootstrap zero observations")
     table = np.asarray(successes)

@@ -19,6 +19,7 @@ from .metrics import (
     QuadrantCounts,
     UNDEFINED_MARK,
     bootstrap_ci,
+    check_bootstrap,
     e_ratios,
     format_rate,
     quadrants,
@@ -36,12 +37,7 @@ class BootstrapSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.resamples < 100:
-            raise UsageError(f"bootstrap resamples must be >= 100, got {self.resamples}")
-        if not 0 < self.level < 1:
-            raise UsageError(f"bootstrap level must be in (0, 1), got {self.level}")
-        if self.seed < 0:
-            raise UsageError(f"bootstrap seed must be >= 0, got {self.seed}")
+        check_bootstrap(self.resamples, self.level, self.seed, UsageError)
 
     def to_dict(self) -> dict[str, Any]:
         return dump(self)

@@ -460,8 +460,8 @@ def test_report_with_bootstrap_records_the_spec(tmp_path, capsys):
     [
         (["--counts", "builtin", "--bootstrap", "1000"], "--bootstrap needs --scored"),
         (["--counts", "builtin", "--bootstrap", "-5", "--level", "3"], "--bootstrap needs --scored"),
-        (["--scored", "{scored}", "--bootstrap", "50"], "resamples must be >= 100, got 50"),
-        (["--scored", "{scored}", "--bootstrap", "-5"], "resamples must be >= 100, got -5"),
+        (["--scored", "{scored}", "--bootstrap", "50"], "usable interval, got 50"),
+        (["--scored", "{scored}", "--bootstrap", "-5"], "usable interval, got -5"),
         (["--scored", "{scored}", "--bootstrap", "200", "--level", "1"], "level must be in (0, 1)"),
         (["--scored", "{scored}", "--bootstrap", "200", "--level", "0"], "level must be in (0, 1)"),
         (["--scored", "{scored}", "--bootstrap", "1000", "--seed", "-1"], "seed must be >= 0"),
