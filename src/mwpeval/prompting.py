@@ -70,7 +70,7 @@ class PromptMode:
     def template_name(self) -> str:
         return f"correction_{self.dop.value}" if self.dop else "reasoning"
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
         """Stable textual form, e.g. "reasoning|-" or "correction|dop_na"."""
         return f"{self.task.value}|{self.dop.value if self.dop else '-'}"
