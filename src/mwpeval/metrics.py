@@ -82,16 +82,22 @@ def quadrants(pairs: Iterable[tuple[bool, bool]]) -> QuadrantCounts:
 
 def successes_by_mode(outcomes: Iterable[Outcome]) -> dict[str, dict[PromptMode, dict[str, bool]]]:
     """Per model and mode, success by triplet id, modes in order of first
-    appearance, grouped in one pass. A second outcome for the same
-    (model, triplet, mode) raises."""
+    appearance, grouped in one pass. An outcome whose (task, dop) pair
+    names no mode, or a second one for the same (model, triplet, mode),
+    raises."""
     by_model: dict[str, dict[PromptMode, dict[str, bool]]] = {}
     for outcome in outcomes:
-        by_mode = by_model.setdefault(outcome.model, {})
-        successes = by_mode.setdefault(mode_for(outcome.task, outcome.dop), {})
-        if outcome.triplet_id in successes:
-            mode = f"{outcome.dop.value} correction" if outcome.dop else "reasoning"
+        mode = mode_for(outcome.task, outcome.dop)
+        if mode is None:
             raise DataError(
-                f"model {outcome.model}: duplicate {mode} outcome "
+                f"outcome for triplet {outcome.triplet_id} has an unknown "
+                f"(task, dop) pair {(outcome.task, outcome.dop)!r}"
+            )
+        successes = by_model.setdefault(outcome.model, {}).setdefault(mode, {})
+        if outcome.triplet_id in successes:
+            label = f"{mode.dop.value} correction" if mode.dop else "reasoning"
+            raise DataError(
+                f"model {outcome.model}: duplicate {label} outcome "
                 f"for triplet {outcome.triplet_id}"
             )
         successes[outcome.triplet_id] = outcome.success
