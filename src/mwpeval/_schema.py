@@ -19,7 +19,8 @@ is the one JSONL line encoder, ``json_text`` the one JSON file encoding
 and ``utc_now`` the one timestamp format. ``write_atomic`` is the one
 writer of a whole file: it streams a str, or an iterable of str chunks
 such as JSONL lines, into a temp file and renames it onto the target,
-so that no reader sees the file half written. Only the run's record log is appended instead (runner).
+so that no reader sees the file half written. Only the run's record log
+is appended instead (runner).
 """
 
 from __future__ import annotations
