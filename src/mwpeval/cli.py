@@ -39,13 +39,8 @@ from .report import (
     verify_published,
     write_report_bundle,
 )
-from .runner import (
-    ExperimentConfig,
-    load_scored,
-    rescore,
-    run,
-    write_scored,
-)
+from .runner import ExperimentConfig, rescore, run
+from .scoring import load_scored, write_scored
 from .triplets import (
     TOOL_VERSION,
     Dataset,

@@ -82,17 +82,12 @@ def quadrants(pairs: Iterable[tuple[bool, bool]]) -> QuadrantCounts:
 
 def successes_by_mode(outcomes: Iterable[Outcome]) -> dict[str, dict[PromptMode, dict[str, bool]]]:
     """Per model and mode, success by triplet id, modes in order of first
-    appearance, grouped in one pass. An outcome whose (task, dop) pair
-    names no mode, or a second one for the same (model, triplet, mode),
-    raises."""
+    appearance, grouped in one pass. A second outcome for the same
+    (model, triplet, mode) raises; every outcome names a mode, since an
+    Outcome refuses a pair that names none."""
     by_model: dict[str, dict[PromptMode, dict[str, bool]]] = {}
     for outcome in outcomes:
         mode = mode_for(outcome.task, outcome.dop)
-        if mode is None:
-            raise DataError(
-                f"outcome for triplet {outcome.triplet_id} has an unknown "
-                f"(task, dop) pair {(outcome.task, outcome.dop)!r}"
-            )
         successes = by_model.setdefault(outcome.model, {}).setdefault(mode, {})
         if outcome.triplet_id in successes:
             label = f"{mode.dop.value} correction" if mode.dop else "reasoning"

@@ -631,27 +631,3 @@ def rescore(
     # By triplet id, then mode key; the cells of several models keep log order.
     return [by_cell[cell] for cell in sorted(by_cell, key=lambda cell: (cell[1], cell[2].key))]
 
-
-def write_scored(outcomes: Iterable[Outcome], path: str | Path) -> Path:
-    return write_atomic(path, (dump_line(outcome) + "\n" for outcome in outcomes))
-
-
-def load_scored(path: str | Path) -> list[Outcome]:
-    """Read a scored outcome file. A second outcome for the same (model,
-    triplet, task, mode) raises, naming both lines."""
-    outcomes = []
-    first_line: dict[tuple[Any, ...], int] = {}
-    for lineno, payload in read_jsonl(path, "scored outcome", DataError):
-        try:
-            outcome = Outcome.from_dict(payload)
-        except DataError as exc:
-            raise DataError(f"{path} line {lineno}: {exc}") from None
-        key = (payload["model"], payload["triplet_id"], payload["task"], payload["dop"])
-        first = first_line.setdefault(key, lineno)
-        if first != lineno:
-            raise DataError(
-                f"{path} lines {first} and {lineno}: duplicate outcome for (model, "
-                f"triplet, task, dop) {key}"
-            )
-        outcomes.append(outcome)
-    return outcomes

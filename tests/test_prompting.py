@@ -97,10 +97,10 @@ def test_the_mode_table_names_reads_back_orders_and_admits_each_mode(fixture_dat
     ]
     random.Random(3).shuffle(outcomes)
     assert [r.mode for r in build_reports(outcomes)] == [m.dop for m in MODES[1:]]
+    # An outcome that names no mode cannot be built, so none reaches a report.
     for task, dop in [(TaskKind.REASONING, DopLevel.SP), (TaskKind.CORRECTION, None)]:
-        stray = Outcome("t01", task, dop, "m", "x@0", None, True, "matched")
-        with pytest.raises(DataError, match=r"t01 has an unknown \(task, dop\) pair"):
-            build_reports([*outcomes, stray])
+        with pytest.raises(DataError, match=r"scored outcome: the \w+ task"):
+            Outcome("t01", task, dop, "m", "x@0", None, True, "matched")
 
     # A cell exists exactly when the skip rule gives no reason: render
     # refuses the others, and build_cells counts them as the rule does.

@@ -13,6 +13,7 @@ from mwpeval.scoring import (
     REASON_MISMATCHED,
     REASON_NO_EXTRACTION,
     Outcome,
+    load_scored,
     score,
 )
 
@@ -97,10 +98,15 @@ def test_unknown_reason_rejected():
 
 
 @pytest.mark.parametrize("task,dop", [("reasoning", "sp"), ("correction", None)])
-def test_outcome_task_and_dop_must_form_a_mode(task, dop):
+def test_outcome_task_and_dop_must_form_a_mode(tmp_path, task, dop):
     payload = {**scored("Final answer: 24").to_dict(), "task": task, "dop": dop}
-    with pytest.raises(DataError, match="at line 4: the .* task"):
-        Outcome.from_dict(payload, lineno=4)
+    with pytest.raises(DataError, match="^scored outcome: the .* task"):
+        Outcome(**{**payload, "task": TaskKind(task), "dop": dop and DopLevel(dop)})
+    # Read from a file, the refusal names the path and the line.
+    path = tmp_path / "scored.jsonl"
+    path.write_text("\n\n\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 4: scored outcome: the .* task"):
+        load_scored(path)
 
 
 # counting into quadrants
