@@ -15,7 +15,7 @@ import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from ._schema import json_text, read_json, read_jsonl, utc_now, write_atomic
 from .errors import (
@@ -96,29 +96,24 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                     field_map = json.loads(raw)
                 except json.JSONDecodeError as exc:
                     raise UsageError(f"--field-map is not valid JSON: {exc}") from exc
-            if not isinstance(field_map, dict):
-                raise UsageError("--field-map must be a JSON object")
-            for key, value in field_map.items():
-                if value is not None and not isinstance(value, str):
-                    raise UsageError(
-                        f"--field-map value for {key!r} must be a source field name "
-                        f"or null, got {value!r:.60}"
-                    )
         # Rejections of both kinds are numbered by 0-based input line.
         lines: list[int] = []
-        records: list[Any] = []
 
         def reject(lineno: int, exc: ValueError) -> None:
             rejections.append(Rejection(lineno - 1, f"invalid JSON: {exc}"))
 
-        for lineno, record in read_jsonl(input_path, "source record", DataError, bad=reject):
-            lines.append(lineno - 1)
-            records.append(record)
+        def records() -> Iterator[Any]:
+            """The input's records, read only as the ingest takes them,
+            so a bad field map is refused before the input is opened."""
+            for lineno, record in read_jsonl(input_path, "source record", DataError, bad=reject):
+                lines.append(lineno - 1)
+                yield record
+
         source_name = args.source_name or args.source
         if args.source == "mathdial":
-            triplets, unmapped = ingest_mathdial(records, field_map, source=source_name)
+            triplets, unmapped = ingest_mathdial(records(), field_map, source=source_name)
         else:
-            triplets, unmapped = ingest_gsm8k(records, source=source_name)
+            triplets, unmapped = ingest_gsm8k(records(), source=source_name)
         rejections += [replace(r, index=lines[r.index]) for r in unmapped]
         rejections.sort(key=lambda r: r.index)
         dataset = Dataset(triplets, source=source_name)
@@ -187,11 +182,15 @@ def cmd_rescore(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     if bool(args.scored) == bool(args.counts):
         raise UsageError("pass exactly one of --scored or --counts")
+    # Unset flags stay None, so BootstrapSpec's defaults apply.
+    settings = {k: v for k, v in (("level", args.level), ("seed", args.seed)) if v is not None}
     bootstrap = None
     if args.bootstrap:
         if args.counts:
             raise UsageError("--bootstrap needs --scored; --counts has no outcomes to resample")
-        bootstrap = BootstrapSpec(resamples=args.bootstrap, level=args.level, seed=args.seed)
+        bootstrap = BootstrapSpec(resamples=args.bootstrap, **settings)
+    elif settings:
+        raise UsageError("--level and --seed need --bootstrap")
     if args.scored:
         outcomes = load_scored(args.scored)
         reports = build_reports(outcomes, bootstrap)
@@ -287,8 +286,10 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--out-dir", required=True, help="directory for report artifacts")
     p.add_argument("--bootstrap", type=int, default=0, help="bootstrap resamples (0 = off)")
-    p.add_argument("--level", type=float, default=0.95, help="bootstrap confidence level")
-    p.add_argument("--seed", type=int, default=0, help="bootstrap seed, recorded in report.json")
+    p.add_argument("--level", type=float, help="bootstrap confidence level (default 0.95)")
+    p.add_argument(
+        "--seed", type=int, help="bootstrap seed, recorded in report.json (default 0)"
+    )
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(

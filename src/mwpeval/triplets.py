@@ -294,13 +294,22 @@ def ingest_mathdial(
     source: str = "mathdial",
 ) -> tuple[list[Triplet], list[Rejection]]:
     """Map tutoring-dialog records onto triplets; field_map overrides
-    DEFAULT_MATHDIAL_FIELD_MAP entry by entry. A key that names no
-    mappable triplet field raises UsageError."""
+    DEFAULT_MATHDIAL_FIELD_MAP entry by entry. A field map that is not a
+    dict, a key that names no mappable triplet field, or a value that is
+    neither a source field name nor None raises UsageError."""
+    if field_map is not None and not isinstance(field_map, dict):
+        raise UsageError("--field-map must be a JSON object")
     unknown = sorted(set(field_map or ()) - set(_MATHDIAL_FIELD_MAP_KEYS))
     if unknown:
         raise UsageError(
             f"unknown field map keys {unknown}; accepted keys are {list(_MATHDIAL_FIELD_MAP_KEYS)}"
         )
+    for key, value in (field_map or {}).items():
+        if value is not None and not isinstance(value, str):
+            raise UsageError(
+                f"--field-map value for {key!r} must be a source field name "
+                f"or null, got {value!r:.60}"
+            )
     return _ingest(records, {**DEFAULT_MATHDIAL_FIELD_MAP, **(field_map or {})}, source)
 
 

@@ -465,8 +465,12 @@ def test_report_with_bootstrap_records_the_spec(tmp_path, capsys):
         (["--scored", "{scored}", "--bootstrap", "200", "--level", "1"], "level must be in (0, 1)"),
         (["--scored", "{scored}", "--bootstrap", "200", "--level", "0"], "level must be in (0, 1)"),
         (["--scored", "{scored}", "--bootstrap", "1000", "--seed", "-1"], "seed must be >= 0"),
+        (["--counts", "builtin", "--level", "3", "--seed", "-1"], "--level and --seed need --bootstrap"),
+        (["--scored", "{scored}", "--level", "0.9"], "--level and --seed need --bootstrap"),
+        (["--scored", "{scored}", "--bootstrap", "0", "--seed", "3"], "--level and --seed need --bootstrap"),
     ],
-    ids=["counts", "counts-bad-spec", "few", "negative", "level-1", "level-0", "seed"],
+    ids=["counts", "counts-bad-spec", "few", "negative", "level-1", "level-0", "seed",
+         "counts-unused-spec", "unused-level", "unused-seed"],
 )
 def test_report_refuses_bad_bootstrap_flags_before_reading(tmp_path, capsys, flags, message):
     # The scored file is not JSON: reading it would be a data error (2).

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 
 import pytest
 
 from mwpeval import DataError, DopLevel, Quadrant, TaskKind, quadrants
+from mwpeval.prompting import MISPAIRED, MODES, mode_for
 from mwpeval.scoring import (
     REASON_BACKEND_ERROR,
     REASON_MATCHED,
     REASON_MISMATCHED,
     REASON_NO_EXTRACTION,
+    REASONS,
     Outcome,
     load_scored,
     score,
+    write_scored,
 )
 
 from conftest import make_triplet
@@ -107,6 +112,28 @@ def test_outcome_task_and_dop_must_form_a_mode(tmp_path, task, dop):
     path.write_text("\n\n\n" + json.dumps(payload) + "\n", encoding="utf-8")
     with pytest.raises(DataError, match="line 4: scored outcome: the .* task"):
         load_scored(path)
+
+
+def test_what_an_outcome_may_hold_is_what_a_scored_file_may_hold(tmp_path):
+    # Every (task, dop) pair, every reason and one unknown reason: an
+    # outcome is built exactly when the pair names a mode and the reason
+    # is known, and every outcome built reads back from a scored file.
+    built = []
+    for task, dop in itertools.product(TaskKind, (None, *DopLevel)):
+        names_a_mode = mode_for(task, dop) is not None
+        for reason in (*REASONS, "gut-feeling"):
+            fields = dict(triplet_id=f"t-{reason}", task=task, dop=dop, model="m",
+                          template_id="x@0", extracted=None, success=False, reason=reason)
+            if names_a_mode and reason in REASONS:
+                built.append(Outcome(**fields))
+                continue
+            with pytest.raises(DataError, match="^scored outcome: "):
+                Outcome(**fields)
+        if not names_a_mode:
+            with pytest.raises(DataError, match=re.escape(MISPAIRED[task])):
+                scored("#### 2", task=task, dop=dop)
+    assert len(built) == len(MODES) * len(REASONS)
+    assert load_scored(write_scored(built, tmp_path / "scored.jsonl")) == built
 
 
 # counting into quadrants

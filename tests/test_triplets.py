@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -221,6 +222,28 @@ def test_mathdial_custom_field_map():
 def test_mathdial_refuses_a_field_map_key_that_is_no_triplet_field():
     with pytest.raises(UsageError, match=r"unknown field map keys \['qestion'\]; accepted keys"):
         ingest_mathdial([], field_map={"qestion": "nope"})
+
+
+@pytest.mark.parametrize(
+    "field_map, message",
+    [
+        ({"id": 5}, "--field-map value for 'id' must be a source field name or null, got 5"),
+        ({"question": ["q"]}, "--field-map value for 'question' must be a source field name"),
+        (["id", "qid"], "--field-map must be a JSON object"),
+        ("qid", "--field-map must be a JSON object"),
+    ],
+)
+def test_mathdial_refuses_a_field_map_that_names_no_source_fields(field_map, message):
+    records = [
+        {
+            "qid": "md-1",
+            "question": "What is 6 times 9?",
+            "ground_truth": "Multiplying gives 6 * 9 = 54.",
+            "student_incorrect_solution": "6 + 9 = 15.",
+        }
+    ]
+    with pytest.raises(UsageError, match=re.escape(message)):
+        ingest_mathdial(records, field_map=field_map)
 
 
 def test_mathdial_explanation_from_source_field():
