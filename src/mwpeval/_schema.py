@@ -7,6 +7,16 @@ and in value types, and raises the caller's error class naming the key
 and the line. Data files (``DataError``) must carry every key; configs
 (the ``UsageError`` family) may omit keys that have a dataclass default.
 
+Every check runs before an instance is built. A class with no
+``__post_init__`` and no decoded field (enum, tuple or nested
+dataclass), such as ``RunRecord`` and ``Triplet``, is then built as
+pickle restores one, without its frozen ``__init__``: ``object.__new__``
+and each value written in field order, through the slots of a slotted
+class (``RunRecord``) or into the instance ``__dict__`` (``Triplet``).
+Any other class, and a config that leaves out defaulted keys, is built
+by ``cls(**payload)``; a ``__post_init__`` refusal then gets ``where``
+too.
+
 Per-class tables are built once, on first use, from the resolved field
 annotations. The supported annotations are ``str``, ``int``, ``float``
 (an int is accepted and kept as given), ``bool``, ``dict``, an ``Enum``,
@@ -66,6 +76,7 @@ class _Schema(NamedTuple):
     expected: dict[str, str]  # the same, in words, for messages
     decoders: tuple[tuple[str, Any], ...]  # an enum, a tuple reader or a dataclass
     encoders: tuple[tuple[str, Callable[[Any], Any]], ...]
+    restore: Callable[[dict[str, Any]], Any] | None  # see _restorer
 
 
 def dump(obj: Any) -> dict[str, Any]:
@@ -125,7 +136,15 @@ def load(
                 payload[name] = decode(value)
             except ValueError:
                 raise error(_bad_value(schema, name, value, what, where)) from None
-    return cls(**payload)
+    if schema.restore is not None and len(payload) == len(schema.order):
+        return schema.restore(payload)
+    try:
+        return cls(**payload)
+    except error as exc:  # a __post_init__ check
+        if not where:
+            raise
+        message = str(exc).removeprefix(f"{what}: ")
+        raise type(exc)(f"{what}{where}: {message}") from None
 
 
 def dump_line(obj: Any) -> str:
@@ -260,6 +279,7 @@ def _schema(cls: type[Any]) -> _Schema:
     hints = typing.get_type_hints(cls)
     fields = dataclasses.fields(cls)
     codecs = {f.name: _codec(hints[f.name], f"{cls.__name__}.{f.name}") for f in fields}
+    decoders = tuple((name, c[2]) for name, c in codecs.items() if c[2] is not None)
     return _Schema(
         order=tuple(codecs),
         names=frozenset(codecs),
@@ -270,9 +290,45 @@ def _schema(cls: type[Any]) -> _Schema:
         ),
         accepted={name: codec[0] for name, codec in codecs.items()},
         expected={name: codec[1] for name, codec in codecs.items()},
-        decoders=tuple((name, c[2]) for name, c in codecs.items() if c[2] is not None),
+        decoders=decoders,
         encoders=tuple((name, c[3]) for name, c in codecs.items() if c[3] is not None),
+        restore=None if decoders else _restorer(cls, tuple(codecs)),
     )
+
+
+def _restorer(cls: type[Any], order: tuple[str, ...]) -> Callable[[dict[str, Any]], Any] | None:
+    """A builder of cls, a class with no decoded field, from a checked
+    payload that holds every field; None when cls has a __post_init__,
+    whose checks must run.
+
+    The builder makes the instance as pickle restores one: object.__new__,
+    then each value written in field order, with no frozen __setattr__
+    call. A slotted class's values go through its slot descriptors.
+    Other values go into the instance __dict__, whose keys then line up
+    with the ones __init__ sets, so the dict keeps sharing its keys.
+    """
+    if hasattr(cls, "__post_init__"):
+        return None
+    new = object.__new__
+    if vars(cls).get("__slots__"):
+        setters = tuple((name, vars(cls)[name].__set__) for name in order)
+
+        def restore(payload: dict[str, Any]) -> Any:
+            instance = new(cls)
+            for name, put in setters:
+                put(instance, payload[name])
+            return instance
+
+        return restore
+
+    def restore(payload: dict[str, Any]) -> Any:
+        instance = new(cls)
+        state = instance.__dict__
+        for name in order:
+            state[name] = payload[name]
+        return instance
+
+    return restore
 
 
 def _codec(hint: Any, where: str) -> _Codec:

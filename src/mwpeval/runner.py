@@ -62,11 +62,12 @@ RENDERER = f"{HASH_ALGORITHM}/1"
 _UNRECORDED_RENDERER = "sha256/1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     """One completed cell: the prompt sent and what came back. task and
     dop stay plain strings, cheaper to load than enums; mode reads them
-    back."""
+    back. Slotted, a record holds no __dict__, so one loaded from a log
+    costs no more memory than one built by __init__."""
 
     run_id: str
     triplet_id: str

@@ -57,7 +57,11 @@ class Outcome:
                 f"expected one of {list(REASONS)}"
             )
         if mode_for(self.task, self.dop) is None:
-            raise DataError(f"scored outcome: {MISPAIRED[self.task]}")
+            why = MISPAIRED.get(
+                self.task,
+                f"unknown task {self.task!r}, expected one of {[task.value for task in TaskKind]}",
+            )
+            raise DataError(f"scored outcome: {why}")
 
     def to_dict(self) -> dict[str, Any]:
         return dump(self)

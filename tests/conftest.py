@@ -7,11 +7,16 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from mwpeval import DataError, Dataset, RunRecord, Triplet, load_dataset, save_dataset
 from mwpeval import _schema
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# A deeper search than the default 100 examples, for CI's property step:
+# python -m pytest --hypothesis-profile ci tests/test_extraction.py ...
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 def read_jsonl(path: Path) -> list[dict]:

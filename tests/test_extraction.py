@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+import sys
+import unicodedata
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from mwpeval.extraction import (
     _NUMBER_TOKEN,
+    _ZEROS,
     MARKER,
     NumericAnswer,
     extract,
@@ -111,6 +114,26 @@ def test_zero_denominator_not_a_fraction():
     # "5/0" must not form a rational; it reads as the numbers 5 and 0
     assert values("5/0") == [5, 0]
     assert extract("Answer: 5/0 is undefined").value == 0
+    # nor in any other script's zeros
+    assert values("5/\uff10") == values("5 / \u0660\u0660") == [5, 0]
+    assert values("5/0\uff10") == [5, 0]
+    assert extract("the answer is 5/\uff10").value == 0
+    assert extract("#### 7 / \uff10").value == 7
+    assert extract("answer: 3/\u0660\u0660").value == 0
+    assert parse_numeric("5/\uff10") is None
+    # a denominator with one non-zero digit still forms a fraction
+    assert values("1/\u0660\u0663") == [Fraction(1, 3)]
+    assert values("\u0663/\u0664") == [Fraction(3, 4)]
+
+
+def test_zeros_are_every_decimal_zero():
+    every = {
+        chr(point)
+        for point in range(sys.maxunicode + 1)
+        if chr(point).isdecimal() and unicodedata.decimal(chr(point)) == 0
+    }
+    assert set(_ZEROS) == every
+    assert len(_ZEROS) == len(every)
 
 
 def test_comma_grouping_must_be_well_formed():
@@ -208,13 +231,13 @@ def test_every_scanned_token_reparses_standalone(text):
 # The token pattern without its leading lookahead: the oracle for the
 # guarded scanner, which must match exactly the same spans and groups.
 UNGUARDED_TOKEN = re.compile(
-    r"""
-    (?P<sign>(?<![^\s(=+\-*/^,:;<>\[{|&~$€£])[-+])?
+    rf"""
+    (?P<sign>(?<![^\s(=+\-*/^,:;<>\[{{|&~$€£])[-+])?
     (?P<currency>[$€£])?
     (?P<body>
-        \d{1,3}(?:,\d{3})+(?:\.\d+)?
+        \d{{1,3}}(?:,\d{{3}})+(?:\.\d+)?
       | \d+\.\d+
-      | \d+(?:[ ]?/[ ]?(?!0+(?!\d))\d+)?
+      | \d+(?:[ ]?/[ ]?(?![{_ZEROS}]+(?!\d))\d+)?
       | \.\d+
     )
     (?P<percent>%)?
@@ -248,12 +271,18 @@ def eager_extract(text):
     return None
 
 
+# Answer phrases, markers and line breaks of several kinds, so a text
+# often holds several answer lines and a marker before, after or inside
+# one of them.
 scanner_text = st.lists(
     st.one_of(
-        st.text(alphabet="0123456789٣٤-+$€£.,/% abxyzé\n", max_size=12),
-        st.sampled_from(["####", "answer: ", "The answer is ", "Final answer", "\u2028"]),
+        st.text(alphabet="0123456789٣٤٠０-+$€£.,/% abxyzé\n", max_size=12),
+        st.sampled_from(
+            ["####", "answer: ", "The answer is ", "Final answer", "final\nanswer"]
+        ),
+        st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028", "\x0b", "\x1c"]),
     ),
-    max_size=12,
+    max_size=16,
 ).map("".join)
 
 
@@ -263,6 +292,14 @@ def test_scanner_guard_changes_no_match(text):
         return [(m.span(), m.groupdict()) for m in pattern.finditer(text)]
 
     assert matches(_NUMBER_TOKEN) == matches(UNGUARDED_TOKEN)
+
+
+@given(st.one_of(st.text(), scanner_text))
+def test_extraction_is_total(text):
+    """No text makes the grammar raise: every scanned token converts."""
+    scan_numbers(text)
+    extract(text)
+    parse_numeric(text)
 
 
 @given(scanner_text)

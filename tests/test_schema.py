@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import itertools
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mwpeval
 from mwpeval import (
@@ -28,7 +33,7 @@ from mwpeval import (
     write_report_bundle,
     write_scored,
 )
-from mwpeval._schema import json_text, write_atomic
+from mwpeval._schema import dump, json_text, load, write_atomic
 from mwpeval.cli import main
 
 from conftest import DATA_DIR, make_triplet
@@ -134,6 +139,15 @@ def test_wrong_typed_field_is_rejected(name):
         assert "line 7" in str(info.value)
 
 
+def test_a_post_init_refusal_names_the_line():
+    payload = {**outcome_payload(), "task": "reasoning", "dop": "sp"}
+    message = "the reasoning task takes no correction mode"
+    with pytest.raises(DataError, match=f"^scored outcome at line 7: {message}$"):
+        Outcome.from_dict(payload, 7)
+    with pytest.raises(DataError, match=f"^scored outcome: {message}$"):
+        Outcome.from_dict(payload)
+
+
 @pytest.mark.parametrize(
     "name", sorted(name for name, spec in LOADERS.items() if spec[4] is not None)
 )
@@ -179,6 +193,102 @@ def test_nested_config_round_trips_and_names_its_part():
     bad = {**config_payload(), "model": {**model_payload(), "retry": {"max_attempts": 2.5}}}
     with pytest.raises(ConfigurationError, match="bad config: bad model: retry: 'max_attempts'"):
         ExperimentConfig.from_dict(bad)
+
+
+# a loaded value is the value __init__ builds
+
+
+def built_values() -> list:
+    return [RunRecord(**record_payload()), make_triplet()]
+
+
+@pytest.mark.parametrize("built", built_values(), ids=lambda value: type(value).__name__)
+def test_a_loaded_value_is_the_built_one(built):
+    cls = type(built)
+    loaded = cls.from_json_line(built.to_json_line())
+    assert type(loaded) is cls
+    assert loaded == built
+    assert repr(loaded) == repr(built)
+    assert dump(loaded) == dump(built)
+    key = {RunRecord: "triplet_id", Triplet: "id"}[cls]
+    changed = dataclasses.replace(loaded, **{key: "x02"})
+    assert type(changed) is cls
+    assert changed == dataclasses.replace(built, **{key: "x02"}) != loaded
+    for field in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(loaded, field.name, getattr(loaded, field.name))
+    if cls is RunRecord:  # a Triplet's meta dict makes it unhashable
+        assert hash(loaded) == hash(built)
+
+
+def test_a_loaded_triplet_keeps_its_reference_value_cached():
+    loaded = Triplet.from_json_line(make_triplet().to_json_line())
+    first = loaded.reference_value
+    assert first.value == 24
+    assert loaded.reference_value is first
+
+
+def test_loaded_records_take_no_more_memory_than_built_ones():
+    payloads = [
+        json.loads(json.dumps({**record_payload(), "run_id": f"r{i}"})) for i in range(1000)
+    ]
+    load(RunRecord, payloads[0], "run record", DataError)  # tables built untraced
+
+    def traced(build) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kept = [build(payload) for payload in payloads]
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    built = traced(lambda payload: RunRecord(**payload))
+    loaded = traced(lambda payload: load(RunRecord, payload, "run record", DataError))
+    assert loaded <= built
+
+
+texts = st.text(max_size=20)
+record_fields = st.fixed_dictionaries(
+    {
+        "run_id": texts,
+        "triplet_id": texts,
+        "model": texts,
+        "task": texts,
+        "dop": st.none() | texts,
+        "template_id": texts,
+        "content_hash": texts,
+        "prompt_text": texts,
+        "response_text": st.none() | texts,
+        "error": st.none() | texts,
+        "attempts": st.integers(),
+        "latency_ms": st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
+        "created_at": texts,
+    }
+)
+
+
+@given(record_fields)
+def test_any_record_reads_back_as_built(fields):
+    record = RunRecord(**fields)
+    loaded = RunRecord.from_json_line(record.to_json_line())
+    assert loaded == record
+    assert loaded.to_json_line() == record.to_json_line()
+
+
+@given(
+    st.builds(
+        make_triplet,
+        id=texts,
+        question=texts,
+        brief_explanation=st.none() | texts,
+        meta=st.dictionaries(texts, st.none() | st.booleans() | st.integers() | texts),
+    )
+)
+def test_any_triplet_reads_back_as_built(triplet):
+    loaded = Triplet.from_json_line(triplet.to_json_line())
+    assert loaded == triplet
+    assert loaded.to_json_line() == triplet.to_json_line()
 
 
 # every whole file is replaced, never cut

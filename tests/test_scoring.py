@@ -114,6 +114,15 @@ def test_outcome_task_and_dop_must_form_a_mode(tmp_path, task, dop):
         load_scored(path)
 
 
+def test_a_task_string_that_names_no_task_is_refused_by_name():
+    fields = dict(triplet_id="t", dop=None, model="m", template_id="x",
+                  extracted=None, success=False, reason="matched")
+    with pytest.raises(DataError, match="^scored outcome: unknown task 'solve'"):
+        Outcome(task="solve", **fields)
+    # a plain string that names a task still builds, as from a record
+    assert Outcome(task="reasoning", **fields).task == TaskKind.REASONING
+
+
 def test_what_an_outcome_may_hold_is_what_a_scored_file_may_hold(tmp_path):
     # Every (task, dop) pair, every reason and one unknown reason: an
     # outcome is built exactly when the pair names a mode and the reason
