@@ -163,7 +163,7 @@ class ScriptedBackend:
     def complete(self, prompt: RenderedPrompt) -> CompletionResult:
         with self._lock:
             self.calls += 1
-        composite = scripted_key(prompt.triplet_id, prompt.mode.task, prompt.mode.dop)
+        composite = f"{prompt.triplet_id}|{prompt.mode.key}"
         for key in (prompt.content_hash, composite):
             if key in self._responses:
                 return CompletionResult(

@@ -50,7 +50,7 @@ class QuadrantCounts:
     def __post_init__(self) -> None:
         for name in ("srsc", "sruc", "ursc", "uruc"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise DataError(f"quadrant count {name} must be a non-negative int, got {value!r}")
 
     @property

@@ -5,6 +5,8 @@ reasoning task fills {{question}} only. Correction prompts always carry
 the wrong solution; the three diagnostic modes add one resource each,
 in increasing strength: the numeric answer, a brief explanation, or the
 full reference solution. The plain correction mode (sp) adds nothing.
+The modes are the five members of the PromptMode enum, in report
+order: reasoning, then sp, dop_na, dop_be and dop_sa.
 
 Every rendered prompt gets a content hash over (template_id, prompt
 text, sampling params), which every record keeps. The runner binds an
@@ -51,29 +53,23 @@ class DopLevel(str, Enum):
     SA = "dop_sa"
 
 
-ALL_DOP_LEVELS = (DopLevel.SP, DopLevel.NA, DopLevel.BE, DopLevel.SA)
+class PromptMode(Enum):
+    """The five modes, in report order: solve the problem, then correct
+    its wrong solution at each diagnostic level. A member's value is its
+    (task, dop) pair; correction, and correction alone, takes a dop."""
 
+    REASONING = (TaskKind.REASONING, None)
+    SP = (TaskKind.CORRECTION, DopLevel.SP)
+    NA = (TaskKind.CORRECTION, DopLevel.NA)
+    BE = (TaskKind.CORRECTION, DopLevel.BE)
+    SA = (TaskKind.CORRECTION, DopLevel.SA)
 
-@dataclass(frozen=True)
-class PromptMode:
-    """A task plus, for correction, the diagnostic level."""
-
-    task: TaskKind
-    dop: DopLevel | None = None
-
-    def __post_init__(self) -> None:
-        # Correction, and correction alone, takes a dop.
-        if (self.dop is None) == (self.task is TaskKind.CORRECTION):
-            raise UsageError(MISPAIRED[self.task])
-
-    @property
-    def template_name(self) -> str:
-        return f"correction_{self.dop.value}" if self.dop else "reasoning"
-
-    @functools.cached_property
-    def key(self) -> str:
-        """Stable textual form, e.g. "reasoning|-" or "correction|dop_na"."""
-        return f"{self.task.value}|{self.dop.value if self.dop else '-'}"
+    def __init__(self, task: TaskKind, dop: DopLevel | None) -> None:
+        self.task = task
+        self.dop = dop
+        # Stable textual form, e.g. "reasoning|-" or "correction|dop_na".
+        self.key = f"{task.value}|{dop.value if dop else '-'}"
+        self.template_name = f"correction_{dop.value}" if dop else "reasoning"
 
     @property
     def record_fields(self) -> dict[str, str | None]:
@@ -87,19 +83,17 @@ MISPAIRED = {
     TaskKind.CORRECTION: "the correction task needs a mode: sp, dop_na, dop_be or dop_sa",
 }
 
-# The one mode table: the five modes in report order, each pair's mode,
-# and (skip_reason) whether a mode applies to a triplet.
-REASONING_MODE = PromptMode(TaskKind.REASONING)
-CORRECTION_MODES = {level: PromptMode(TaskKind.CORRECTION, level) for level in ALL_DOP_LEVELS}
-MODES = (REASONING_MODE, *CORRECTION_MODES.values())
-_MODES_BY_PAIR = {(mode.task, mode.dop): mode for mode in MODES}
+MODES = tuple(PromptMode)
+REASONING_MODE = PromptMode.REASONING
+CORRECTION_MODES = {mode.dop: mode for mode in MODES if mode.dop}
+ALL_DOP_LEVELS = tuple(CORRECTION_MODES)
 
 
 def mode_for(task: str, dop: str | None) -> PromptMode | None:
-    """The shared mode a (task, dop) pair names, or None for a pair that
-    names no mode. str enums hash and compare like their values, so the
-    pair may be given as enums or as the strings a record stores."""
-    return _MODES_BY_PAIR.get((task, dop))
+    """The member a (task, dop) pair names, or None for a pair that names
+    no mode. str enums hash and compare like their values, so the pair
+    may be given as enums or as the strings a record stores."""
+    return PromptMode._value2member_map_.get((task, dop))  # type: ignore[return-value]
 
 
 # Why a mode does not apply to a triplet, as skip_reason gives it.

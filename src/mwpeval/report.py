@@ -291,6 +291,19 @@ class PublishedTable:
     rows: tuple[PublishedRow, ...]
 
 
+_NUMBER = (int, float)
+
+
+def _typed(mapping: dict[str, Any], name: str, kind: type | tuple[type, ...]) -> Any:
+    """mapping[name], or TypeError when it is not of kind: a bool is an
+    int to Python, but a flag is neither a rate nor a count."""
+    value = mapping[name]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        wanted = "a number" if kind is _NUMBER else "an int"
+        raise TypeError(f"{name} must be {wanted}, got {value!r}")
+    return value
+
+
 def load_published(path: str | Path | None = None) -> PublishedTable:
     """The bundled reference table, or one in the same JSON format.
 
@@ -303,18 +316,18 @@ def load_published(path: str | Path | None = None) -> PublishedTable:
         rows = tuple(
             PublishedRow(
                 model=row["model"],
-                r_rate=float(row["r_rate"]),
-                c_rate=float(row["c_rate"]),
+                r_rate=float(_typed(row, "r_rate", _NUMBER)),
+                c_rate=float(_typed(row, "c_rate", _NUMBER)),
                 counts=QuadrantCounts(
-                    srsc=row["srsc"], sruc=row["sruc"], ursc=row["ursc"], uruc=row["uruc"]
+                    *(_typed(row, name, int) for name in ("srsc", "sruc", "ursc", "uruc"))
                 ),
                 note=row.get("note"),
             )
             for row in payload["rows"]
         )
         return PublishedTable(
-            dataset_size=int(payload["dataset_size"]),
-            rate_tolerance=float(payload["rate_tolerance"]),
+            dataset_size=_typed(payload, "dataset_size", int),
+            rate_tolerance=float(_typed(payload, "rate_tolerance", _NUMBER)),
             rows=rows,
         )
     except (KeyError, TypeError, ValueError) as exc:

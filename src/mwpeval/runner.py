@@ -318,6 +318,17 @@ def _binding(identity: Any) -> str:
     return json.dumps(identity, sort_keys=True)
 
 
+def _cell_of(record: RunRecord, dataset: Dataset) -> Cell:
+    """The (triplet, mode) cell that a logged record answers."""
+    triplet = dataset.by_id.get(record.triplet_id)
+    if triplet is None:
+        raise DataError(
+            f"logged record references unknown triplet id {record.triplet_id!r}; "
+            "the log does not belong to this dataset"
+        )
+    return triplet, record.mode
+
+
 def _spot_check(
     records: Iterable[RunRecord],
     dataset: Dataset,
@@ -329,16 +340,10 @@ def _spot_check(
     on the few cells checked; checking every record needs a full
     re-render, which a resume does not make."""
     for record in records:
-        triplet = dataset.by_id.get(record.triplet_id)
-        if triplet is None:
-            raise DataError(
-                f"logged record references unknown triplet id {record.triplet_id!r}; "
-                "the log does not belong to this dataset"
-            )
-        cell = render(triplet, record.mode, config.model.params, registry)
+        cell = render(*_cell_of(record, dataset), config.model.params, registry)
         if cell.content_hash != record.content_hash:
             raise DataError(
-                f"the logged record for cell {record.triplet_id}/{record.mode.key} "
+                f"the logged record for cell {record.triplet_id}/{cell.mode.key} "
                 f"(content hash {record.content_hash}) does not match that cell as "
                 f"rendered now; rendering changed under renderer {RENDERER}, so "
                 "use a fresh output_dir"
@@ -519,7 +524,13 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
             """Render one cell, complete it and append its record. True
             means success."""
             prompt = render(*cell, config.model.params, registry)
-            base = dict(
+            try:
+                result = backend.complete(prompt)
+                response, error = result.text, None
+                attempts, latency = result.attempts, result.latency_ms
+            except BackendError as exc:
+                response, error, attempts, latency = None, str(exc), 0, 0.0
+            record = RunRecord(
                 run_id=run_id,
                 triplet_id=prompt.triplet_id,
                 model=config.model.name,
@@ -527,26 +538,12 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
                 template_id=prompt.template_id,
                 content_hash=prompt.content_hash,
                 prompt_text=prompt.text,
+                response_text=response,
+                error=error,
+                attempts=attempts,
+                latency_ms=latency,
+                created_at=utc_now(),
             )
-            try:
-                result = backend.complete(prompt)
-                record = RunRecord(
-                    **base,
-                    response_text=result.text,
-                    error=None,
-                    attempts=result.attempts,
-                    latency_ms=result.latency_ms,
-                    created_at=utc_now(),
-                )
-            except BackendError as exc:
-                record = RunRecord(
-                    **base,
-                    response_text=None,
-                    error=str(exc),
-                    attempts=0,
-                    latency_ms=0.0,
-                    created_at=utc_now(),
-                )
             writer.append(record)
             return record.error is None
 
@@ -611,13 +608,7 @@ def rescore(
         raise DataError(f"no record log at {records_path}")
 
     def score_record(record: RunRecord) -> Outcome:
-        triplet = dataset.by_id.get(record.triplet_id)
-        if triplet is None:
-            raise DataError(
-                f"record references unknown triplet id {record.triplet_id!r}; "
-                "was the right dataset supplied?"
-            )
-        mode = record.mode
+        triplet, mode = _cell_of(record, dataset)
         return score(
             triplet,
             record.response_text,

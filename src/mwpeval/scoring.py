@@ -83,29 +83,16 @@ def score(
     error: str | None = None,
 ) -> Outcome:
     """Judge one response against the triplet's reference value."""
-    base = dict(
-        triplet_id=triplet.id,
-        task=task,
-        dop=dop,
-        model=model,
-        template_id=template_id,
-    )
-    if error is not None or response_text is None:
-        return Outcome(
-            **base, extracted=None, success=False, reason=REASON_BACKEND_ERROR
-        )
-    answer = extract(response_text)
-    if answer is None:
-        return Outcome(
-            **base, extracted=None, success=False, reason=REASON_NO_EXTRACTION
-        )
-    matched = answer == triplet.reference_value
-    return Outcome(
-        **base,
-        extracted=answer.canonical,
-        success=matched,
-        reason=REASON_MATCHED if matched else REASON_MISMATCHED,
-    )
+    extracted, reason = None, REASON_BACKEND_ERROR
+    if error is None and response_text is not None:
+        answer = extract(response_text)
+        if answer is None:
+            reason = REASON_NO_EXTRACTION
+        else:
+            extracted = answer.canonical
+            reason = REASON_MATCHED if answer == triplet.reference_value else REASON_MISMATCHED
+    success = reason == REASON_MATCHED
+    return Outcome(triplet.id, task, dop, model, template_id, extracted, success, reason)
 
 
 def write_scored(outcomes: Iterable[Outcome], path: str | Path) -> Path:

@@ -187,6 +187,11 @@ def load_dataset(path: str | Path) -> Dataset:
     meta = read_json(sidecar, "manifest sidecar", DataError) if sidecar.exists() else {}
     if not isinstance(meta, dict):
         raise DataError(f"manifest sidecar {sidecar} is not a JSON object")
+    for name in ("source", "created_at"):
+        if not isinstance(meta.get(name, ""), str):
+            raise DataError(
+                f"manifest sidecar {sidecar}: {name} must be a string, got {meta[name]!r}"
+            )
     return Dataset(
         triplets, source=meta.get("source", path.name), created_at=meta.get("created_at")
     )

@@ -78,6 +78,11 @@ def test_counts_must_be_non_negative():
         QuadrantCounts(-1, 0, 0, 0)
 
 
+def test_a_count_may_not_be_a_bool():
+    with pytest.raises(DataError, match="sruc must be a non-negative int, got True"):
+        QuadrantCounts(0, True, 0, 0)
+
+
 def test_e_ratios_from_known_counts():
     e_r, e_c = e_ratios(QuadrantCounts(8, 6, 2, 4))
     assert e_r == 8 / 10

@@ -63,10 +63,19 @@ def test_correction_modes_cover_all_levels():
 
 
 def test_invalid_mode_combinations_rejected():
-    with pytest.raises(UsageError):
-        PromptMode(TaskKind.REASONING, DopLevel.SP)
-    with pytest.raises(UsageError):
-        PromptMode(TaskKind.CORRECTION, None)
+    # The five modes are the enum's only members, so a mispaired mode
+    # cannot be built: pairs that name none look up as None.
+    assert tuple(PromptMode) == MODES
+    assert len(MODES) == 5
+    for task, dop in [(TaskKind.REASONING, DopLevel.SP), (TaskKind.CORRECTION, None), ("solve", None)]:
+        assert mode_for(task, dop) is None
+    # Calling the enum looks a member up and creates none. Before 3.12 a
+    # second argument names the members of a new enum, which raises too.
+    with pytest.raises((TypeError, ValueError)):
+        PromptMode("solve", DopLevel.SP)
+    with pytest.raises(ValueError):
+        PromptMode("solve")
+    assert tuple(PromptMode) == MODES
 
 
 # The mode vocabulary, in table order: key, (task, dop) as a record stores it.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -325,3 +326,27 @@ def test_load_published_input_errors(tmp_path):
     wrong.write_text(json.dumps({"rows": []}), encoding="utf-8")
     with pytest.raises(DataError, match="wrong shape"):
         load_published(wrong)
+
+
+# One wrongly typed value per field of the published table: a float()
+# or int() cast would read each as a number and verify the table.
+@pytest.mark.parametrize(
+    "field, value, row",
+    [
+        ("rate_tolerance", True, False),
+        ("dataset_size", 2861.9, False),
+        ("r_rate", "0.859", True),
+        ("c_rate", False, True),
+        ("srsc", True, True),
+        ("sruc", 306.0, True),
+        ("ursc", "165", True),
+        ("uruc", None, True),
+    ],
+)
+def test_a_published_value_of_the_wrong_type_is_refused(tmp_path, field, value, row):
+    table = json.loads((resources.files("mwpeval") / "data" / "published_results.json").read_text())
+    (table["rows"][0] if row else table)[field] = value
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    with pytest.raises(DataError, match=f"wrong shape: {field} must be"):
+        load_published(path)

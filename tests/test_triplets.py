@@ -134,6 +134,16 @@ def test_save_load_round_trip_with_manifest(tmp_path):
     assert [t.id for t in loaded] == ["x01", "x02"]
 
 
+@pytest.mark.parametrize("field, value", [("source", ["x"]), ("created_at", 7)])
+def test_a_sidecar_field_that_is_not_a_string_is_refused(tmp_path, field, value):
+    path = save_dataset(Dataset([make_triplet()], source="unit"), tmp_path / "set.jsonl")
+    sidecar = manifest_path_for(path)
+    manifest = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**manifest, field: value}), encoding="utf-8")
+    with pytest.raises(DataError, match=f"{re.escape(str(sidecar))}: {field} must be a string"):
+        load_dataset(path)
+
+
 def test_load_skips_blank_lines(tmp_path):
     path = tmp_path / "set.jsonl"
     path.write_text(make_triplet().to_json_line() + "\n\n\n", encoding="utf-8")
