@@ -64,6 +64,8 @@ class PromptMode(Enum):
     BE = (TaskKind.CORRECTION, DopLevel.BE)
     SA = (TaskKind.CORRECTION, DopLevel.SA)
 
+    __hash__ = object.__hash__  # members compare by identity; Enum's hash is slower
+
     def __init__(self, task: TaskKind, dop: DopLevel | None) -> None:
         self.task = task
         self.dop = dop
