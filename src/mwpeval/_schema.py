@@ -26,22 +26,23 @@ any of these ``| None``. A bool is never accepted as a number.
 The file half lives here too: ``read_json`` and ``read_jsonl`` are the
 only readers of the harness's JSON and JSONL input files. ``dump_line``
 is the one JSONL line encoder, ``json_text`` the one JSON file encoding
-and ``utc_now`` the one timestamp format. ``write_atomic`` is the one
-writer of a whole file: it streams a str, or an iterable of str chunks
-such as JSONL lines, into a temp file and renames it onto the target,
-so that no reader sees the file half written. Only the run's record log
-is appended instead (runner).
+and ``utc_now`` the one timestamp format. ``json_value``, the compact
+encoding ``dump_line`` writes, is one encoder that every caller shares.
+``write_atomic`` is the one writer of a whole file: it streams a str,
+or an iterable of str chunks such as JSONL lines, into a temp file and
+renames it onto the target, so that no reader sees the file half
+written. Only the run's record log is appended instead (runner).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import datetime
 import functools
 import json
 import logging
 import operator
 import os
+import time
 import types
 import typing
 import uuid
@@ -147,9 +148,14 @@ def load(
         raise type(exc)(f"{what}{where}: {message}") from None
 
 
+# What json.dumps(value, ensure_ascii=False) gives, without building an
+# encoder per call; an encoder keeps no state between calls.
+json_value: Callable[[Any], str] = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def dump_line(obj: Any) -> str:
     """The dataclass as one JSONL line, without its newline."""
-    return json.dumps(dump(obj), ensure_ascii=False)
+    return json_value(dump(obj))
 
 
 def load_line(
@@ -226,8 +232,16 @@ def json_text(payload: Any) -> str:
 
 
 def utc_now() -> str:
-    """The current UTC time to the second, as every file records it."""
-    return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """The current UTC time to the second, as every file records it.
+
+    The system clock is read in whole nanoseconds and floored to the
+    second, as datetime.now floors it; each second is formatted once."""
+    return _utc_text(time.time_ns() // 1_000_000_000)
+
+
+@functools.lru_cache(maxsize=1)
+def _utc_text(second: int) -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(second))
 
 
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> Path:

@@ -30,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable
 
-from ._schema import dump
+from ._schema import dump, json_value
 from .errors import DataError, UsageError
 from .triplets import Triplet
 
@@ -72,11 +72,9 @@ class PromptMode(Enum):
         # Stable textual form, e.g. "reasoning|-" or "correction|dop_na".
         self.key = f"{task.value}|{dop.value if dop else '-'}"
         self.template_name = f"correction_{dop.value}" if dop else "reasoning"
-
-    @property
-    def record_fields(self) -> dict[str, str | None]:
-        """task and dop as a run record stores them: plain strings."""
-        return {"task": self.task.value, "dop": self.dop.value if self.dop else None}
+        # task and dop as a run record stores them: plain strings. Shared
+        # by every caller, so it is read, never changed.
+        self.record_fields = {"task": task.value, "dop": dop.value if dop else None}
 
 
 # Why a task cannot take the dop it was given.
@@ -188,7 +186,7 @@ def compute_content_hash(
     # The key holds each param's type: 0 == 0.0, but they dump apart.
     kinds = tuple(map(type, vars(params).values()))
     digest = _payload_head(template_id, params, kinds).copy()
-    digest.update((json.dumps(text, ensure_ascii=False) + "}").encode("utf-8"))
+    digest.update((json_value(text) + "}").encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -214,8 +212,11 @@ class TemplateRegistry:
         missing = sorted(set(REQUIRED_PLACEHOLDERS) - set(templates))
         if missing:
             raise DataError(f"missing templates: {', '.join(missing)}")
-        for template in templates.values():
-            found = set(PLACEHOLDER.findall(template.text))
+        # Each template split once on its placeholders: literal text at
+        # the even indices, placeholder names at the odd ones.
+        self._parts = {name: PLACEHOLDER.split(t.text) for name, t in templates.items()}
+        for name, template in templates.items():
+            found = set(self._parts[name][1::2])
             required = REQUIRED_PLACEHOLDERS[template.name]
             if found != required:
                 raise DataError(
@@ -253,6 +254,14 @@ class TemplateRegistry:
     def get(self, mode: PromptMode) -> Template:
         return self._templates[mode.template_name]
 
+    def fill(self, mode: PromptMode, values: dict[str, str]) -> str:
+        """mode's template text with each placeholder replaced by its
+        value, in a single pass: a value is never searched for
+        placeholders itself."""
+        pieces = self._parts[mode.template_name].copy()
+        pieces[1::2] = [values[name] for name in pieces[1::2]]
+        return "".join(pieces)
+
     def template_ids(self) -> dict[str, str]:
         return {name: t.template_id for name, t in sorted(self._templates.items())}
 
@@ -283,7 +292,7 @@ def render(
     registry = registry or TemplateRegistry.load()
     template = registry.get(mode)
     values = _substitution_values(triplet, mode)
-    text = PLACEHOLDER.sub(lambda m: values[m.group(1)], template.text)
+    text = registry.fill(mode, values)
     for name, value in values.items():
         if value not in text:
             raise DataError(

@@ -292,6 +292,8 @@ class PublishedTable:
 
 
 _NUMBER = (int, float)
+_TEXT_OR_NULL = (str, type(None))
+_WANTED = {_NUMBER: "a number", int: "an int", str: "a string", _TEXT_OR_NULL: "a string or null"}
 
 
 def _typed(mapping: dict[str, Any], name: str, kind: type | tuple[type, ...]) -> Any:
@@ -299,8 +301,7 @@ def _typed(mapping: dict[str, Any], name: str, kind: type | tuple[type, ...]) ->
     int to Python, but a flag is neither a rate nor a count."""
     value = mapping[name]
     if isinstance(value, bool) or not isinstance(value, kind):
-        wanted = "a number" if kind is _NUMBER else "an int"
-        raise TypeError(f"{name} must be {wanted}, got {value!r}")
+        raise TypeError(f"{name} must be {_WANTED[kind]}, got {value!r}")
     return value
 
 
@@ -315,13 +316,13 @@ def load_published(path: str | Path | None = None) -> PublishedTable:
     try:
         rows = tuple(
             PublishedRow(
-                model=row["model"],
+                model=_typed(row, "model", str),
                 r_rate=float(_typed(row, "r_rate", _NUMBER)),
                 c_rate=float(_typed(row, "c_rate", _NUMBER)),
                 counts=QuadrantCounts(
                     *(_typed(row, name, int) for name in ("srsc", "sruc", "ursc", "uruc"))
                 ),
-                note=row.get("note"),
+                note=_typed(row, "note", _TEXT_OR_NULL) if "note" in row else None,
             )
             for row in payload["rows"]
         )

@@ -174,21 +174,22 @@ CellKey = tuple[str, str, PromptMode]
 
 
 def index_records(
-    records: Iterable[RunRecord], keep: Callable[[RunRecord], _Kept]
+    records: Iterable[RunRecord], keep: Callable[[RunRecord, PromptMode], _Kept]
 ) -> dict[CellKey, _Kept]:
-    """keep(record) of the latest record per cell, keyed by (model,
-    triplet id, mode); a success is never displaced by a later error,
-    and keep sees only the records that take their key's place. A record
-    whose (task, dop) pair names no mode raises DataError."""
+    """keep(record, its mode) of the latest record per cell, keyed by
+    (model, triplet id, mode); a success is never displaced by a later
+    error, and keep sees only the records that take their key's place.
+    A record whose (task, dop) pair names no mode raises DataError."""
     index: dict[CellKey, _Kept] = {}
     succeeded: set[CellKey] = set()
     for record in records:
-        key = (record.model, record.triplet_id, record.mode)
+        mode = record.mode
+        key = (record.model, record.triplet_id, mode)
         if record.error is None:
             succeeded.add(key)
         elif key in succeeded:
             continue
-        index[key] = keep(record)
+        index[key] = keep(record, mode)
     return index
 
 
@@ -318,29 +319,30 @@ def _binding(identity: Any) -> str:
     return json.dumps(identity, sort_keys=True)
 
 
-def _cell_of(record: RunRecord, dataset: Dataset) -> Cell:
-    """The (triplet, mode) cell that a logged record answers."""
+def _triplet_of(record: RunRecord, dataset: Dataset) -> Triplet:
+    """The triplet that a logged record answers."""
     triplet = dataset.by_id.get(record.triplet_id)
     if triplet is None:
         raise DataError(
             f"logged record references unknown triplet id {record.triplet_id!r}; "
             "the log does not belong to this dataset"
         )
-    return triplet, record.mode
+    return triplet
 
 
 def _spot_check(
-    records: Iterable[RunRecord],
+    records: dict[PromptMode, RunRecord],
     dataset: Dataset,
     config: ExperimentConfig,
     registry: TemplateRegistry,
 ) -> None:
-    """Re-render the cells of records and compare each hash with the one
-    logged. This catches a render change shipped without a new RENDERER
-    on the few cells checked; checking every record needs a full
-    re-render, which a resume does not make."""
-    for record in records:
-        cell = render(*_cell_of(record, dataset), config.model.params, registry)
+    """Re-render the cells of records, one per mode, and compare each
+    hash with the one logged. This catches a render change shipped
+    without a new RENDERER on the few cells checked; checking every
+    record needs a full re-render, which a resume does not make."""
+    for mode, record in records.items():
+        triplet = _triplet_of(record, dataset)
+        cell = render(triplet, mode, config.model.params, registry)
         if cell.content_hash != record.content_hash:
             raise DataError(
                 f"the logged record for cell {record.triplet_id}/{cell.mode.key} "
@@ -486,9 +488,9 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
         model_name = config.model.name
         first_of_mode: dict[PromptMode, RunRecord] = {}
 
-        def keep(record: RunRecord) -> bool:
+        def keep(record: RunRecord, mode: PromptMode) -> bool:
             if record.model == model_name:
-                first_of_mode.setdefault(record.mode, record)
+                first_of_mode.setdefault(mode, record)
             return record.error is None
 
         torn: list[int] = []  # where the scan dropped a torn final line
@@ -501,7 +503,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
                 "nothing binds them to a dataset/model/template/renderer "
                 "combination; use a fresh output_dir"
             )
-        _spot_check(first_of_mode.values(), dataset, config, registry)
+        _spot_check(first_of_mode, dataset, config, registry)
 
         def answered(triplet_id: str, mode: PromptMode) -> bool:
             ok = succeeded.get((model_name, triplet_id, mode))
@@ -607,10 +609,9 @@ def rescore(
     if not records_path.exists():
         raise DataError(f"no record log at {records_path}")
 
-    def score_record(record: RunRecord) -> Outcome:
-        triplet, mode = _cell_of(record, dataset)
+    def score_record(record: RunRecord, mode: PromptMode) -> Outcome:
         return score(
-            triplet,
+            _triplet_of(record, dataset),
             record.response_text,
             mode.task,
             mode.dop,

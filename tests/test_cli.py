@@ -117,6 +117,19 @@ def test_verify_paper_fails_with_exit_3(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("field, value", [("model", ["GPT-4"]), ("note", 5)])
+def test_verify_paper_refuses_a_wrongly_typed_model_or_note(tmp_path, capsys, field, value):
+    table = json.loads(PUBLISHED.read_text(encoding="utf-8"))
+    table["rows"][0][field] = value
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    assert main(["verify-paper", "--fixture", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"wrong shape: {field} must be" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 # ingest
 
 

@@ -9,7 +9,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from mwpeval import (
@@ -31,9 +31,11 @@ from mwpeval.prompting import (
     REASONING_MODE,
     REASONING_ONLY,
     REQUIRED_PLACEHOLDERS,
+    PLACEHOLDER,
     DopLevel,
     PromptMode,
     TaskKind,
+    Template,
     TemplateRegistry,
     compute_content_hash,
     mode_for,
@@ -210,6 +212,53 @@ def test_substitution_is_single_pass():
     )
     prompt = render(triplet, REASONING_MODE, registry=REGISTRY)
     assert "Compute {{question}} plus 6 eggs" in prompt.text
+
+
+# Pieces of triplet text that a substitution could mistake for a
+# placeholder, an escape or a group reference.
+BRACED_TEXT = st.lists(
+    st.sampled_from(["{{question}}", "{{", "}}", "{", "}", "\\", "\\1", "\\g<0>", "a", " ", "\n", "é"]),
+    max_size=8,
+).map("".join)
+
+
+def substituted(template_text: str, triplet) -> str:
+    """The reference render: one regex substitution over the template."""
+    values = {
+        "question": triplet.question,
+        "wrong_solution": triplet.wrong_solution,
+        "numeric_answer": triplet.reference_numeric,
+        "brief_explanation": triplet.brief_explanation,
+        "reference_solution": triplet.reference_solution,
+    }
+    return PLACEHOLDER.sub(lambda match: values[match.group(1)], template_text)
+
+
+@given(
+    question=BRACED_TEXT,
+    wrong_solution=BRACED_TEXT,
+    brief_explanation=BRACED_TEXT,
+    reference_solution=BRACED_TEXT,
+    around=st.lists(BRACED_TEXT, min_size=3, max_size=3),
+)
+def test_render_fills_a_template_as_one_regex_substitution(
+    question, wrong_solution, brief_explanation, reference_solution, around
+):
+    triplet = make_triplet(
+        question=question,
+        wrong_solution=wrong_solution,
+        brief_explanation=brief_explanation,
+        reference_solution=reference_solution,
+    )
+    # a reasoning template whose own text is braced around two placeholders
+    reasoning = "{{question}}".join(around)
+    assume(set(PLACEHOLDER.findall(reasoning)) == {"question"})
+    templates = {mode.template_name: REGISTRY.get(mode) for mode in MODES}
+    templates["reasoning"] = Template("reasoning", "reasoning@braced", reasoning)
+    for registry in (REGISTRY, TemplateRegistry(templates)):
+        for mode in MODES:
+            text = render(triplet, mode, registry=registry).text
+            assert text == substituted(registry.get(mode).text, triplet)
 
 
 # registry loading

@@ -341,6 +341,8 @@ def test_load_published_input_errors(tmp_path):
         ("sruc", 306.0, True),
         ("ursc", "165", True),
         ("uruc", None, True),
+        ("model", ["GPT-4"], True),
+        ("note", 5, True),
     ],
 )
 def test_a_published_value_of_the_wrong_type_is_refused(tmp_path, field, value, row):

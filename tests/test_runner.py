@@ -199,7 +199,8 @@ def test_index_keeps_latest_but_never_drops_a_success():
     kept = []
     key = ("m", "x01", REASONING_MODE)
 
-    def keep(record):
+    def keep(record, mode):
+        assert mode is record.mode
         kept.append(record)
         return record
 
@@ -211,7 +212,7 @@ def test_index_keeps_latest_but_never_drops_a_success():
     # success then success: latest wins
     assert index_records([ok, retried_ok], keep)[key] is retried_ok
     # only what keep returns is held per key
-    texts = index_records([ok, newer_error], lambda record: record.response_text)
+    texts = index_records([ok, newer_error], lambda record, mode: record.response_text)
     assert texts == {key: "#### 24"}
     # the key is the cell's identity, with the shared mode, whatever its hash
     (only,) = index_records([ok, replace(retried_ok, content_hash="d" * 64)], keep)
@@ -620,6 +621,31 @@ def test_concurrency_one_appends_in_cell_order(tmp_path, fixture_dataset):
     assert [r.content_hash for r in logged] == [c.content_hash for c in rendered(cells, config)]
 
 
+# The fields that differ between two runs of the same cells, each with
+# the fixed value the golden log holds instead.
+VOLATILE_FIELDS = (
+    (re.compile(rb'"run_id": "[0-9a-f]{12}"'), b'"run_id": "-"'),
+    (re.compile(rb'"latency_ms": [0-9.e+-]+'), b'"latency_ms": 0.0'),
+    (re.compile(rb'"created_at": "\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ"'), b'"created_at": "-"'),
+)
+
+
+def test_a_fresh_run_writes_the_golden_log_byte_for_byte(tmp_path, monkeypatch):
+    """A scripted run over all five modes, 60 of whose 100 cells fail for
+    want of a scripted response. The scripted file is named relative to
+    the data dir, so that the logged errors name no machine's path."""
+    monkeypatch.chdir(DATA_DIR)
+    model = ModelSpec(name="fixture-model", endpoint=f"scripted:{SCRIPTED.name}")
+    config = all_modes_config(tmp_path / "out", model=model)
+    summary = run(config)
+    assert (summary.fresh, summary.failed) == (40, 60)
+    log = (Path(config.output_dir) / "records.jsonl").read_bytes()
+    for pattern, fixed in VOLATILE_FIELDS:
+        log, count = pattern.subn(fixed, log)
+        assert count == log.count(b"\n") == 100
+    assert log == (DATA_DIR / "golden_records.jsonl").read_bytes()
+
+
 class GaugedBackend:
     """Each call waits at a barrier of `width` parties, so calls pass in
     groups of exactly `width`; records the most calls seen in flight."""
@@ -879,6 +905,27 @@ def test_rescore_parses_each_reference_once(tmp_path, monkeypatch):
     outcomes = rescore(config.output_dir, config.dataset)
     assert len(outcomes) == 40
     assert 0 < len(parsed) <= 20  # fixture triplets, each scored twice
+
+
+def test_a_cached_rerun_and_a_rescore_look_up_each_records_mode_once(tmp_path, monkeypatch):
+    config = sp_config(tmp_path / "out", modes=tuple(DopLevel))
+    run(config, backend=FixedBackend())
+    logged = len(load_whole_log(Path(config.output_dir) / "records.jsonl"))
+    assert logged == 100
+    lookups = []
+    mode = RunRecord.mode
+
+    def counting(record):
+        lookups.append(record.triplet_id)
+        return mode.fget(record)
+
+    monkeypatch.setattr(RunRecord, "mode", property(counting))
+    summary = run(config, backend=FixedBackend())
+    assert (summary.cached, summary.fresh) == (100, 0)
+    assert len(lookups) == logged
+    lookups.clear()
+    assert len(rescore(config.output_dir, config.dataset)) == 100
+    assert len(lookups) == logged
 
 
 def test_rescore_is_deterministic_and_sorted(tmp_path):

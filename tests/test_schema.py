@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import datetime
 import gc
 import itertools
 import json
 import os
+import re
+import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -33,7 +38,7 @@ from mwpeval import (
     write_report_bundle,
     write_scored,
 )
-from mwpeval._schema import dump, json_text, load, write_atomic
+from mwpeval._schema import dump, json_text, load, utc_now, write_atomic
 from mwpeval.cli import main
 
 from conftest import DATA_DIR, make_triplet
@@ -276,6 +281,12 @@ def test_any_record_reads_back_as_built(fields):
     assert loaded.to_json_line() == record.to_json_line()
 
 
+@given(record_fields)
+def test_a_record_line_is_what_json_dumps_gives(fields):
+    record = RunRecord(**fields)
+    assert record.to_json_line() == json.dumps(dump(record), ensure_ascii=False)
+
+
 @given(
     st.builds(
         make_triplet,
@@ -289,6 +300,72 @@ def test_any_triplet_reads_back_as_built(triplet):
     loaded = Triplet.from_json_line(triplet.to_json_line())
     assert loaded == triplet
     assert loaded.to_json_line() == triplet.to_json_line()
+
+
+# every timestamp is one format, formatted once per second
+
+TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ")
+
+
+def utc_text(second: int) -> str:
+    return datetime.datetime.fromtimestamp(second, datetime.timezone.utc).strftime(
+        "%Y-%m-%dT%H:%M:%SZ"
+    )
+
+
+def test_utc_now_is_the_current_utc_second():
+    before = datetime.datetime.now(datetime.timezone.utc)
+    now = utc_now()
+    after = datetime.datetime.now(datetime.timezone.utc)
+    assert TIMESTAMP.fullmatch(now)
+    assert now in {t.strftime("%Y-%m-%dT%H:%M:%SZ") for t in (before, after)}
+
+
+def test_utc_now_changes_exactly_at_a_second_boundary(monkeypatch):
+    boundary = 1_700_000_000 * 10**9
+    clock = iter([boundary - 10**9, boundary - 1, boundary - 1, boundary, boundary + 10**9 - 1])
+    monkeypatch.setattr(time, "time_ns", lambda: next(clock))
+    texts = [utc_now() for _ in range(5)]
+    early, late = utc_text(1_699_999_999), utc_text(1_700_000_000)
+    assert texts == [early, early, early, late, late]
+    assert late == "2023-11-14T22:13:20Z"
+
+
+def test_utc_now_across_threads_gives_each_call_its_own_second(monkeypatch):
+    """8 threads x 1,000 calls on a clock that moves 10 ms per read, so
+    the threads race across 80 second boundaries: each call gets the
+    text of the second its own clock read fell in."""
+    ticks = itertools.count(1_700_000_000 * 10**9, 10**7)
+    read = threading.local()
+
+    def time_ns():
+        read.ns = next(ticks)
+        return read.ns
+
+    monkeypatch.setattr(time, "time_ns", time_ns)
+    wrong: list[tuple[int, str]] = []
+    start = threading.Barrier(8)
+
+    def calls():
+        start.wait()
+        for _ in range(1000):
+            text = utc_now()
+            if text != utc_text(read.ns // 10**9):
+                wrong.append((read.ns, text))
+
+    threads = [threading.Thread(target=calls) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert next(ticks) == (1_700_000_000 + 80) * 10**9
 
 
 # every whole file is replaced, never cut
