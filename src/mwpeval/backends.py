@@ -13,18 +13,26 @@ fixture gap fails loudly instead of polluting results.
 
 from __future__ import annotations
 
+import base64
 import email.utils
+import functools
+import http.client
+import json
 import os
 import random
+import select
+import socket
+import ssl
 import threading
 import time
+import urllib.parse
+import weakref
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
 import requests
-from requests.adapters import HTTPAdapter
 
 from ._schema import dump, load, read_jsonl
 from .errors import BackendError, ConfigurationError, DataError, ScriptedLookupError, UsageError
@@ -175,6 +183,9 @@ class ScriptedBackend:
             f"and key {composite!r}"
         )
 
+    def close(self) -> None:
+        """Nothing to release: the fixture is read when the backend is built."""
+
 
 class HttpChatBackend:
     """Chat-completions client with retry, jitter and rate limiting.
@@ -182,19 +193,24 @@ class HttpChatBackend:
     Retries 429, 5xx and transport failures with exponential backoff and
     full jitter, except that a 429 or 503 carrying a readable Retry-After
     waits what it asks, capped at the policy's max_delay; any other
-    status is treated as permanent. Jitter only shifts timing, never
-    content. A session the backend creates keeps a connection pool of
-    max(concurrency, 10), so `concurrency` threads calling complete() at
-    once never discard connections, and never reads `.netrc`, so the
-    `auth_env` credential is the only one sent; a session the caller
-    supplies is used as given.
+    status is treated as permanent, a 3xx redirect included: redirects
+    are not followed. Jitter only shifts timing, never content.
 
-    The proxy and CA-bundle environment variables (`HTTP_PROXY`,
-    `NO_PROXY`, `REQUESTS_CA_BUNDLE` and the like) are read once, here,
-    for the one URL the backend posts to, together with the session's
-    own proxies, verify, cert and stream; changing them later has no
-    effect on this backend. Its headers, cookies, auth and hooks are
-    still applied to every request.
+    Everything requests would merge into each call is read once, here,
+    for the one URL the backend posts to, from the session (the caller's,
+    or a fresh one) and the environment: the headers, cookies and auth of
+    the session, `.netrc` when the session's `trust_env` is on, the
+    proxies (`HTTP_PROXY`, `NO_PROXY` and the like), and verify and cert
+    (`REQUESTS_CA_BUNDLE` and the like). Changing any of them later has
+    no effect on this backend. A session the backend creates never reads
+    `.netrc`, so the `auth_env` credential is the only one sent. A
+    caller's session hooks, mounted adapters and the cookies its
+    responses set do not apply.
+
+    Requests then go over keep-alive `http.client` connections that the
+    backend owns, so there is one per thread calling complete() at once;
+    up to max(concurrency, 10) idle ones are kept. close(), or dropping
+    the backend, closes them.
     """
 
     def __init__(
@@ -206,7 +222,7 @@ class HttpChatBackend:
         concurrency: int = 1,
     ) -> None:
         self._spec = spec
-        self._headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json"}
         if spec.auth_env:
             secret = os.environ.get(spec.auth_env, "")
             if not secret:
@@ -214,30 +230,49 @@ class HttpChatBackend:
                     f"environment variable {spec.auth_env} is not set; it must "
                     f"hold the credential for {spec.name}"
                 )
-            self._headers["Authorization"] = f"Bearer {secret}"
+            headers["Authorization"] = f"Bearer {secret}"
+        url = spec.endpoint.rstrip("/") + "/chat/completions"
         own_session = session is None
         if own_session:
             session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=max(concurrency, 10))
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-        self._url = spec.endpoint.rstrip("/") + "/chat/completions"
-        # what Session.request would re-read from os.environ on every call
-        self._send_settings = session.merge_environment_settings(self._url, {}, None, None, None)
-        if own_session:
-            session.trust_env = False  # so no request reads .netrc
-        self._session = session
+        try:
+            settings = session.merge_environment_settings(url, {}, None, None, None)
+            if own_session:
+                session.trust_env = False  # so .netrc is not read
+            # A body-less POST gives the header block every call sends.
+            prepared = session.prepare_request(requests.Request("POST", url, headers=headers))
+        except requests.RequestException as exc:
+            raise ConfigurationError(f"{spec.name}: cannot send to {url}: {exc}") from exc
+        finally:
+            if own_session:
+                session.close()
+        self._headers = {
+            name: value
+            for name, value in prepared.headers.items()
+            if name.lower() not in ("content-length", "accept-encoding")
+        }
+        self._target, proxy_headers, connect = _route(spec, prepared, settings)
+        self._headers.update(proxy_headers)
+        self._pool = _ConnectionPool(connect, max(concurrency, 10))
+        self._finalizer = weakref.finalize(self, self._pool.close)
         self._sleep = sleep
         self._rng = rng or random.Random()
         self._limiter = RateLimiter(spec.requests_per_second)
 
+    def close(self) -> None:
+        """Close the idle connections. Calls made after this still work,
+        each on a connection of its own."""
+        self._finalizer()
+
     def complete(self, prompt: RenderedPrompt) -> CompletionResult:
-        payload = {
-            "model": self._spec.name,
-            "messages": [{"role": "user", "content": prompt.text}],
-            "temperature": self._spec.params.temperature,
-            "max_tokens": self._spec.params.max_tokens,
-        }
+        body = json.dumps(
+            {
+                "model": self._spec.name,
+                "messages": [{"role": "user", "content": prompt.text}],
+                "temperature": self._spec.params.temperature,
+                "max_tokens": self._spec.params.max_tokens,
+            }
+        ).encode("utf-8")
         started = time.monotonic()
         last_failure = "no attempt made"
         policy = self._spec.retry
@@ -250,43 +285,53 @@ class HttpChatBackend:
             asked = None
             self._limiter.acquire()
             try:
-                request = requests.Request("POST", self._url, headers=self._headers, json=payload)
-                response = self._session.send(
-                    self._session.prepare_request(request),
-                    timeout=self._spec.timeout,
-                    allow_redirects=True,
-                    **self._send_settings,
-                )
-            except requests.RequestException as exc:
+                response, raw = self._post(body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_failure = f"transport failure: {exc.__class__.__name__}: {exc}"
                 continue
-            if response.status_code == 200:
-                return self._parse(response, attempt, started)
-            if response.status_code == 429 or response.status_code >= 500:
-                last_failure = f"HTTP {response.status_code}"
-                if response.status_code in (429, 503):
-                    asked = _retry_after(response.headers.get("Retry-After"), policy.max_delay)
+            status = response.status
+            if status == 200:
+                return self._parse(raw, attempt, started)
+            if status == 429 or status >= 500:
+                last_failure = f"HTTP {status}"
+                if status in (429, 503):
+                    asked = _retry_after(response.getheader("Retry-After"), policy.max_delay)
                 continue
+            redirect = ""
+            if 300 <= status < 400:
+                redirect = f" (redirect to {response.getheader('Location')!r} not followed)"
             raise BackendError(
-                f"{self._spec.name}: permanent HTTP {response.status_code}: "
-                f"{response.text[:200]}"
+                f"{self._spec.name}: permanent HTTP {status}{redirect}: "
+                f"{_text(raw)[:200]}"
             )
         raise BackendError(
             f"{self._spec.name}: giving up after {policy.max_attempts} attempts; "
             f"last failure: {last_failure}"
         )
 
-    def _parse(
-        self, response: requests.Response, attempts: int, started: float
-    ) -> CompletionResult:
+    def _post(self, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
+        """One POST on a pooled connection: the response and its body.
+        A connection that fails is closed, never pooled again."""
+        connection = self._pool.take()
         try:
-            data = response.json()
+            connection.request("POST", self._target, body, self._headers)
+            response = connection.getresponse()
+            raw = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        self._pool.give(connection)
+        return response, raw
+
+    def _parse(self, raw: bytes, attempts: int, started: float) -> CompletionResult:
+        try:
+            data = json.loads(_text(raw))
             text = data["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
             raise BackendError(
                 f"{self._spec.name}: malformed completion response "
                 f"({exc.__class__.__name__}: {exc}); body starts "
-                f"{response.text[:200]!r}"
+                f"{_text(raw)[:200]!r}"
             ) from exc
         if not isinstance(text, str):
             raise BackendError(
@@ -299,6 +344,136 @@ class HttpChatBackend:
             attempts=attempts,
             usage=data.get("usage") if isinstance(data.get("usage"), dict) else None,
         )
+
+
+def _text(raw: bytes) -> str:
+    return raw.decode("utf-8", "replace")
+
+
+def _route(
+    spec: ModelSpec, prepared: requests.PreparedRequest, settings: dict[str, Any]
+) -> tuple[str, dict[str, str], Callable[[], http.client.HTTPConnection]]:
+    """The request target, the proxy headers every request carries, and a
+    maker of connections for prepared.url, routed as requests would: via
+    the proxy select_proxy picks from the merged settings, in absolute
+    form for http and through a CONNECT tunnel for https, over TLS as
+    the merged verify and cert settings ask."""
+    url = urllib.parse.urlsplit(prepared.url)
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ConfigurationError(
+            f"{spec.name}: endpoint {spec.endpoint!r} is not an http:// or https:// URL"
+        )
+    host, port = url.hostname, url.port
+    target = prepared.path_url
+    proxy = requests.utils.select_proxy(prepared.url, settings["proxies"])
+    proxy_headers: dict[str, str] = {}
+    if proxy:
+        proxy = proxy if "://" in proxy else "http://" + proxy
+        via = urllib.parse.urlsplit(proxy)
+        try:
+            via_port = via.port
+        except ValueError as exc:
+            raise ConfigurationError(f"{spec.name}: bad proxy URL: {exc}") from None
+        if via.scheme != "http" or not via.hostname:
+            raise ConfigurationError(
+                f"{spec.name}: proxy {via.scheme}://{via.hostname} for {spec.endpoint!r} "
+                "is not supported; only http:// proxies are"
+            )
+        user, password = requests.utils.get_auth_from_url(proxy)
+        if user:
+            token = base64.b64encode(f"{user}:{password}".encode("latin-1")).decode("ascii")
+            proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+        if url.scheme == "http":
+            target = f"http://{url.netloc.rpartition('@')[2]}{target}"
+        host, port = via.hostname, via_port
+    timeout = spec.timeout
+    if url.scheme == "http":
+        return target, proxy_headers, functools.partial(
+            http.client.HTTPConnection, host, port, timeout
+        )
+    context = _tls_context(spec, settings["verify"], settings["cert"])
+
+    def connect() -> http.client.HTTPConnection:
+        connection = http.client.HTTPSConnection(host, port, timeout=timeout, context=context)
+        if proxy:
+            connection.set_tunnel(url.hostname, url.port, proxy_headers)
+        return connection
+
+    return target, {}, connect
+
+
+def _tls_context(spec: ModelSpec, verify: Any, cert: Any) -> ssl.SSLContext:
+    """The TLS context requests builds from verify and cert: the CA
+    bundle requests ships unless verify names a file or a directory, no
+    checks when verify is false, and cert (a file, or a (cert, key)
+    pair) loaded as the client certificate."""
+    try:
+        if not verify:
+            context = ssl.create_default_context()
+            context.check_hostname = False
+            context.verify_mode = ssl.CERT_NONE
+        else:
+            where = requests.utils.DEFAULT_CA_BUNDLE_PATH if verify is True else verify
+            if os.path.isdir(where):
+                context = ssl.create_default_context(capath=where)
+            else:
+                context = ssl.create_default_context(cafile=where)
+        if cert:
+            context.load_cert_chain(*((cert,) if isinstance(cert, str) else cert))
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"{spec.name}: cannot load the TLS settings: {exc}") from exc
+    context.set_alpn_protocols(["http/1.1"])
+    return context
+
+
+class _ConnectionPool:
+    """Idle keep-alive connections to one origin, shared by threads.
+
+    take() hands out an idle connection, or a new one when none is left;
+    give() keeps it for the next caller, up to `keep` idle ones, and
+    closes the rest. A kept connection whose socket has become readable
+    has been closed by the server (or holds bytes no request asked for),
+    so take() drops it instead of letting a request fail on it.
+    """
+
+    def __init__(self, connect: Callable[[], http.client.HTTPConnection], keep: int) -> None:
+        self._connect = connect
+        self._keep = keep
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def take(self) -> http.client.HTTPConnection:
+        while True:
+            with self._lock:
+                connection = self._idle.pop() if self._idle else None
+            if connection is None:
+                return self._connect()
+            if connection.sock is None or not _readable(connection.sock):
+                return connection
+            connection.close()
+
+    def give(self, connection: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if not self._closed and len(self._idle) < self._keep:
+                self._idle.append(connection)
+                return
+        connection.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether sock has input or EOF waiting, without blocking. poll,
+    unlike select, takes a descriptor of any number."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 def _retry_after(value: str | None, cap: float) -> float | None:
@@ -318,9 +493,10 @@ def _retry_after(value: str | None, cap: float) -> float | None:
     return min(max((when - datetime.now(timezone.utc)).total_seconds(), 0.0), cap)
 
 
-def create_backend(spec: ModelSpec, concurrency: int = 1) -> Backend:
+def create_backend(spec: ModelSpec, concurrency: int = 1) -> ScriptedBackend | HttpChatBackend:
     """Scripted backend for scripted: endpoints, HTTP otherwise, sized
-    for `concurrency` threads calling complete() at once."""
+    for `concurrency` threads calling complete() at once. The caller
+    closes it."""
     scripted = spec.scripted_path
     if scripted is not None:
         return ScriptedBackend(scripted)

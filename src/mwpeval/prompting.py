@@ -156,6 +156,9 @@ class GenerationParams:
             raise UsageError(f"temperature must be >= 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise UsageError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        # compute_content_hash's encoded payload head per template id; not
+        # a field, so equality, hashing and dump ignore it.
+        object.__setattr__(self, "_heads", {})
 
     def to_dict(self) -> dict[str, float | int]:
         return dump(self)
@@ -182,22 +185,22 @@ def compute_content_hash(
 ) -> str:
     """sha256 of the UTF-8 JSON object {"params", "template_id", "text"}
     with sorted keys. Everything before the text is fixed per template
-    and params, so it is hashed once and the digest state copied."""
-    # The key holds each param's type: 0 == 0.0, but they dump apart.
-    kinds = tuple(map(type, vars(params).values()))
-    digest = _payload_head(template_id, params, kinds).copy()
-    digest.update((json_value(text) + "}").encode("utf-8"))
-    return digest.hexdigest()
+    and params, so it is encoded once and kept on the params object,
+    which also keeps 0 and 0.0 apart: they are equal, but dump apart."""
+    heads = params._heads
+    head = heads.get(template_id)
+    if head is None:
+        head = heads[template_id] = _payload_head(template_id, params)
+    return hashlib.sha256(head + (json_value(text) + "}").encode("utf-8")).hexdigest()
 
 
-@functools.lru_cache(maxsize=64)
-def _payload_head(template_id: str, params: GenerationParams, kinds: tuple[type, ...]) -> Any:
+def _payload_head(template_id: str, params: GenerationParams) -> bytes:
     head = json.dumps(
         {"params": params.to_dict(), "template_id": template_id},
         sort_keys=True,
         ensure_ascii=False,
     )
-    return hashlib.sha256((head[:-1] + ', "text": ').encode("utf-8"))
+    return (head[:-1] + ', "text": ').encode("utf-8")
 
 
 def _template_id(name: str, text: str) -> str:

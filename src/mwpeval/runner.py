@@ -468,6 +468,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
     records_path = run_dir / "records.jsonl"
     # Opening the writer locks the output dir until the manifest is written.
     writer = _RecordWriter(records_path)
+    built = None  # a backend run() made itself, and so closes
     try:
         identity = _cache_identity(config, dataset, registry)
         identity_path = run_dir / "config.json"
@@ -518,7 +519,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
         writer.mend(*torn)
 
         if backend is None and pending:
-            backend = create_backend(config.model, config.concurrency)
+            backend = built = create_backend(config.model, config.concurrency)
 
         run_id = uuid.uuid4().hex[:12]
 
@@ -578,6 +579,8 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
         write_atomic(run_dir / "manifest.json", json_text(manifest))
     finally:
         writer.close()
+        if built is not None:
+            built.close()
     return RunSummary(
         run_dir=run_dir,
         records_path=records_path,

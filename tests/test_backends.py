@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import base64
+import contextlib
+import gc
 import json
 import logging
 import random
+import ssl
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 import requests
@@ -505,3 +511,258 @@ def test_model_spec_rejects_unknown_nested_keys():
 def test_model_spec_never_stores_secrets():
     spec = fast_spec("http://example.invalid", auth_env="KEY")
     assert "s3cret" not in json.dumps(spec.to_dict())
+
+
+# keep-alive connections, redirects, TLS and proxies
+
+TLS_DIR = Path(__file__).parent / "data" / "tls"
+
+
+@contextlib.contextmanager
+def serving(handler, tls: ssl.SSLContext | None = None):
+    """A threaded server for handler on 127.0.0.1, over TLS when given;
+    yields the server. Closing it joins every handler thread, so no
+    thread of one test is still running in the next."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.daemon_threads = False
+    server.socket.listen(64)
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+def keepalive_handler(state: dict):
+    """An HTTP/1.1 keep-alive chat endpoint that counts the connections
+    it accepts and the ones still open. A barrier in state["gate"] holds
+    each reply until that many requests are open at once; with
+    state["hang_up"] set, the server closes the connection after the
+    reply, as an idle timeout would."""
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        timeout = 10  # an idle connection a client never closes ends here
+
+        def setup(self):
+            super().setup()
+            with state["lock"]:
+                state["accepted"] += 1
+                state["open"] += 1
+
+        def finish(self):
+            super().finish()
+            with state["lock"]:
+                state["open"] -= 1
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", "0")))
+            state["seen"].append({"requestline": self.requestline, "headers": self.headers})
+            if state["gate"] is not None:
+                state["gate"].wait()
+            raw = json.dumps(ok_payload("kept")).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(raw)))
+            self.end_headers()
+            self.wfile.write(raw)
+            if state["hang_up"]:
+                self.close_connection = True
+
+        def log_message(self, fmt, *args):
+            pass
+
+    return Handler
+
+
+def new_state() -> dict:
+    return {
+        "lock": threading.Lock(), "accepted": 0, "open": 0, "seen": [],
+        "gate": None, "hang_up": False,
+    }
+
+
+@pytest.fixture()
+def keepalive_server():
+    state = new_state()
+    with serving(keepalive_handler(state)) as server:
+        yield f"http://127.0.0.1:{server.server_port}", state
+
+
+def settles(state: dict, key: str, value: int) -> bool:
+    """Whether state[key] reaches value within a few seconds: the server
+    sees a client's close only when its handler thread next reads."""
+    deadline = time.monotonic() + 5.0
+    while state[key] != value and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return state[key] == value
+
+
+def test_http_sequential_calls_share_one_connection(keepalive_server):
+    url, state = keepalive_server
+    backend, _ = backend_for(fast_spec(url))
+    try:
+        for _ in range(20):
+            assert backend.complete(prompt_for(make_triplet())).attempts == 1
+    finally:
+        backend.close()
+    assert len(state["seen"]) == 20
+    assert state["accepted"] == 1
+    assert settles(state, "open", 0)
+
+
+@pytest.mark.parametrize("concurrency, kept", [(4, 10), (32, 32)])
+def test_http_keeps_at_most_one_idle_connection_per_caller(keepalive_server, concurrency, kept):
+    url, state = keepalive_server
+    state["gate"] = threading.Barrier(32, timeout=10)
+    backend = create_backend(fast_spec(url), concurrency=concurrency)
+    prompt = prompt_for(make_triplet())
+    texts = []
+    threads = [
+        threading.Thread(target=lambda: texts.append(backend.complete(prompt).text))
+        for _ in range(32)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert texts == ["kept"] * 32
+    assert state["accepted"] == 32
+    # max(concurrency, 10) stay open for the next calls; the rest are closed
+    assert settles(state, "open", kept)
+    state["gate"] = None
+    assert backend.complete(prompt).attempts == 1
+    assert state["accepted"] == 32
+    backend.close()
+    backend.close()  # a second close does nothing
+    assert settles(state, "open", 0)
+
+
+def test_http_a_connection_the_server_closed_is_replaced_without_a_retry(keepalive_server):
+    url, state = keepalive_server
+    backend, sleeps = backend_for(fast_spec(url))
+    state["hang_up"] = True
+    assert backend.complete(prompt_for(make_triplet())).attempts == 1
+    assert settles(state, "open", 0)  # the kept connection is now closed
+    state["hang_up"] = False
+    result = backend.complete(prompt_for(make_triplet()))
+    assert (result.attempts, result.text, sleeps) == (1, "kept", [])
+    assert state["accepted"] == 2
+    backend.close()
+
+
+def test_http_a_dropped_backend_closes_its_connections(keepalive_server):
+    url, state = keepalive_server
+    backend, _ = backend_for(fast_spec(url))
+    backend.complete(prompt_for(make_triplet()))
+    assert state["open"] == 1
+    del backend
+    gc.collect()
+    assert settles(state, "open", 0)
+
+
+@pytest.mark.parametrize("status", [301, 307])
+def test_http_a_redirect_is_permanent_and_not_followed(chat_server, status):
+    url, state = chat_server
+    state["script"].append((status, "moved", ("Location", f"{url}/elsewhere")))
+    backend, sleeps = backend_for(fast_spec(url))
+    with pytest.raises(BackendError) as raised:
+        backend.complete(prompt_for(make_triplet()))
+    assert f"permanent HTTP {status}" in str(raised.value)
+    assert f"{url}/elsewhere" in str(raised.value)
+    assert len(state["seen"]) == 1 and sleeps == []
+
+
+def test_http_an_endpoint_that_is_not_http_is_refused_at_construction():
+    with pytest.raises(ConfigurationError, match="not an http"):
+        HttpChatBackend(fast_spec("ftp://127.0.0.1/v1"))
+
+
+@pytest.fixture()
+def tls_server(monkeypatch):
+    for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+        monkeypatch.delenv(name, raising=False)
+    unset_proxy_bypass(monkeypatch)
+    for name in ("https_proxy", "HTTPS_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    tls.load_cert_chain(TLS_DIR / "cert.pem", TLS_DIR / "key.pem")
+    state = new_state()
+    with serving(keepalive_handler(state), tls) as server:
+        yield f"https://127.0.0.1:{server.server_port}", state
+
+
+def test_https_is_refused_by_default_verification(tls_server):
+    url, state = tls_server
+    backend, _ = backend_for(fast_spec(url, retry=RetryPolicy(max_attempts=1)))
+    with pytest.raises(BackendError, match="transport failure.*CERTIFICATE_VERIFY_FAILED"):
+        backend.complete(prompt_for(make_triplet()))
+    assert state["seen"] == []
+
+
+def test_https_is_accepted_with_the_ca_bundle_variable(tls_server, monkeypatch):
+    url, state = tls_server
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(TLS_DIR / "cert.pem"))
+    backend, _ = backend_for(fast_spec(url))
+    for _ in range(3):
+        assert backend.complete(prompt_for(make_triplet())).text == "kept"
+    backend.close()
+    assert state["accepted"] == 1
+
+
+def test_https_is_accepted_by_a_session_that_does_not_verify(tls_server):
+    url, _ = tls_server
+    session = requests.Session()
+    session.verify = False
+    backend = HttpChatBackend(fast_spec(url), session=session)
+    assert backend.complete(prompt_for(make_triplet())).text == "kept"
+    backend.close()
+
+
+def test_http_through_a_proxy_sends_absolute_form_and_proxy_credentials(
+    keepalive_server, monkeypatch
+):
+    proxy, state = keepalive_server  # answers as the origin would
+    unset_proxy_bypass(monkeypatch)
+    for name in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.setenv(name, proxy.replace("http://", "http://user:pw@"))
+    backend, _ = backend_for(fast_spec("http://127.0.0.1:9/v1"))
+    assert backend.complete(prompt_for(make_triplet())).text == "kept"
+    backend.close()
+    (seen,) = state["seen"]
+    assert seen["requestline"] == "POST http://127.0.0.1:9/v1/chat/completions HTTP/1.1"
+    assert seen["headers"]["Proxy-Authorization"] == "Basic " + base64.b64encode(
+        b"user:pw"
+    ).decode("ascii")
+    assert seen["headers"]["Host"] == "127.0.0.1:9"
+
+
+def test_https_through_a_proxy_opens_a_tunnel_with_proxy_credentials(monkeypatch):
+    seen = []
+
+    class RefusingProxy(BaseHTTPRequestHandler):
+        def do_CONNECT(self):
+            seen.append((self.requestline, self.headers.get("Proxy-Authorization")))
+            self.send_error(403)
+
+        def log_message(self, fmt, *args):
+            pass
+
+    unset_proxy_bypass(monkeypatch)
+    with serving(RefusingProxy) as proxy:
+        for name in ("https_proxy", "HTTPS_PROXY"):
+            monkeypatch.setenv(name, f"http://user:pw@127.0.0.1:{proxy.server_port}")
+        spec = fast_spec("https://127.0.0.1:9/v1", retry=RetryPolicy(max_attempts=1))
+        backend, _ = backend_for(spec)
+        with pytest.raises(BackendError, match="transport failure.*403"):
+            backend.complete(prompt_for(make_triplet()))
+    credentials = "Basic " + base64.b64encode(b"user:pw").decode("ascii")
+    assert seen == [("CONNECT 127.0.0.1:9 HTTP/1.0", credentials)]

@@ -874,6 +874,43 @@ def test_run_sizes_the_backend_it_creates_to_concurrency(tmp_path, monkeypatch):
     assert sizes == [3]
 
 
+class ClosingBackend(ScriptedBackend):
+    """A scripted backend that counts close() calls, and raises after
+    `fuse` completions when one is set."""
+
+    def __init__(self, fuse: int | None = None):
+        super().__init__(SCRIPTED)
+        self.fuse = fuse
+        self.closed = 0
+
+    def complete(self, prompt):
+        if self.fuse is not None and self.calls >= self.fuse:
+            raise RuntimeError("simulated crash")
+        return super().complete(prompt)
+
+    def close(self):
+        self.closed += 1
+
+
+def test_run_closes_the_backend_it_creates_and_never_one_passed_in(tmp_path, monkeypatch):
+    built = []
+
+    def create_backend(spec, concurrency=1):
+        built.append(ClosingBackend(fuse=None if len(built) == 0 else 5))
+        return built[-1]
+
+    monkeypatch.setattr(mwpeval.runner, "create_backend", create_backend)
+    assert run(sp_config(tmp_path / "a")).fresh == 40
+    assert [b.closed for b in built] == [1]
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        run(sp_config(tmp_path / "b"))
+    assert [b.closed for b in built] == [1, 1]  # closed when the run fails too
+
+    given = ClosingBackend()
+    assert run(sp_config(tmp_path / "c"), backend=given).fresh == 40
+    assert given.closed == 0 and len(built) == 2
+
+
 def test_run_hashes_the_dataset_once(tmp_path, fixture_dataset, monkeypatch):
     serialised = []
     to_json_line = Triplet.to_json_line
