@@ -35,8 +35,8 @@ from typing import Any, Callable, Protocol
 import requests
 
 from ._schema import dump, load, read_jsonl
-from .errors import BackendError, ConfigurationError, DataError, ScriptedLookupError, UsageError
-from .prompting import GenerationParams, RenderedPrompt, mode_for
+from .errors import BackendError, ConfigurationError, DataError, ScriptedLookupError
+from .prompting import GenerationParams, RenderedPrompt
 
 SCRIPTED_PREFIX = "scripted:"
 
@@ -142,13 +142,6 @@ class RateLimiter:
         return slot
 
 
-def scripted_key(triplet_id: str, task: str, dop: str | None) -> str:
-    mode = mode_for(task, dop)
-    if mode is None:
-        raise UsageError(f"(task, dop) pair {(task, dop)!r} names no mode")
-    return f"{triplet_id}|{mode.key}"
-
-
 @dataclass(frozen=True)
 class _ScriptedRow:
     key: str
@@ -208,9 +201,10 @@ class HttpChatBackend:
     responses set do not apply.
 
     Requests then go over keep-alive `http.client` connections that the
-    backend owns, so there is one per thread calling complete() at once;
-    up to max(concurrency, 10) idle ones are kept. close(), or dropping
-    the backend, closes them.
+    backend owns, one per thread calling complete() at once; each is kept
+    for the next call, so the backend never holds more connections than
+    were ever in use at once. close(), or dropping the backend, closes
+    them.
     """
 
     def __init__(
@@ -219,7 +213,6 @@ class HttpChatBackend:
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
-        concurrency: int = 1,
     ) -> None:
         self._spec = spec
         headers = {"Content-Type": "application/json"}
@@ -253,7 +246,7 @@ class HttpChatBackend:
         }
         self._target, proxy_headers, connect = _route(spec, prepared, settings)
         self._headers.update(proxy_headers)
-        self._pool = _ConnectionPool(connect, max(concurrency, 10))
+        self._pool = _ConnectionPool(connect)
         self._finalizer = weakref.finalize(self, self._pool.close)
         self._sleep = sleep
         self._rng = rng or random.Random()
@@ -429,16 +422,17 @@ def _tls_context(spec: ModelSpec, verify: Any, cert: Any) -> ssl.SSLContext:
 class _ConnectionPool:
     """Idle keep-alive connections to one origin, shared by threads.
 
-    take() hands out an idle connection, or a new one when none is left;
-    give() keeps it for the next caller, up to `keep` idle ones, and
-    closes the rest. A kept connection whose socket has become readable
-    has been closed by the server (or holds bytes no request asked for),
-    so take() drops it instead of letting a request fail on it.
+    take() hands out an idle connection, and opens a new one only when
+    every connection the pool opened is in use; give() keeps it for the
+    next caller until the pool is closed. So the pool never holds more
+    connections than were in use at once. A kept connection whose socket
+    has become readable has been closed by the server (or holds bytes no
+    request asked for), so take() drops it instead of letting a request
+    fail on it.
     """
 
-    def __init__(self, connect: Callable[[], http.client.HTTPConnection], keep: int) -> None:
+    def __init__(self, connect: Callable[[], http.client.HTTPConnection]) -> None:
         self._connect = connect
-        self._keep = keep
         self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
         self._closed = False
@@ -455,7 +449,7 @@ class _ConnectionPool:
 
     def give(self, connection: http.client.HTTPConnection) -> None:
         with self._lock:
-            if not self._closed and len(self._idle) < self._keep:
+            if not self._closed:
                 self._idle.append(connection)
                 return
         connection.close()
@@ -493,11 +487,10 @@ def _retry_after(value: str | None, cap: float) -> float | None:
     return min(max((when - datetime.now(timezone.utc)).total_seconds(), 0.0), cap)
 
 
-def create_backend(spec: ModelSpec, concurrency: int = 1) -> ScriptedBackend | HttpChatBackend:
-    """Scripted backend for scripted: endpoints, HTTP otherwise, sized
-    for `concurrency` threads calling complete() at once. The caller
-    closes it."""
+def create_backend(spec: ModelSpec) -> ScriptedBackend | HttpChatBackend:
+    """Scripted backend for scripted: endpoints, HTTP otherwise. The
+    caller closes it."""
     scripted = spec.scripted_path
     if scripted is not None:
         return ScriptedBackend(scripted)
-    return HttpChatBackend(spec, concurrency=concurrency)
+    return HttpChatBackend(spec)

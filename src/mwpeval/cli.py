@@ -1,10 +1,11 @@
 """Command line interface.
 
 Subcommands: ingest, run, rescore, report, verify-paper, inspect.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
-failure. Errors print one line to stderr, or a JSON object with
---json-errors. Credentials are read only from the environment variables
-named in model configs and are never echoed.
+Exit codes: 0 success, 1 usage error, 2 data error or a file that
+cannot be read or written (an OSError), 3 verification failure. Errors
+print one line to stderr, or a JSON object with --json-errors.
+Credentials are read only from the environment variables named in
+model configs and are never echoed.
 """
 
 from __future__ import annotations
@@ -337,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         _emit_error(exc, as_json)
         return 3
-    except HarnessError as exc:
+    except (HarnessError, OSError) as exc:
         _emit_error(exc, as_json)
         return 2
 

@@ -29,7 +29,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .prompting import DopLevel, PromptMode, mode_for
+from .prompting import PromptMode, mode_for
 from .scoring import Outcome
 
 
@@ -114,23 +114,6 @@ def e_ratios(counts: QuadrantCounts) -> tuple[float | None, float | None]:
     e_r = counts.srsc / (counts.srsc + counts.ursc) if counts.srsc + counts.ursc else None
     e_c = counts.srsc / (counts.srsc + counts.sruc) if counts.srsc + counts.sruc else None
     return e_r, e_c
-
-
-def dop_pass_rates(outcomes: Iterable[Outcome]) -> dict[DopLevel, float]:
-    """Correction success rate per mode over scored outcomes.
-
-    All correction outcomes must come from one model; mixing models in
-    one pool would average incomparable things."""
-    by_model = successes_by_mode(outcomes)
-    corrected = [model for model, by_mode in by_model.items() if any(m.dop for m in by_mode)]
-    if len(corrected) > 1:
-        raise DataError(f"outcomes mix models: {sorted(corrected)}")
-    return {
-        mode.dop: sum(successes.values()) / len(successes)
-        for by_mode in by_model.values()
-        for mode, successes in by_mode.items()
-        if mode.dop
-    }
 
 
 # Resamples drawn per index matrix: bounds the draw at _CHUNK x n int64

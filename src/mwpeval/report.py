@@ -8,10 +8,13 @@ half-up rounding to three places; report.json keeps full precision.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Sequence
+from xml.sax.saxutils import escape
 
 from ._schema import dump, json_text, read_json, write_atomic
 from .errors import DataError, UsageError
@@ -132,7 +135,8 @@ def _ci_text(ci: tuple[float, float] | None) -> str:
 def render_markdown(
     reports: Sequence[RateReport], meta: dict[str, Any] | None = None
 ) -> str:
-    """Markdown report: metadata bullets, then one row per (model, mode)."""
+    """Markdown report: metadata bullets, then one row per (model, mode).
+    A `|` in a cell is written `\\|`, so it cannot split the row."""
     with_ci = any(r.r_ci or r.c_ci for r in reports)
     lines = ["# Solving vs correction rates", ""]
     for key in sorted(meta or {}):
@@ -157,21 +161,24 @@ def render_markdown(
         ]
         if with_ci:
             row += [_ci_text(report.r_ci), _ci_text(report.c_ci)]
-        lines.append("| " + " | ".join(row) + " |")
+        lines.append("| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |")
     lines.append("")
     return "\n".join(lines)
 
 
 def render_csv(reports: Sequence[RateReport]) -> str:
     """CSV with the same presentation rounding as the Markdown table;
-    undefined ratios are empty cells."""
+    undefined ratios are empty cells, and a field that needs it is
+    quoted."""
     def cell(value: float | None) -> str:
         return "" if value is None else format_rate(value)
 
-    lines = [
-        "model,mode,n,srsc,sruc,ursc,uruc,r_rate,c_rate,e_r,e_c,"
-        "r_ci_low,r_ci_high,c_ci_low,c_ci_high"
-    ]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([
+        "model", "mode", "n", "srsc", "sruc", "ursc", "uruc", "r_rate", "c_rate", "e_r", "e_c",
+        "r_ci_low", "r_ci_high", "c_ci_low", "c_ci_high",
+    ])
     for report in reports:
         c = report.counts
         r_ci = report.r_ci or (None, None)
@@ -181,8 +188,8 @@ def render_csv(reports: Sequence[RateReport]) -> str:
             *map(str, (c.n, c.srsc, c.sruc, c.ursc, c.uruc)),
             *map(cell, (report.r_rate, report.c_rate, report.e_r, report.e_c, *r_ci, *c_ci)),
         ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        writer.writerow(row)
+    return out.getvalue()
 
 
 def chart_data(reports: Sequence[RateReport]) -> dict[str, Any]:
@@ -204,8 +211,9 @@ _SERIES_COLORS = ("#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1", "#76b7b
 
 
 def render_svg(chart: dict[str, Any]) -> str:
-    """A small static grouped bar chart of the chart data. Presentation
-    only; report.json is the machine-readable artifact."""
+    """A small static grouped bar chart of the chart data, model names
+    XML-escaped. Presentation only; report.json is the machine-readable
+    artifact."""
     models: list[str] = chart["models"]
     series: list[dict[str, Any]] = chart["series"]
     bar = 18
@@ -227,7 +235,7 @@ def render_svg(chart: dict[str, Any]) -> str:
         gy = top + gi * group_h
         parts.append(
             f'<text x="{left - 8}" y="{gy + group_h / 2 - group_gap / 2}" '
-            f'text-anchor="end">{model}</text>'
+            f'text-anchor="end">{escape(model)}</text>'
         )
         for si, s in enumerate(series):
             value = values.get((s["mode"], model))

@@ -519,7 +519,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
         writer.mend(*torn)
 
         if backend is None and pending:
-            backend = built = create_backend(config.model, config.concurrency)
+            backend = built = create_backend(config.model)
 
         run_id = uuid.uuid4().hex[:12]
 

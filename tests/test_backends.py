@@ -6,7 +6,6 @@ import base64
 import contextlib
 import gc
 import json
-import logging
 import random
 import ssl
 import threading
@@ -30,7 +29,6 @@ from mwpeval import (
     ScriptedLookupError,
     create_backend,
     render,
-    scripted_key,
 )
 from mwpeval.prompting import CORRECTION_MODES, REASONING_MODE, DopLevel, TemplateRegistry
 
@@ -74,11 +72,6 @@ def test_scripted_miss_raises_lookup_error(scripted_path):
     stranger = make_triplet(id="zz99")
     with pytest.raises(ScriptedLookupError, match="zz99"):
         backend.complete(prompt_for(stranger))
-
-
-def test_scripted_key_format():
-    assert scripted_key("t07", "reasoning", None) == "t07|reasoning|-"
-    assert scripted_key("t07", "correction", "sp") == "t07|correction|sp"
 
 
 def test_scripted_duplicate_keys_rejected(tmp_path):
@@ -163,10 +156,8 @@ def ok_payload(text: str) -> dict:
 @pytest.fixture()
 def chat_server():
     """A throwaway chat-completions endpoint driven by a response script
-    of (status, payload, *(header name, value)) entries. A barrier put
-    in state["gate"] holds each response until that many requests are
-    open at once."""
-    state = {"script": [], "seen": [], "gate": None}
+    of (status, payload, *(header name, value)) entries."""
+    state = {"script": [], "seen": []}
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -183,8 +174,6 @@ def chat_server():
                 status, payload, *headers = state["script"].pop(0)
             else:
                 status, payload, headers = 200, ok_payload("unscripted"), []
-            if state["gate"] is not None:
-                state["gate"].wait()
             raw = (
                 payload.encode("utf-8")
                 if isinstance(payload, str)
@@ -202,7 +191,6 @@ def chat_server():
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    server.socket.listen(64)  # room for every connection of a gated burst
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
@@ -379,30 +367,11 @@ def test_http_transport_failures_retry_then_give_up():
     assert len(sleeps) == 1
 
 
-def test_http_pool_is_sized_to_concurrency(chat_server, caplog):
-    url, state = chat_server
-    state["gate"] = threading.Barrier(32, timeout=10)
-    backend = create_backend(fast_spec(url), concurrency=32)
-    prompt = prompt_for(make_triplet())
-    texts = []
-    with caplog.at_level(logging.WARNING, logger="urllib3"):
-        threads = [
-            threading.Thread(target=lambda: texts.append(backend.complete(prompt).text))
-            for _ in range(32)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    assert texts == ["unscripted"] * 32
-    assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
-
-
 def test_http_keeps_a_session_the_caller_supplies(chat_server):
     url, _ = chat_server
     session = requests.Session()
     adapters = dict(session.adapters)
-    backend = HttpChatBackend(fast_spec(url), session=session, concurrency=32)
+    backend = HttpChatBackend(fast_spec(url), session=session)
     assert dict(session.adapters) == adapters
     assert backend.complete(prompt_for(make_triplet())).text == "unscripted"
 
@@ -618,29 +587,49 @@ def test_http_sequential_calls_share_one_connection(keepalive_server):
     assert settles(state, "open", 0)
 
 
-@pytest.mark.parametrize("concurrency, kept", [(4, 10), (32, 32)])
-def test_http_keeps_at_most_one_idle_connection_per_caller(keepalive_server, concurrency, kept):
-    url, state = keepalive_server
-    state["gate"] = threading.Barrier(32, timeout=10)
-    backend = create_backend(fast_spec(url), concurrency=concurrency)
+def gated_calls(backend, state: dict, callers: int, calls: int) -> list[str]:
+    """The texts of `calls` complete() calls from each of `callers`
+    threads, the server holding every reply until all callers have a
+    request open."""
+    state["gate"] = threading.Barrier(callers, timeout=10)
     prompt = prompt_for(make_triplet())
     texts = []
-    threads = [
-        threading.Thread(target=lambda: texts.append(backend.complete(prompt).text))
-        for _ in range(32)
-    ]
+
+    def call():
+        for _ in range(calls):
+            texts.append(backend.complete(prompt).text)
+
+    threads = [threading.Thread(target=call) for _ in range(callers)]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join(timeout=10)
+        thread.join(timeout=30)
     assert not any(thread.is_alive() for thread in threads)
-    assert texts == ["kept"] * 32
-    assert state["accepted"] == 32
-    # max(concurrency, 10) stay open for the next calls; the rest are closed
-    assert settles(state, "open", kept)
     state["gate"] = None
-    assert backend.complete(prompt).attempts == 1
-    assert state["accepted"] == 32
+    return texts
+
+
+def test_http_pool_is_sized_to_concurrency(keepalive_server):
+    # Each of the 50 rounds holds 16 requests open at once; a pool that
+    # closed a returned connection would open a new one the next round.
+    url, state = keepalive_server
+    backend = HttpChatBackend(fast_spec(url))
+    assert gated_calls(backend, state, callers=16, calls=50) == ["kept"] * 800
+    assert state["accepted"] == 16
+    backend.close()
+    assert settles(state, "open", 0)
+
+
+@pytest.mark.parametrize("calls, callers", [(4, 10), (32, 32)])
+def test_http_keeps_at_most_one_idle_connection_per_caller(keepalive_server, calls, callers):
+    url, state = keepalive_server
+    backend = create_backend(fast_spec(url))
+    assert gated_calls(backend, state, callers, calls) == ["kept"] * (calls * callers)
+    assert state["accepted"] == callers
+    # one connection per caller stays open for the next calls, and no more are opened
+    assert settles(state, "open", callers)
+    assert backend.complete(prompt_for(make_triplet())).attempts == 1
+    assert state["accepted"] == callers
     backend.close()
     backend.close()  # a second close does nothing
     assert settles(state, "open", 0)

@@ -90,6 +90,25 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_a_run_whose_output_dir_is_under_a_file_exits_2_with_one_json_line(tmp_path, capsys):
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    config = write_config(tmp_path, output_dir=str(tmp_path / "plain" / "out"))
+    assert main(["--json-errors", "run", "--config", str(config)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "NotADirectoryError"
+    assert str(tmp_path / "plain" / "out") in payload["message"]
+
+
+def test_a_report_out_dir_that_is_a_file_exits_2_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "plain"
+    out.write_text("", encoding="utf-8")
+    assert main(["report", "--counts", "builtin", "--out-dir", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(out) in line
+    assert out.read_text(encoding="utf-8") == ""
+
+
 # verify-paper
 
 

@@ -11,18 +11,14 @@ from hypothesis import strategies as st
 
 from mwpeval import (
     DataError,
-    DopLevel,
     QuadrantCounts,
-    TaskKind,
     bootstrap_ci,
-    dop_pass_rates,
     e_ratios,
     format_rate,
     quadrants,
     rates,
 )
 from mwpeval.metrics import UNDEFINED_MARK
-from mwpeval.scoring import Outcome
 
 
 def pairs_from_counts(counts: QuadrantCounts) -> list[tuple[bool, bool]]:
@@ -31,19 +27,6 @@ def pairs_from_counts(counts: QuadrantCounts) -> list[tuple[bool, bool]]:
         + [(True, False)] * counts.sruc
         + [(False, True)] * counts.ursc
         + [(False, False)] * counts.uruc
-    )
-
-
-def correction_outcome(i: int, dop: DopLevel, success: bool) -> Outcome:
-    return Outcome(
-        triplet_id=f"t{i:03d}",
-        task=TaskKind.CORRECTION,
-        dop=dop,
-        model="m",
-        template_id="x@00000000",
-        extracted="1" if success else "2",
-        success=success,
-        reason="matched" if success else "mismatched",
     )
 
 
@@ -94,46 +77,6 @@ def test_e_ratios_undefined_when_denominator_empty():
     assert e_ratios(QuadrantCounts(0, 5, 0, 5)) == (None, 0.0)
     # nothing reasoned: e_c has no denominator
     assert e_ratios(QuadrantCounts(0, 0, 5, 5)) == (0.0, None)
-
-
-def test_dop_pass_rates_per_level():
-    outcomes = [
-        correction_outcome(1, DopLevel.SP, False),
-        correction_outcome(2, DopLevel.SP, True),
-        correction_outcome(1, DopLevel.SA, True),
-        correction_outcome(2, DopLevel.SA, True),
-    ]
-    got = dop_pass_rates(outcomes)
-    assert got == {DopLevel.SP: 0.5, DopLevel.SA: 1.0}
-
-
-def test_dop_pass_rates_ignore_reasoning_outcomes():
-    reasoning = Outcome(
-        triplet_id="t001",
-        task=TaskKind.REASONING,
-        dop=None,
-        model="other",  # a different model name must not trip the mix check
-        template_id="x@00000000",
-        extracted="1",
-        success=True,
-        reason="matched",
-    )
-    got = dop_pass_rates([reasoning, correction_outcome(1, DopLevel.SP, True)])
-    assert got == {DopLevel.SP: 1.0}
-
-
-def test_dop_pass_rates_refuse_a_duplicate_cell():
-    outcomes = [correction_outcome(1, DopLevel.SP, True)] * 2
-    with pytest.raises(DataError, match="duplicate sp correction outcome for triplet t001"):
-        dop_pass_rates(outcomes)
-
-
-def test_dop_pass_rates_refuse_mixed_models():
-    a = correction_outcome(1, DopLevel.SP, True)
-    b = Outcome(**{**a.to_dict(), "model": "other", "task": TaskKind.CORRECTION,
-                   "dop": DopLevel.SP, "triplet_id": "t002"})
-    with pytest.raises(DataError, match="mix models"):
-        dop_pass_rates([a, b])
 
 
 # bootstrap

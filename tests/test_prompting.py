@@ -21,7 +21,6 @@ from mwpeval import (
     Outcome,
     UsageError,
     build_reports,
-    scripted_key,
 )
 from mwpeval.prompting import (
     ALL_DOP_LEVELS,
@@ -92,12 +91,10 @@ VOCABULARY = [
 
 def test_the_mode_table_names_reads_back_orders_and_admits_each_mode(fixture_dataset):
     assert [(m.key, *m.record_fields.values()) for m in MODES] == VOCABULARY
-    for mode, (key, task, dop) in zip(MODES, VOCABULARY):
+    for mode, (_, task, dop) in zip(MODES, VOCABULARY):
         assert mode_for(task, dop) is mode
         assert mode_for(TaskKind(task), dop and DopLevel(dop)) is mode
         assert mode_for(**mode.record_fields) is mode
-        assert scripted_key("t07", task, dop) == f"t07|{key}"
-        assert scripted_key("t07", mode.task, mode.dop) == f"t07|{key}"
     assert mode_for("reasoning", "sp") is mode_for("correction", None) is None
 
     # Report rows follow the table, whatever order the outcomes come in.

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import re
 from importlib import resources
+from xml.etree import ElementTree
 
 import pytest
 
@@ -204,6 +207,29 @@ def test_svg_has_a_bar_per_defined_point():
     assert svg.startswith("<svg ")
     assert svg.count("<rect") == 1
     assert "0.500" in svg
+
+
+def test_every_artifact_parses_back_a_model_name_with_markup(tmp_path):
+    names = ["R&D <7b>", 'a,"b"', "p|q"]
+    reports = [report_from_counts(QuadrantCounts(8, 6, 2, 4), name, DopLevel.SP) for name in names]
+    paths = write_report_bundle(reports, tmp_path)
+
+    svg = ElementTree.parse(paths["svg"]).getroot()
+    texts = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert all(name in texts for name in names)
+
+    with paths["csv"].open(encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert [row[0] for row in rows] == names
+    assert all(len(row) == len(header) for row in rows)
+
+    table = [line for line in paths["markdown"].read_text("utf-8").splitlines() if line[:1] == "|"]
+    cells = [
+        [cell.strip().replace("\\|", "|") for cell in re.split(r"(?<!\\)\|", line[1:-1])]
+        for line in table
+    ]
+    assert [row[0] for row in cells[2:]] == names
+    assert all(len(row) == len(cells[0]) for row in cells)
 
 
 def test_report_bundle_is_deterministic(tmp_path):

@@ -862,16 +862,17 @@ def test_a_second_writer_on_the_same_output_dir_is_refused(tmp_path):
     assert (summary.cached, summary.fresh) == (10, 30)
 
 
-def test_run_sizes_the_backend_it_creates_to_concurrency(tmp_path, monkeypatch):
-    sizes = []
+def test_run_builds_its_backend_once_from_the_model_spec(tmp_path, monkeypatch):
+    specs = []
 
-    def create_backend(spec, concurrency=1):
-        sizes.append(concurrency)
+    def create_backend(spec):
+        specs.append(spec)
         return ScriptedBackend(SCRIPTED)
 
     monkeypatch.setattr(mwpeval.runner, "create_backend", create_backend)
-    run(sp_config(tmp_path / "out", concurrency=3))
-    assert sizes == [3]
+    config = sp_config(tmp_path / "out", concurrency=3)
+    assert run(config).fresh == 40
+    assert specs == [config.model]
 
 
 class ClosingBackend(ScriptedBackend):
@@ -895,7 +896,7 @@ class ClosingBackend(ScriptedBackend):
 def test_run_closes_the_backend_it_creates_and_never_one_passed_in(tmp_path, monkeypatch):
     built = []
 
-    def create_backend(spec, concurrency=1):
+    def create_backend(spec):
         built.append(ClosingBackend(fuse=None if len(built) == 0 else 5))
         return built[-1]
 
