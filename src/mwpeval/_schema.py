@@ -42,6 +42,7 @@ import json
 import logging
 import operator
 import os
+import re
 import time
 import types
 import typing
@@ -78,6 +79,17 @@ class _Schema(NamedTuple):
     decoders: tuple[tuple[str, Any], ...]  # an enum, a tuple reader or a dataclass
     encoders: tuple[tuple[str, Callable[[Any], Any]], ...]
     restore: Callable[[dict[str, Any]], Any] | None  # see _restorer
+
+
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")  # Unicode category Cc
+
+
+def control_character(text: str) -> str | None:
+    """The first character of text in Unicode category Cc, if any. No
+    report artifact can show one: a newline ends a Markdown table row,
+    and XML 1.0 cannot hold most of them, escaped or not."""
+    found = _CONTROL.search(text)
+    return found.group() if found else None
 
 
 def dump(obj: Any) -> dict[str, Any]:

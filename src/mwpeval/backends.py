@@ -25,16 +25,17 @@ import socket
 import ssl
 import threading
 import time
+import types
 import urllib.parse
 import weakref
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, NamedTuple, Protocol
 
 import requests
 
-from ._schema import dump, load, read_jsonl
+from ._schema import control_character, dump, load, read_jsonl
 from .errors import BackendError, ConfigurationError, DataError, ScriptedLookupError
 from .prompting import GenerationParams, RenderedPrompt
 
@@ -79,6 +80,11 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if not self.name.strip():
             raise ConfigurationError("model name must be non-empty")
+        control = control_character(self.name)
+        if control is not None:
+            raise ConfigurationError(
+                f"model name {self.name!r} holds the control character {control!r}"
+            )
         if not self.endpoint.strip():
             raise ConfigurationError("model endpoint must be non-empty")
         if self.timeout <= 0:
@@ -200,11 +206,18 @@ class HttpChatBackend:
     caller's session hooks, mounted adapters and the cookies its
     responses set do not apply.
 
-    Requests then go over keep-alive `http.client` connections that the
-    backend owns, one per thread calling complete() at once; each is kept
-    for the next call, so the backend never holds more connections than
-    were ever in use at once. close(), or dropping the backend, closes
-    them.
+    Requests then go over keep-alive connections that the backend owns,
+    one per thread calling complete() at once; each is kept for the next
+    call, so the backend never holds more connections than were ever in
+    use at once. close(), or dropping the backend, closes them.
+    `http.client` opens each connection (the proxy route, the CONNECT
+    tunnel and TLS), and writes the request head once, here, with a
+    stand-in length; each call then sends head, length and body in one
+    write, and reads the reply itself (see _Connection). A reply framed
+    by Content-Length or chunked leaves its connection for the next call;
+    one that says `Connection: close`, comes from an HTTP/1.0 server, is
+    ended by the server closing, or is followed by bytes no request asked
+    for closes it.
     """
 
     def __init__(
@@ -239,13 +252,14 @@ class HttpChatBackend:
         finally:
             if own_session:
                 session.close()
-        self._headers = {
+        headers = {
             name: value
             for name, value in prepared.headers.items()
-            if name.lower() not in ("content-length", "accept-encoding")
+            if name.lower() not in ("content-length", "transfer-encoding", "accept-encoding")
         }
-        self._target, proxy_headers, connect = _route(spec, prepared, settings)
-        self._headers.update(proxy_headers)
+        target, proxy_headers, connect = _route(spec, prepared, settings)
+        headers.update(proxy_headers)
+        self._head, self._head_end = _request_head(spec, connect, target, headers)
         self._pool = _ConnectionPool(connect)
         self._finalizer = weakref.finalize(self, self._pool.close)
         self._sleep = sleep
@@ -278,43 +292,45 @@ class HttpChatBackend:
             asked = None
             self._limiter.acquire()
             try:
-                response, raw = self._post(body)
+                reply = self._post(body)
             except (OSError, http.client.HTTPException) as exc:
                 last_failure = f"transport failure: {exc.__class__.__name__}: {exc}"
                 continue
-            status = response.status
+            status = reply.status
             if status == 200:
-                return self._parse(raw, attempt, started)
+                return self._parse(reply.body, attempt, started)
             if status == 429 or status >= 500:
                 last_failure = f"HTTP {status}"
                 if status in (429, 503):
-                    asked = _retry_after(response.getheader("Retry-After"), policy.max_delay)
+                    asked = _retry_after(reply.headers.get("retry-after"), policy.max_delay)
                 continue
             redirect = ""
             if 300 <= status < 400:
-                redirect = f" (redirect to {response.getheader('Location')!r} not followed)"
+                redirect = f" (redirect to {reply.headers.get('location')!r} not followed)"
             raise BackendError(
                 f"{self._spec.name}: permanent HTTP {status}{redirect}: "
-                f"{_text(raw)[:200]}"
+                f"{_text(reply.body)[:200]}"
             )
         raise BackendError(
             f"{self._spec.name}: giving up after {policy.max_attempts} attempts; "
             f"last failure: {last_failure}"
         )
 
-    def _post(self, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
-        """One POST on a pooled connection: the response and its body.
-        A connection that fails is closed, never pooled again."""
+    def _post(self, body: bytes) -> _Reply:
+        """One POST on a pooled connection, in one write, and its reply.
+        A connection that fails, or that the reply ends, is closed, never
+        pooled again."""
         connection = self._pool.take()
         try:
-            connection.request("POST", self._target, body, self._headers)
-            response = connection.getresponse()
-            raw = response.read()
+            reply = connection.exchange(b"%b%d%b%b" % (self._head, len(body), self._head_end, body))
         except BaseException:
             connection.close()
             raise
-        self._pool.give(connection)
-        return response, raw
+        if reply.keep_alive:
+            self._pool.give(connection)
+        else:
+            connection.close()
+        return reply
 
     def _parse(self, raw: bytes, attempts: int, started: float) -> CompletionResult:
         try:
@@ -395,6 +411,33 @@ def _route(
     return target, {}, connect
 
 
+def _request_head(
+    spec: ModelSpec,
+    connect: Callable[[], http.client.HTTPConnection],
+    target: str,
+    headers: dict[str, str],
+) -> tuple[bytes, bytes]:
+    """The bytes http.client sends for a POST of target with headers,
+    before and after the Content-Length value: the request line, Host,
+    Accept-Encoding: identity and "Content-Length: ", then the rest of
+    that line, headers in order and the blank line. They are written
+    once, with a length of 0, into a stand-in socket, so putheader's
+    checks run here and not per call."""
+    written: list[bytes] = []
+    connection = connect()
+    connection.sock = types.SimpleNamespace(sendall=written.append)
+    try:
+        connection.request("POST", target, b"", headers)
+    except UnicodeError:  # the message would quote the header
+        raise ConfigurationError(
+            f"{spec.name}: a request header holds a character latin-1 cannot encode"
+        ) from None
+    finally:
+        connection.sock = None
+    head, _, head_end = b"".join(written).partition(b"\r\nContent-Length: 0\r\n")
+    return head + b"\r\nContent-Length: ", b"\r\n" + head_end
+
+
 def _tls_context(spec: ModelSpec, verify: Any, cert: Any) -> ssl.SSLContext:
     """The TLS context requests builds from verify and cert: the CA
     bundle requests ships unless verify names a file or a directory, no
@@ -419,6 +462,176 @@ def _tls_context(spec: ModelSpec, verify: Any, cert: Any) -> ssl.SSLContext:
     return context
 
 
+_MAX_LINE = 65536  # http.client's limits on a reply line and its header count
+_MAX_HEADERS = 100
+_RECV_BYTES = 65536
+
+
+class _Reply(NamedTuple):
+    status: int
+    headers: dict[str, str]  # lower-case names; a repeated header's values joined by ", "
+    body: bytes
+    keep_alive: bool  # whether the connection can carry the next request
+
+
+class _Connection:
+    """A keep-alive connection: a socket http.client opened (routing, the
+    CONNECT tunnel and TLS stay http.client's), and the bytes received on
+    it that no reply has used yet.
+
+    exchange() sends a request and reads its HTTP/1.1 reply as
+    http.client does: a status line that does not start with "HTTP/" or
+    has no status from 100 to 999 is BadStatusLine, a line over 64 KiB is
+    LineTooLong, 100 header lines are too many, and a body short of its
+    Content-Length is IncompleteRead. 1xx replies are skipped. Bodies are
+    framed by Content-Length, by chunked transfer coding (trailers read
+    and dropped) or by the server closing the connection. The reply
+    leaves the connection open for another request unless it is HTTP/1.0,
+    says `Connection: close`, is ended by the close, or bytes follow it.
+    Every failure is an OSError or an http.client.HTTPException.
+    """
+
+    __slots__ = ("sock", "_data", "_at")
+
+    def __init__(self, connect: Callable[[], http.client.HTTPConnection]) -> None:
+        opener = connect()
+        try:
+            opener.connect()
+        except BaseException:
+            opener.close()
+            raise
+        self.sock = opener.sock
+        self._data = b""  # received bytes, of which those from _at on are unread
+        self._at = 0
+
+    def close(self) -> None:
+        self.sock.close()
+
+    def exchange(self, request: bytes) -> _Reply:
+        self.sock.sendall(request)
+        while True:
+            line = self._line("status line")
+            if not line:
+                raise http.client.RemoteDisconnected(
+                    "Remote end closed connection without response"
+                )
+            status, http11 = _status(line)
+            headers = self._headers()
+            if status >= 200:
+                break
+        keep_alive = http11 and "close" not in headers.get("connection", "").lower()
+        if status in (204, 304):
+            body = b""
+        elif headers.get("transfer-encoding", "").lower() == "chunked":
+            body = self._chunked()
+        else:
+            # http.client reads the first of repeated lengths, and no number as none
+            length = headers.get("content-length", "").partition(",")[0].strip()
+            if length.isascii() and length.isdigit():
+                body = self._read(int(length))
+            else:
+                body, keep_alive = self._rest(), False
+        return _Reply(status, headers, body, keep_alive and self._at == len(self._data))
+
+    def _headers(self) -> dict[str, str]:
+        headers: dict[str, str] = {}
+        name = ""
+        for _ in range(_MAX_HEADERS):
+            line = self._line("header line").decode("latin-1")
+            if line in ("\r\n", "\n", ""):
+                return headers
+            if line[0] in " \t":  # obs-fold: the previous value goes on
+                if name:
+                    headers[name] += " " + line.strip()
+                continue
+            field, colon, value = line.partition(":")
+            if colon:
+                name, value = field.strip().lower(), value.strip()
+                headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+    def _line(self, what: str) -> bytes:
+        """The next line, its line end included; at the end of input, what
+        is left (b"" when nothing is)."""
+        end = self._data.find(b"\n", self._at)
+        while end < 0:
+            if len(self._data) - self._at > _MAX_LINE:
+                raise http.client.LineTooLong(what)
+            data = self.sock.recv(_RECV_BYTES)
+            if not data:
+                line, self._data, self._at = self._data[self._at:], b"", 0
+                return line
+            searched = len(self._data) - self._at
+            self._data, self._at = self._data[self._at:] + data, 0
+            end = self._data.find(b"\n", searched)
+        if end + 1 - self._at > _MAX_LINE:
+            raise http.client.LineTooLong(what)
+        line = self._data[self._at:end + 1]
+        self._at = end + 1
+        return line
+
+    def _read(self, size: int) -> bytes:
+        """The next size bytes; IncompleteRead if the input ends first."""
+        start, self._at = self._at, self._at + size
+        if self._at <= len(self._data):
+            return self._data[start:self._at]
+        parts, have = [self._data[start:]], len(self._data) - start
+        self._data, self._at = b"", 0
+        while have < size:
+            data = self.sock.recv(min(size - have, _RECV_BYTES))
+            if not data:
+                raise http.client.IncompleteRead(b"".join(parts), size - have)
+            parts.append(data)
+            have += len(data)
+        return b"".join(parts)
+
+    def _rest(self) -> bytes:
+        """Everything up to the end of input."""
+        parts = [self._data[self._at:]]
+        self._data, self._at = b"", 0
+        while data := self.sock.recv(_RECV_BYTES):
+            parts.append(data)
+        return b"".join(parts)
+
+    def _chunked(self) -> bytes:
+        """A chunked body, its trailer read and dropped."""
+        parts: list[bytes] = []
+        try:
+            while True:
+                try:
+                    size = int(self._line("chunk size").partition(b";")[0], 16)
+                except ValueError:
+                    size = -1
+                if size < 0:
+                    raise http.client.IncompleteRead(b"")
+                if size == 0:
+                    break
+                parts.append(self._read(size))
+                self._read(2)  # the CRLF after the chunk's data
+        except http.client.IncompleteRead as exc:
+            raise http.client.IncompleteRead(b"".join(parts)) from exc
+        while self._line("trailer line") not in (b"\r\n", b"\n", b""):
+            pass
+        return b"".join(parts)
+
+
+def _status(line: bytes) -> tuple[int, bool]:
+    """The status a status line gives, and whether it is HTTP/1.1."""
+    parts = line.split(None, 2)
+    try:
+        version = parts[0].decode("latin-1")
+        status = int(parts[1])
+    except (IndexError, ValueError):
+        version, status = "", 0
+    if not version.startswith("HTTP/") or not 100 <= status <= 999:
+        raise http.client.BadStatusLine(line.decode("latin-1"))
+    if version in ("HTTP/1.0", "HTTP/0.9"):
+        return status, False
+    if not version.startswith("HTTP/1."):
+        raise http.client.UnknownProtocol(version)
+    return status, True
+
+
 class _ConnectionPool:
     """Idle keep-alive connections to one origin, shared by threads.
 
@@ -433,21 +646,21 @@ class _ConnectionPool:
 
     def __init__(self, connect: Callable[[], http.client.HTTPConnection]) -> None:
         self._connect = connect
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
         self._lock = threading.Lock()
         self._closed = False
 
-    def take(self) -> http.client.HTTPConnection:
+    def take(self) -> _Connection:
         while True:
             with self._lock:
                 connection = self._idle.pop() if self._idle else None
             if connection is None:
-                return self._connect()
-            if connection.sock is None or not _readable(connection.sock):
+                return _Connection(self._connect)
+            if not _readable(connection.sock):
                 return connection
             connection.close()
 
-    def give(self, connection: http.client.HTTPConnection) -> None:
+    def give(self, connection: _Connection) -> None:
         with self._lock:
             if not self._closed:
                 self._idle.append(connection)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 from xml.sax.saxutils import escape
 
-from ._schema import dump, json_text, read_json, write_atomic
+from ._schema import control_character, dump, json_text, read_json, write_atomic
 from .errors import DataError, UsageError
 from .metrics import (
     QuadrantCounts,
@@ -94,8 +94,17 @@ def build_reports(
     """One RateReport per (model, correction mode) present in outcomes.
 
     Each row's counts and intervals come from one list of (reasoning
-    success, correction success) pairs, one pair per corrected triplet."""
+    success, correction success) pairs, one pair per corrected triplet.
+    A model name holding a control character is refused, since no
+    report artifact can show it."""
     by_model = successes_by_mode(outcomes)
+    for model in by_model:
+        control = control_character(model)
+        if control is not None:
+            raise DataError(
+                f"model name {model!r} holds the control character {control!r}; "
+                "no report can show it"
+            )
     reports: list[RateReport] = []
     for model in sorted(by_model):
         by_mode = by_model[model]

@@ -7,9 +7,11 @@ import contextlib
 import gc
 import json
 import random
+import socket
 import ssl
 import threading
 import time
+import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -259,6 +261,13 @@ def test_http_missing_credential_fails_at_construction(chat_server, monkeypatch)
         HttpChatBackend(fast_spec(url, auth_env="STUB_MODEL_KEY"))
 
 
+def test_http_a_credential_latin_1_cannot_encode_fails_at_construction(monkeypatch):
+    monkeypatch.setenv("STUB_MODEL_KEY", "s3cr\u2713t")
+    with pytest.raises(ConfigurationError, match="latin-1") as raised:
+        HttpChatBackend(fast_spec("http://127.0.0.1:9", auth_env="STUB_MODEL_KEY"))
+    assert "s3cr" not in str(raised.value)
+
+
 def test_http_retries_transient_statuses(chat_server):
     url, state = chat_server
     state["script"] += [
@@ -480,6 +489,16 @@ def test_model_spec_rejects_unknown_nested_keys():
 def test_model_spec_never_stores_secrets():
     spec = fast_spec("http://example.invalid", auth_env="KEY")
     assert "s3cret" not in json.dumps(spec.to_dict())
+
+
+@pytest.mark.parametrize("name", ["a\nb", "x\x01y", "tab\there", "del\x7f", "c1\x85"])
+def test_model_spec_refuses_a_control_character_in_the_name(name):
+    with pytest.raises(ConfigurationError, match="control character"):
+        fast_spec("http://example.invalid", name=name)
+
+
+def test_model_spec_keeps_a_name_with_markup():
+    assert fast_spec("http://example.invalid", name="R&D <7b>").name == "R&D <7b>"
 
 
 # keep-alive connections, redirects, TLS and proxies
@@ -755,3 +774,253 @@ def test_https_through_a_proxy_opens_a_tunnel_with_proxy_credentials(monkeypatch
             backend.complete(prompt_for(make_triplet()))
     credentials = "Basic " + base64.b64encode(b"user:pw").decode("ascii")
     assert seen == [("CONNECT 127.0.0.1:9 HTTP/1.0", credentials)]
+
+
+# the request on the wire, and the reply reader, against a raw socket server
+
+
+def reply_bytes(
+    payload, status: str = "200 OK", version: str = "HTTP/1.1", headers: tuple = ()
+) -> bytes:
+    """A reply head, framed by Content-Length unless headers frame it, then the body."""
+    body = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
+    head = [f"{version} {status}"]
+    if not any(name.lower() in ("content-length", "transfer-encoding") for name, _ in headers):
+        head.append(f"Content-Length: {len(body)}")
+    head += [f"{name}: {value}" for name, value in headers]
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+OK_REPLY = reply_bytes(ok_payload("raw"))
+
+
+def read_request(conn, pending: bytes) -> tuple[bytes | None, bytes]:
+    """One request (head and Content-Length body) from conn, and the bytes
+    read past it; None when the client closed the connection first."""
+    while b"\r\n\r\n" not in pending:
+        data = conn.recv(65536)
+        if not data:
+            return None, b""
+        pending += data
+    head, _, rest = pending.partition(b"\r\n\r\n")
+    length = 0
+    for line in head.split(b"\r\n")[1:]:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    while len(rest) < length:
+        rest += conn.recv(65536)
+    return head + b"\r\n\r\n" + rest[:length], rest[length:]
+
+
+@contextlib.contextmanager
+def raw_server(*script: bytes | tuple[bytes, bool]):
+    """A one-thread HTTP server on 127.0.0.1 that answers the n-th request
+    it reads with script[n], verbatim in one write, and OK_REPLY once the
+    script is spent. An entry (reply, True) closes the connection after
+    the reply. Yields (url, state): state["requests"] holds each request's
+    bytes, state["accepted"] counts connections."""
+    state = {"requests": [], "accepted": 0}
+    replies = list(script)
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            state["accepted"] += 1
+            with conn, contextlib.suppress(OSError):  # a client may close mid-reply
+                conn.settimeout(10)
+                pending = b""
+                while True:
+                    request, pending = read_request(conn, pending)
+                    if request is None:
+                        break
+                    state["requests"].append(request)
+                    reply = replies.pop(0) if replies else OK_REPLY
+                    reply, hang_up = reply if isinstance(reply, tuple) else (reply, False)
+                    conn.sendall(reply)
+                    if hang_up:
+                        break
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", state
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        listener.close()
+
+
+SHORT_PROMPT = types.SimpleNamespace(text="What is 6 * 4?")
+SHORT_BODY = (
+    b'{"model": "stub-model", "messages": [{"role": "user", "content": "What is 6 * 4?"}], '
+    b'"temperature": 0.25, "max_tokens": 64}'
+)
+
+
+def test_http_request_bytes_are_pinned(monkeypatch):
+    monkeypatch.setenv("STUB_MODEL_KEY", "s3cret")
+    with raw_server() as (url, state):
+        backend = HttpChatBackend(fast_spec(url + "/v1", auth_env="STUB_MODEL_KEY"))
+        assert backend.complete(SHORT_PROMPT).text == "raw"
+        backend.close()
+    port = url.rpartition(":")[2]
+    assert state["requests"] == [
+        b"POST /v1/chat/completions HTTP/1.1\r\n"
+        b"Host: 127.0.0.1:%s\r\n"
+        b"Accept-Encoding: identity\r\n"
+        b"Content-Length: 123\r\n"
+        b"User-Agent: %s\r\n"
+        b"Accept: */*\r\n"
+        b"Connection: keep-alive\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Authorization: Bearer s3cret\r\n"
+        b"\r\n" % (port.encode(), requests.utils.default_user_agent().encode())
+        + SHORT_BODY
+    ]
+
+
+def test_http_request_bytes_through_a_proxy_are_pinned(monkeypatch):
+    unset_proxy_bypass(monkeypatch)
+    with raw_server() as (proxy, state):
+        for name in ("http_proxy", "HTTP_PROXY"):
+            monkeypatch.setenv(name, proxy.replace("http://", "http://user:pw@"))
+        backend = HttpChatBackend(fast_spec("http://127.0.0.1:9/v1"))
+        assert backend.complete(SHORT_PROMPT).text == "raw"
+        backend.close()
+    assert state["requests"] == [
+        b"POST http://127.0.0.1:9/v1/chat/completions HTTP/1.1\r\n"
+        b"Host: 127.0.0.1:9\r\n"
+        b"Accept-Encoding: identity\r\n"
+        b"Content-Length: 123\r\n"
+        b"User-Agent: %s\r\n"
+        b"Accept: */*\r\n"
+        b"Connection: keep-alive\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Proxy-Authorization: Basic dXNlcjpwdw==\r\n"
+        b"\r\n" % requests.utils.default_user_agent().encode()
+        + SHORT_BODY
+    ]
+
+
+def raw_calls(url: str, calls: int):
+    """The results of `calls` complete() calls through one backend, seeded
+    7, and its sleeps. The backend is closed after them."""
+    backend, sleeps = backend_for(fast_spec(url), seed=7)
+    try:
+        return [backend.complete(SHORT_PROMPT) for _ in range(calls)], sleeps
+    finally:
+        backend.close()
+
+
+def test_http_reads_a_chunked_reply_with_a_trailer():
+    body = json.dumps(ok_payload("chunked")).encode("utf-8")
+    chunks = b"a;name=value\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Checksum: 1\r\n\r\n" % (
+        body[:10], len(body) - 10, body[10:]
+    )
+    reply = reply_bytes(chunks, headers=(("Transfer-Encoding", "chunked"),))
+    with raw_server(reply) as (url, state):
+        results, sleeps = raw_calls(url, 2)
+    assert [(r.text, r.attempts) for r in results] == [("chunked", 1), ("raw", 1)]
+    assert (state["accepted"], sleeps) == (1, [])
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        reply_bytes(ok_payload("closing"), headers=(("Connection", "close"),)),
+        reply_bytes(ok_payload("closing"), version="HTTP/1.0"),
+    ],
+    ids=["connection-close", "http-1.0"],
+)
+def test_http_a_reply_that_ends_keep_alive_is_not_pooled(reply):
+    # the server keeps its end open, so only the client can end the connection
+    with raw_server(reply) as (url, state):
+        results, sleeps = raw_calls(url, 2)
+    assert [(r.text, r.attempts) for r in results] == [("closing", 1), ("raw", 1)]
+    assert (state["accepted"], sleeps) == (2, [])
+
+
+def test_http_skips_a_100_continue_before_the_reply():
+    with raw_server(b"HTTP/1.1 100 Continue\r\n\r\n" + OK_REPLY) as (url, state):
+        results, sleeps = raw_calls(url, 2)
+    assert [(r.text, r.attempts) for r in results] == [("raw", 1), ("raw", 1)]
+    assert (state["accepted"], sleeps) == (1, [])
+
+
+def test_http_reads_a_body_the_server_ends_by_closing():
+    head = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n"
+    with raw_server((head + json.dumps(ok_payload("to close")).encode(), True)) as (url, state):
+        results, sleeps = raw_calls(url, 2)
+    assert [(r.text, r.attempts) for r in results] == [("to close", 1), ("raw", 1)]
+    assert (state["accepted"], sleeps) == (2, [])
+
+
+def test_http_a_short_body_is_retried_on_a_fresh_connection():
+    body = json.dumps(ok_payload("cut")).encode("utf-8")
+    short = reply_bytes(body[:20], headers=(("Content-Length", str(len(body))),))
+    with raw_server((short, True)) as (url, state):
+        (result,), sleeps = raw_calls(url, 1)
+    assert (result.text, result.attempts, len(sleeps)) == ("raw", 2, 1)
+    assert state["accepted"] == 2
+
+
+def test_http_bytes_past_a_reply_drop_its_connection():
+    with raw_server(OK_REPLY + b"HTTP/1.1 200 OK\r\n") as (url, state):
+        results, sleeps = raw_calls(url, 2)
+    assert [(r.text, r.attempts) for r in results] == [("raw", 1), ("raw", 1)]
+    assert (state["accepted"], sleeps) == (2, [])
+
+
+@pytest.mark.parametrize(
+    "reply, failure",
+    [
+        (b"HTP/1.1 200 OK\r\n\r\n", "BadStatusLine"),
+        (b"HTTP/1.1 20 OK\r\n\r\n", "BadStatusLine"),
+        (b"HTTP/1.1 OK\r\n\r\n", "BadStatusLine"),
+        (reply_bytes({}, headers=(("X-Long", "a" * 65536),)), "LineTooLong"),
+        (reply_bytes({}, headers=tuple((f"X-{n}", "1") for n in range(101))), "got more than 100 headers"),
+    ],
+    ids=["version", "status-too-low", "no-status", "long-header-line", "101-headers"],
+)
+def test_http_a_malformed_reply_is_a_transport_failure(reply, failure):
+    with raw_server(reply, reply, reply) as (url, state):
+        backend, sleeps = backend_for(fast_spec(url))
+        with pytest.raises(BackendError) as raised:
+            backend.complete(SHORT_PROMPT)
+        backend.close()
+    message = str(raised.value)
+    assert "giving up after 3 attempts; last failure: transport failure: " in message
+    assert failure in message
+    assert (state["accepted"], len(state["requests"]), len(sleeps)) == (3, 3, 2)
+
+
+def test_http_reads_a_length_repeated_with_one_value():
+    body = json.dumps(ok_payload("twice")).encode("utf-8")
+    reply = reply_bytes(body, headers=(("Content-Length", str(len(body))),) * 2)
+    with raw_server(reply) as (url, state):
+        results, sleeps = raw_calls(url, 2)
+    assert [(r.text, r.attempts) for r in results] == [("twice", 1), ("raw", 1)]
+    assert (state["accepted"], sleeps) == (1, [])
+
+
+def test_http_header_names_ignore_case_and_a_folded_value_is_one_line():
+    refused = reply_bytes({}, "503 Service Unavailable", headers=(("rETRY-aFTER", "\r\n 1"),))
+    with raw_server(refused) as (url, _):
+        (result,), sleeps = raw_calls(url, 1)
+    assert (result.text, result.attempts, sleeps) == ("raw", 2, [1.0])
+
+
+def test_http_repeated_retry_after_headers_are_joined_and_do_not_parse():
+    refused = reply_bytes({}, "429 Too Many Requests", headers=(("Retry-After", "0"),) * 2)
+    with raw_server(refused) as (url, _):
+        (result,), sleeps = raw_calls(url, 1)
+    assert (result.text, result.attempts) == ("raw", 2)
+    # "0, 0" is neither delta-seconds nor a date; the default policy's first bound is 1 s
+    assert sleeps == [random.Random(7).uniform(0.0, 1.0)]

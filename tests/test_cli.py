@@ -606,6 +606,24 @@ def test_report_on_a_repeated_scored_line_is_a_data_error(tmp_path, capsys):
     assert not (tmp_path / "report").exists()
 
 
+def test_report_on_a_model_name_with_a_control_character_is_a_data_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["run", "--config", str(config)]) == 0
+    scored = tmp_path / "scored.jsonl"
+    assert main(["rescore", "--run", str(tmp_path / "out"), "--dataset",
+                 str(FIXTURE_DATASET), "--output", str(scored)]) == 0
+    renamed = [
+        json.dumps({**json.loads(line), "model": "a\nb"})
+        for line in scored.read_text(encoding="utf-8").splitlines()
+    ]
+    scored.write_text("\n".join(renamed) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--scored", str(scored),
+                 "--out-dir", str(tmp_path / "report")]) == 2
+    assert "model name 'a\\nb' holds the control character '\\n'" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
 def test_run_on_an_output_dir_in_use_is_a_usage_error(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "out"

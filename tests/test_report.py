@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import re
 from importlib import resources
@@ -22,6 +23,7 @@ from mwpeval import (
     verify_published,
     write_report_bundle,
 )
+from mwpeval import report as report_module
 from mwpeval.report import (
     chart_data,
     render_csv,
@@ -113,6 +115,24 @@ def test_build_reports_rejects_a_duplicate_correction():
     outcomes = sp_outcomes() + [outcome("t07", TaskKind.CORRECTION, DopLevel.SP, True)]
     with pytest.raises(DataError, match="duplicate sp correction outcome for triplet t07"):
         build_reports(outcomes)
+
+
+@pytest.mark.parametrize("name", ["a\nb", "x\x01y"])
+def test_build_reports_refuses_a_model_name_with_a_control_character(name):
+    outcomes = sp_outcomes() + [
+        dataclasses.replace(o, model=name) for o in sp_outcomes()
+    ]
+    with pytest.raises(DataError, match="control character") as raised:
+        build_reports(outcomes)
+    assert repr(name) in str(raised.value)
+
+
+def test_build_reports_checks_each_model_name_once(monkeypatch):
+    seen = []
+    monkeypatch.setattr(report_module, "control_character", lambda name: seen.append(name))
+    outcomes = sp_outcomes() + [dataclasses.replace(o, model="R&D <7b>") for o in sp_outcomes()]
+    assert {r.model for r in build_reports(outcomes)} == {MODEL, "R&D <7b>"}
+    assert sorted(seen) == sorted([MODEL, "R&D <7b>"])
 
 
 def test_build_reports_requires_corrections():
