@@ -170,17 +170,6 @@ def dump_line(obj: Any) -> str:
     return json_value(dump(obj))
 
 
-def load_line(
-    cls: type[Any], line: str | bytes, what: str, error: type[HarnessError], where: str = ""
-) -> Any:
-    """Build cls from one JSON line, or raise error."""
-    try:
-        payload = json.loads(line if isinstance(line, str) else line.decode())
-    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-        raise error(f"invalid {what} JSON{where}: {exc}") from None
-    return load(cls, payload, what, error, where)
-
-
 def read_json(path: str | Path, what: str, error: type[HarnessError]) -> Any:
     """The decoded JSON content of a whole file, or error naming the path."""
     with _open(path, what, error) as handle:

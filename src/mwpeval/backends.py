@@ -31,13 +31,14 @@ import weakref
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Protocol
 
 from ._schema import control_character, dump, load, read_jsonl
 from .errors import BackendError, ConfigurationError, DataError, ScriptedLookupError
 from .prompting import GenerationParams, RenderedPrompt
+
+if TYPE_CHECKING:
+    import requests
 
 SCRIPTED_PREFIX = "scripted:"
 
@@ -227,6 +228,8 @@ class HttpChatBackend:
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
     ) -> None:
+        import requests  # loaded only by a command that builds this backend
+
         self._spec = spec
         headers = {"Content-Type": "application/json"}
         if spec.auth_env:
@@ -367,6 +370,8 @@ def _route(
     the proxy select_proxy picks from the merged settings, in absolute
     form for http and through a CONNECT tunnel for https, over TLS as
     the merged verify and cert settings ask."""
+    import requests
+
     url = urllib.parse.urlsplit(prepared.url)
     if url.scheme not in ("http", "https") or not url.hostname:
         raise ConfigurationError(
@@ -443,6 +448,8 @@ def _tls_context(spec: ModelSpec, verify: Any, cert: Any) -> ssl.SSLContext:
     bundle requests ships unless verify names a file or a directory, no
     checks when verify is false, and cert (a file, or a (cert, key)
     pair) loaded as the client certificate."""
+    import requests
+
     try:
         if not verify:
             context = ssl.create_default_context()
@@ -479,16 +486,22 @@ class _Connection:
     CONNECT tunnel and TLS stay http.client's), and the bytes received on
     it that no reply has used yet.
 
-    exchange() sends a request and reads its HTTP/1.1 reply as
-    http.client does: a status line that does not start with "HTTP/" or
-    has no status from 100 to 999 is BadStatusLine, a line over 64 KiB is
-    LineTooLong, 100 header lines are too many, and a body short of its
-    Content-Length is IncompleteRead. 1xx replies are skipped. Bodies are
-    framed by Content-Length, by chunked transfer coding (trailers read
-    and dropped) or by the server closing the connection. The reply
-    leaves the connection open for another request unless it is HTTP/1.0,
-    says `Connection: close`, is ended by the close, or bytes follow it.
-    Every failure is an OSError or an http.client.HTTPException.
+    exchange() sends a request and reads its HTTP/1.1 reply: a status
+    line that does not start with "HTTP/" or has no status from 100 to
+    999 is BadStatusLine, a line over 64 KiB is LineTooLong, 100 header
+    lines are too many, a Content-Length that is not 1*DIGIT is an
+    HTTPException, and a body short of its Content-Length is
+    IncompleteRead. Bodies are framed by Content-Length, by chunked
+    transfer coding (trailers read and dropped) or by the server closing
+    the connection. The reply leaves the connection open for another
+    request unless it is HTTP/1.0, says `Connection: close`, is ended by
+    the close, or bytes follow it. Every failure is an OSError or an
+    http.client.HTTPException.
+
+    It departs from http.client on purpose: every 1xx reply is skipped,
+    not only 100; an HTTP/1.0 reply is never kept; a repeated Connection
+    header naming close is honoured; whitespace before a header's colon
+    is tolerated; and an invalid Content-Length fails (see above).
     """
 
     __slots__ = ("sock", "_data", "_at")
@@ -524,13 +537,15 @@ class _Connection:
             body = b""
         elif headers.get("transfer-encoding", "").lower() == "chunked":
             body = self._chunked()
+        elif "content-length" in headers:
+            # The first of repeated lengths is read. One that is not 1*DIGIT
+            # is a framing error (RFC 9112 6.3): the caller closes the socket.
+            length = headers["content-length"].partition(",")[0].strip()
+            if not (length.isascii() and length.isdigit()):
+                raise http.client.HTTPException(f"invalid Content-Length {length!r}")
+            body = self._read(int(length))
         else:
-            # http.client reads the first of repeated lengths, and no number as none
-            length = headers.get("content-length", "").partition(",")[0].strip()
-            if length.isascii() and length.isdigit():
-                body = self._read(int(length))
-            else:
-                body, keep_alive = self._rest(), False
+            body, keep_alive = self._rest(), False
         return _Reply(status, headers, body, keep_alive and self._at == len(self._data))
 
     def _headers(self) -> dict[str, str]:

@@ -26,8 +26,6 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
 from .errors import DataError
 from .prompting import PromptMode, mode_for
 from .scoring import Outcome
@@ -150,6 +148,8 @@ def bootstrap_ci(
     check_bootstrap(resamples, level, seed)
     if len(successes) == 0:
         raise DataError("cannot bootstrap zero observations")
+    import numpy as np  # loaded by a bootstrap alone
+
     table = np.asarray(successes)
     if not np.isin(table, (0, 1)).all():
         raise DataError("bootstrap successes must all be 0 or 1")

@@ -6,7 +6,9 @@ the wrong solution; the three diagnostic modes add one resource each,
 in increasing strength: the numeric answer, a brief explanation, or the
 full reference solution. The plain correction mode (sp) adds nothing.
 The modes are the five members of the PromptMode enum, in report
-order: reasoning, then sp, dop_na, dop_be and dop_sa.
+order: reasoning, then sp, dop_na, dop_be and dop_sa. A registry checks
+each template against the name it is filed under when it is built, so
+render fills one in a single pass straight from the triplet's fields.
 
 Every rendered prompt gets a content hash over (template_id, prompt
 text, sampling params), which every record keeps. The runner binds an
@@ -131,16 +133,12 @@ _PLACEHOLDER_FIELDS = {
 
 
 @functools.cache
-def template_inputs(mode: PromptMode) -> tuple[tuple[str, ...], Callable[[Triplet], tuple[Any, ...]]]:
-    """The placeholders mode's template requires, sorted, and a function
-    giving a triplet's values for them in that order. Two triplets with
-    equal values get equal prompts for mode."""
-    names = tuple(sorted(REQUIRED_PLACEHOLDERS[mode.template_name]))
-    fields = [_PLACEHOLDER_FIELDS[name] for name in names]
-    if len(fields) == 1:  # attrgetter of one field gives a bare value
-        (field,) = fields
-        return names, lambda triplet: (getattr(triplet, field),)
-    return names, operator.attrgetter(*fields)
+def template_inputs(mode: PromptMode) -> Callable[[Triplet], Any]:
+    """A function giving a triplet's values for the placeholders mode's
+    template requires. Two triplets with equal values get equal prompts
+    for mode."""
+    names = sorted(REQUIRED_PLACEHOLDERS[mode.template_name])
+    return operator.attrgetter(*(_PLACEHOLDER_FIELDS[name] for name in names))
 
 
 @dataclass(frozen=True)
@@ -215,17 +213,21 @@ class TemplateRegistry:
         missing = sorted(set(REQUIRED_PLACEHOLDERS) - set(templates))
         if missing:
             raise DataError(f"missing templates: {', '.join(missing)}")
-        # Each template split once on its placeholders: literal text at
-        # the even indices, placeholder names at the odd ones.
-        self._parts = {name: PLACEHOLDER.split(t.text) for name, t in templates.items()}
+        # Each template split once: literal text at the even indices, the
+        # Triplet field each placeholder reads at the odd ones.
+        self._parts: dict[str, list[str]] = {}
         for name, template in templates.items():
-            found = set(self._parts[name][1::2])
-            required = REQUIRED_PLACEHOLDERS[template.name]
+            if template.name != name:
+                raise DataError(f"template {template.name!r} is filed as {name!r}")
+            parts = PLACEHOLDER.split(template.text)
+            found, required = set(parts[1::2]), REQUIRED_PLACEHOLDERS[name]
             if found != required:
                 raise DataError(
-                    f"template {template.name!r} must use exactly the "
+                    f"template {name!r} must use exactly the "
                     f"placeholders {sorted(required)}, found {sorted(found)}"
                 )
+            parts[1::2] = [_PLACEHOLDER_FIELDS[placeholder] for placeholder in parts[1::2]]
+            self._parts[name] = parts
         self._templates = dict(templates)
 
     @classmethod
@@ -248,35 +250,22 @@ class TemplateRegistry:
                     continue
                 texts[path.stem] = path.read_text(encoding="utf-8")
         return cls(
-            {
-                name: Template(name, _template_id(name, text), text)
-                for name, text in texts.items()
-            }
+            {name: Template(name, _template_id(name, text), text) for name, text in texts.items()}
         )
 
     def get(self, mode: PromptMode) -> Template:
         return self._templates[mode.template_name]
 
-    def fill(self, mode: PromptMode, values: dict[str, str]) -> str:
-        """mode's template text with each placeholder replaced by its
-        value, in a single pass: a value is never searched for
-        placeholders itself."""
+    def fill(self, mode: PromptMode, triplet: Triplet) -> str:
+        """mode's template text with each placeholder replaced by the
+        triplet field it reads, in a single pass: a value is never
+        searched for placeholders itself."""
         pieces = self._parts[mode.template_name].copy()
-        pieces[1::2] = [values[name] for name in pieces[1::2]]
+        pieces[1::2] = [getattr(triplet, field) for field in pieces[1::2]]
         return "".join(pieces)
 
     def template_ids(self) -> dict[str, str]:
         return {name: t.template_id for name, t in sorted(self._templates.items())}
-
-
-def _substitution_values(triplet: Triplet, mode: PromptMode) -> dict[str, str]:
-    """The values of the placeholders mode's template requires;
-    REQUIRED_PLACEHOLDERS states which resource each level adds."""
-    reason = skip_reason(triplet, mode)
-    if reason is not None:
-        raise DataError(f"triplet {triplet.id} cannot be prompted as {mode.key}: {reason}")
-    names, values = template_inputs(mode)
-    return dict(zip(names, values(triplet)))
 
 
 def render(
@@ -285,23 +274,17 @@ def render(
     params: GenerationParams | None = None,
     registry: TemplateRegistry | None = None,
 ) -> RenderedPrompt:
-    """Fill the template for mode with this triplet's fields.
-
-    Substitution is a single pass, so braces inside triplet text are
-    never re-expanded. Every substituted value appears verbatim in the
-    output; a final defensive check enforces that.
-    """
+    """Fill the template for mode with this triplet's fields, in one
+    pass from the triplet, so braces inside triplet text are never
+    re-expanded. A template filed under another's key never gets here:
+    the registry refuses it when it is built."""
+    reason = skip_reason(triplet, mode)
+    if reason is not None:
+        raise DataError(f"triplet {triplet.id} cannot be prompted as {mode.key}: {reason}")
     params = params or GenerationParams()
     registry = registry or TemplateRegistry.load()
     template = registry.get(mode)
-    values = _substitution_values(triplet, mode)
-    text = registry.fill(mode, values)
-    for name, value in values.items():
-        if value not in text:
-            raise DataError(
-                f"template {template.name!r} dropped the {name} value for "
-                f"triplet {triplet.id}"
-            )
+    text = registry.fill(mode, triplet)
     return RenderedPrompt(
         triplet_id=triplet.id,
         mode=mode,

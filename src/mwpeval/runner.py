@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from ._schema import (
-    dump, dump_line, json_text, load, load_line, read_json, read_jsonl, utc_now, write_atomic
+    dump, dump_line, json_text, load, read_json, read_jsonl, utc_now, write_atomic
 )
 from .backends import Backend, ModelSpec, create_backend
 from .errors import BackendError, ConfigurationError, DataError, UsageError
@@ -85,11 +85,6 @@ class RunRecord:
 
     def to_json_line(self) -> str:
         return dump_line(self)
-
-    @classmethod
-    def from_json_line(cls, line: str | bytes, lineno: int | None = None) -> "RunRecord":
-        where = f" at line {lineno}" if lineno is not None else ""
-        return load_line(cls, line, "run record", DataError, where)
 
     @property
     def mode(self) -> PromptMode:
@@ -216,7 +211,7 @@ def build_cells(
     # pairs that name a mode are the config's modes, in its order.
     modes = (mode_for(task, dop) for task in config.tasks for dop in (None, *config.modes))
     for mode in filter(None, modes):
-        _, values = template_inputs(mode)
+        values = template_inputs(mode)
         first_by_values: dict[Any, str] = {}
         for triplet in dataset:
             reason = skip_reason(triplet, mode)

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Iterator
 
 from . import __version__ as TOOL_VERSION
 from ._schema import (
-    dump, dump_line, json_text, load_line, read_json, read_jsonl, utc_now, write_atomic
+    dump, dump_line, json_text, read_json, read_jsonl, utc_now, write_atomic
 )
 from .errors import DataError, UsageError
 from .extraction import NumericAnswer, extract, parse_numeric, scan_numbers
@@ -93,13 +93,6 @@ class Triplet:
 
     def to_json_line(self) -> str:
         return dump_line(self)
-
-    @classmethod
-    def from_json_line(cls, line: str, lineno: int | None = None) -> "Triplet":
-        """Decode one JSONL row and check its keys and value types.
-        Values are validated once, when a Dataset is built."""
-        where = f" at line {lineno}" if lineno is not None else ""
-        return load_line(cls, line, "triplet", DataError, where)
 
 
 def derive_brief_explanation(

@@ -24,6 +24,12 @@ def read_jsonl(path: Path) -> list[dict]:
         return [json.loads(line) for line in handle if line.strip()]
 
 
+def load_line(cls: type, line: str, where: str = ""):
+    """cls loaded from one JSONL line, strict in keys and types, as
+    read_jsonl loads each line of a file."""
+    return _schema.load(cls, json.loads(line), cls.__name__, DataError, where)
+
+
 def load_whole_log(path: Path) -> list[RunRecord]:
     """Every record of a log that must have no torn line: unlike
     load_records, a torn final line raises here."""

@@ -986,8 +986,19 @@ def test_http_bytes_past_a_reply_drop_its_connection():
         (b"HTTP/1.1 OK\r\n\r\n", "BadStatusLine"),
         (reply_bytes({}, headers=(("X-Long", "a" * 65536),)), "LineTooLong"),
         (reply_bytes({}, headers=tuple((f"X-{n}", "1") for n in range(101))), "got more than 100 headers"),
+        # the server keeps its end open: read to close, each attempt would time out
+        (reply_bytes(b"{}", headers=(("Content-Length", "+2"),)), "invalid Content-Length '+2'"),
+        (reply_bytes(b"{}", headers=(("Content-Length", "0_2"),)), "invalid Content-Length '0_2'"),
     ],
-    ids=["version", "status-too-low", "no-status", "long-header-line", "101-headers"],
+    ids=[
+        "version",
+        "status-too-low",
+        "no-status",
+        "long-header-line",
+        "101-headers",
+        "signed-length",
+        "underscored-length",
+    ],
 )
 def test_http_a_malformed_reply_is_a_transport_failure(reply, failure):
     with raw_server(reply, reply, reply) as (url, state):

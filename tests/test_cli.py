@@ -6,7 +6,10 @@ import dataclasses
 import fcntl
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -454,6 +457,45 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     assert (report_dir / "report.csv").exists()
     assert (report_dir / "chart_data.json").exists()
     assert (report_dir / "chart.svg").exists()
+
+
+# Each command in one fresh process: which of numpy and requests are
+# loaded after the import and after each command.
+LAZY_IMPORTS = """
+import json, sys
+from mwpeval.cli import main
+config, dataset, work = sys.argv[1:]
+seen = [[name for name in ("numpy", "requests") if name in sys.modules]]
+for argv in (
+    ["run", "--config", config],
+    ["rescore", "--run", work + "/out", "--dataset", dataset, "--output", work + "/scored.jsonl"],
+    ["report", "--scored", work + "/scored.jsonl", "--out-dir", work + "/report"],
+    ["report", "--scored", work + "/scored.jsonl", "--out-dir", work + "/ci", "--bootstrap", "100"],
+):
+    assert main(argv) == 0, argv
+    seen.append([name for name in ("numpy", "requests") if name in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
+    config = write_config(tmp_path)
+    package_root = str(Path(mwpeval.__file__).resolve().parent.parent)
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+    }
+    child = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORTS, str(config), str(FIXTURE_DATASET), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    seen = json.loads(child.stdout.splitlines()[-1])
+    # import, scripted run, rescore and plain report, then report --bootstrap
+    assert seen == [[], [], [], [], ["numpy"]]
 
 
 def test_report_from_builtin_counts(tmp_path, capsys):

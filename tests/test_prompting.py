@@ -306,6 +306,16 @@ def test_override_with_wrong_placeholders_rejected(tmp_path):
         TemplateRegistry.load(tmp_path)
 
 
+def test_a_template_filed_under_another_key_is_refused():
+    templates = {mode.template_name: REGISTRY.get(mode) for mode in MODES}
+    templates["reasoning"], templates["correction_sp"] = (
+        templates["correction_sp"],
+        templates["reasoning"],
+    )
+    with pytest.raises(DataError, match="template 'correction_sp' is filed as 'reasoning'"):
+        TemplateRegistry(templates)
+
+
 # content addressing
 
 

@@ -53,7 +53,13 @@ import mwpeval.triplets
 from mwpeval.prompting import CORRECTION_MODES, REASONING_MODE, TemplateRegistry, render
 from mwpeval.runner import RunRecord, _RecordWriter, _stream_records, build_cells, index_records
 
-from conftest import DATA_DIR, fixture_without_explanation, load_whole_log, make_triplet
+from conftest import (
+    DATA_DIR,
+    fixture_without_explanation,
+    load_line,
+    load_whole_log,
+    make_triplet,
+)
 
 FIXTURE_DATASET = DATA_DIR / "fixture_triplets.jsonl"
 SCRIPTED = DATA_DIR / "scripted_responses.jsonl"
@@ -117,14 +123,14 @@ class ExplodingBackend:
 
 def test_record_round_trips():
     record = record_with()
-    assert RunRecord.from_json_line(record.to_json_line()) == record
+    assert load_line(RunRecord, record.to_json_line()) == record
 
 
 def test_record_schema_is_strict():
     payload = json.loads(record_with().to_json_line())
     payload["notes"] = "hm"
     with pytest.raises(DataError, match="unexpected"):
-        RunRecord.from_json_line(json.dumps(payload))
+        load_line(RunRecord, json.dumps(payload))
 
 
 def test_record_mode_property():

@@ -41,7 +41,7 @@ from mwpeval import (
 from mwpeval._schema import dump, json_text, load, utc_now, write_atomic
 from mwpeval.cli import main
 
-from conftest import DATA_DIR, make_triplet
+from conftest import DATA_DIR, load_line, make_triplet
 
 
 def triplet_payload() -> dict:
@@ -83,14 +83,14 @@ def config_payload() -> dict:
 #          a wrong-typed field, an unknown enum value or None)
 LOADERS = {
     "triplet": (
-        lambda p: Triplet.from_json_line(json.dumps(p), 7),
+        lambda p: load(Triplet, p, "triplet", DataError, " at line 7"),
         triplet_payload,
         DataError,
         ("question", 5),
         None,
     ),
     "run record": (
-        lambda p: RunRecord.from_json_line(json.dumps(p), 7),
+        lambda p: load(RunRecord, p, "run record", DataError, " at line 7"),
         record_payload,
         DataError,
         ("attempts", "1"),
@@ -172,7 +172,7 @@ def test_bool_is_not_a_number():
     with pytest.raises(ConfigurationError, match="'timeout'"):
         ModelSpec.from_dict({**model_payload(), "timeout": True})
     with pytest.raises(DataError, match="'attempts'"):
-        RunRecord.from_json_line(json.dumps({**record_payload(), "attempts": True}))
+        load(RunRecord, {**record_payload(), "attempts": True}, "run record", DataError)
 
 
 def test_int_for_float_is_kept_as_given():
@@ -185,7 +185,7 @@ def test_configs_take_defaults_but_data_files_do_not():
     payload = triplet_payload()
     del payload["meta"]
     with pytest.raises(DataError, match="missing required keys"):
-        Triplet.from_json_line(json.dumps(payload))
+        load(Triplet, payload, "triplet", DataError)
 
 
 def test_nested_config_round_trips_and_names_its_part():
@@ -210,7 +210,7 @@ def built_values() -> list:
 @pytest.mark.parametrize("built", built_values(), ids=lambda value: type(value).__name__)
 def test_a_loaded_value_is_the_built_one(built):
     cls = type(built)
-    loaded = cls.from_json_line(built.to_json_line())
+    loaded = load_line(cls, built.to_json_line())
     assert type(loaded) is cls
     assert loaded == built
     assert repr(loaded) == repr(built)
@@ -227,7 +227,7 @@ def test_a_loaded_value_is_the_built_one(built):
 
 
 def test_a_loaded_triplet_keeps_its_reference_value_cached():
-    loaded = Triplet.from_json_line(make_triplet().to_json_line())
+    loaded = load_line(Triplet, make_triplet().to_json_line())
     first = loaded.reference_value
     assert first.value == 24
     assert loaded.reference_value is first
@@ -276,7 +276,7 @@ record_fields = st.fixed_dictionaries(
 @given(record_fields)
 def test_any_record_reads_back_as_built(fields):
     record = RunRecord(**fields)
-    loaded = RunRecord.from_json_line(record.to_json_line())
+    loaded = load_line(RunRecord, record.to_json_line())
     assert loaded == record
     assert loaded.to_json_line() == record.to_json_line()
 
@@ -297,7 +297,7 @@ def test_a_record_line_is_what_json_dumps_gives(fields):
     )
 )
 def test_any_triplet_reads_back_as_built(triplet):
-    loaded = Triplet.from_json_line(triplet.to_json_line())
+    loaded = load_line(Triplet, triplet.to_json_line())
     assert loaded == triplet
     assert loaded.to_json_line() == triplet.to_json_line()
 

@@ -17,7 +17,7 @@ from mwpeval.triplets import (
     manifest_path_for,
 )
 
-from conftest import DATA_DIR, make_triplet, read_jsonl
+from conftest import DATA_DIR, load_line, make_triplet, read_jsonl
 
 
 # schema
@@ -26,7 +26,7 @@ from conftest import DATA_DIR, make_triplet, read_jsonl
 def test_valid_triplet_round_trips_byte_identically():
     triplet = make_triplet()
     line = triplet.to_json_line()
-    again = Triplet.from_json_line(line)
+    again = load_line(Triplet, line)
     assert again == triplet
     assert again.to_json_line() == line
 
@@ -50,14 +50,14 @@ def test_missing_key_rejected():
     payload = json.loads(make_triplet().to_json_line())
     del payload["wrong_solution"]
     with pytest.raises(DataError, match="missing"):
-        Triplet.from_json_line(json.dumps(payload))
+        load_line(Triplet, json.dumps(payload))
 
 
 def test_extra_key_rejected():
     payload = json.loads(make_triplet().to_json_line())
     payload["difficulty"] = "hard"
     with pytest.raises(DataError, match="unexpected"):
-        Triplet.from_json_line(json.dumps(payload))
+        load_line(Triplet, json.dumps(payload))
 
 
 def test_reference_mismatch_rejected():
