@@ -7,27 +7,46 @@ and in value types, and raises the caller's error class naming the key
 and the line. Data files (``DataError``) must carry every key; configs
 (the ``UsageError`` family) may omit keys that have a dataclass default.
 
-Every check runs before an instance is built. A class with no
-``__post_init__`` and no decoded field (enum, tuple or nested
-dataclass), such as ``RunRecord`` and ``Triplet``, is then built as
-pickle restores one, without its frozen ``__init__``: ``object.__new__``
-and each value written in field order, through the slots of a slotted
-class (``RunRecord``) or into the instance ``__dict__`` (``Triplet``).
-Any other class, and a config that leaves out defaulted keys, is built
-by ``cls(**payload)``; a ``__post_init__`` refusal then gets ``where``
-too.
+Every check runs before an instance is built. The generic path then
+builds it by ``cls(**payload)``, and a ``__post_init__`` refusal gets
+``where`` too.
 
 Per-class tables are built once, on first use, from the resolved field
-annotations. The supported annotations are ``str``, ``int``, ``float``
-(an int is accepted and kept as given), ``bool``, ``dict``, an ``Enum``,
+annotations, and each class's line codec is compiled from its table,
+one small function per direction, as dataclasses compiles ``__init__``:
+
+* The encoder is a ``%`` template of the fixed key text with one slot
+  per field. Each slot writes its value by the value's exact class: a
+  str through ``json.encoder.encode_basestring``, None as ``null``, a
+  bool, an int by ``int.__repr__``, a float by ``float.__repr__`` (or
+  ``NaN`` and ``±Infinity``), and a ``JsonText`` as it is. Any other
+  value takes the field's encoder, as ``dump`` does, and ``json_value``.
+  So a line is exactly ``json_value(dump(obj))``, written without the
+  dict. ``line_encoder`` gives it to a caller that holds a record's
+  values but no record.
+* The decoder exists for a class with no ``__post_init__`` and no
+  decoded field (enum, tuple or nested dataclass), such as
+  ``RunRecord`` and ``Triplet``. It checks the key set and each value's
+  exact type inline, then builds the instance as pickle restores one,
+  without its frozen ``__init__``: ``object.__new__`` and each value
+  written in field order, through the slots of a slotted class
+  (``RunRecord``) or into the instance ``__dict__`` (``Triplet``). On
+  any failure ``load`` goes on with its generic checks, so a refusal
+  and its message are the same either way.
+
+The supported annotations are ``str``, ``int``, ``float`` (an int is
+accepted and kept as given), ``bool``, ``dict``, an ``Enum``,
 ``tuple[Enum, ...]`` (read from a JSON list), a nested dataclass, and
 any of these ``| None``. A bool is never accepted as a number.
 
 The file half lives here too: ``read_json`` and ``read_jsonl`` are the
-only readers of the harness's JSON and JSONL input files. ``dump_line``
-is the one JSONL line encoder, ``json_text`` the one JSON file encoding
-and ``utc_now`` the one timestamp format. ``json_value``, the compact
-encoding ``dump_line`` writes, is one encoder that every caller shares.
+only readers of the harness's JSON and JSONL input files. A JSONL line
+that is one JSON value and its newline is decoded by ``raw_decode``
+alone, and any other by ``json.loads``, which then accepts, refuses and
+words its message as it always has. ``dump_line`` is the one JSONL line
+encoder, ``json_text`` the one JSON file encoding and ``utc_now`` the
+one timestamp format. ``json_value``, the compact encoding
+``dump_line`` writes, is one encoder that every caller shares.
 ``write_atomic`` is the one writer of a whole file: it streams a str,
 or an iterable of str chunks such as JSONL lines, into a temp file and
 renames it onto the target, so that no reader sees the file half
@@ -48,6 +67,7 @@ import types
 import typing
 import uuid
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
@@ -78,7 +98,34 @@ class _Schema(NamedTuple):
     expected: dict[str, str]  # the same, in words, for messages
     decoders: tuple[tuple[str, Any], ...]  # an enum, a tuple reader or a dataclass
     encoders: tuple[tuple[str, Callable[[Any], Any]], ...]
-    restore: Callable[[dict[str, Any]], Any] | None  # see _restorer
+    line: Callable[..., str]  # the field values, in order or by name -> a line
+    encode: Callable[[Any], str]  # an instance -> its line
+    decode: Callable[[Any], Any] | None  # a payload -> an instance, or None
+
+
+class JsonText(str):
+    """A str that already is a value's JSON text; a line encoder writes
+    it as it is. The runner hands it a prompt's text this way, encoded
+    once by render for the content hash."""
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+# A value's JSON text by its exact class, as json_value writes it.
+_TEXT_BY_CLASS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring,
+    JsonText: str.__str__,
+    _NONE: lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    float: _float_text,
+}
 
 
 _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")  # Unicode category Cc
@@ -115,6 +162,19 @@ def load(
     locates it (" at line 3").
     """
     schema = _schema(cls)
+    if schema.decode is not None:
+        instance = schema.decode(payload)
+        if instance is not None:
+            return instance
+    return _load(schema, cls, payload, what, error, where)
+
+
+def _load(
+    schema: _Schema, cls: type[Any], payload: Any, what: str, error: type[HarnessError], where: str
+) -> Any:
+    """load's generic path: every check, each with its message, then
+    cls(**payload). It gives what a compiled decoder gives for a payload
+    that one accepts, and alone words every refusal."""
     if not isinstance(payload, dict):
         raise error(f"{what}{where} is not a JSON object, got {_kind(payload)}")
     keys = payload.keys()
@@ -149,8 +209,6 @@ def load(
                 payload[name] = decode(value)
             except ValueError:
                 raise error(_bad_value(schema, name, value, what, where)) from None
-    if schema.restore is not None and len(payload) == len(schema.order):
-        return schema.restore(payload)
     try:
         return cls(**payload)
     except error as exc:  # a __post_init__ check
@@ -166,8 +224,35 @@ json_value: Callable[[Any], str] = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def dump_line(obj: Any) -> str:
-    """The dataclass as one JSONL line, without its newline."""
-    return json_value(dump(obj))
+    """The dataclass as one JSONL line, without its newline: the text
+    json_value(dump(obj)) gives, from the class's compiled encoder."""
+    return _schema(type(obj)).encode(obj)
+
+
+def line_encoder(cls: type[Any]) -> Callable[..., str]:
+    """cls's compiled line encoder: it takes the field values, in field
+    order or by field name, and gives the line dump_line gives for the
+    instance they would build, without building it."""
+    return _schema(cls).line
+
+
+_decode_json = json.JSONDecoder().raw_decode
+
+
+def _json_line(text: str) -> Any:
+    """json.loads(text), for a line. A line that is one JSON value and
+    its newline, as every line the harness writes is, is decoded once;
+    any other (leading or other trailing whitespace, a BOM, bad JSON) is
+    left to json.loads, so what is accepted and every message stay
+    json.loads's own. JSON whitespace is four characters, far fewer than
+    str.isspace takes, so only the newline is skipped here."""
+    try:
+        value, end = _decode_json(text)
+    except ValueError:
+        return json.loads(text)
+    if end == len(text) or (end == len(text) - 1 and text[end] == "\n"):
+        return value
+    return json.loads(text)
 
 
 def read_json(path: str | Path, what: str, error: type[HarnessError]) -> Any:
@@ -205,7 +290,7 @@ def read_jsonl(
                 continue
             try:
                 try:
-                    row = json.loads(line.decode())
+                    row = _json_line(line.decode())
                 except ValueError as exc:
                     if bad is None:
                         raise error(f"invalid JSON: {exc}") from None
@@ -295,6 +380,9 @@ def _schema(cls: type[Any]) -> _Schema:
     fields = dataclasses.fields(cls)
     codecs = {f.name: _codec(hints[f.name], f"{cls.__name__}.{f.name}") for f in fields}
     decoders = tuple((name, c[2]) for name, c in codecs.items() if c[2] is not None)
+    accepted = {name: codec[0] for name, codec in codecs.items()}
+    line, encode = _compile_encoder({name: codec[3] for name, codec in codecs.items()})
+    restorable = not decoders and not hasattr(cls, "__post_init__")
     return _Schema(
         order=tuple(codecs),
         names=frozenset(codecs),
@@ -303,47 +391,116 @@ def _schema(cls: type[Any]) -> _Schema:
             for f in fields
             if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         ),
-        accepted={name: codec[0] for name, codec in codecs.items()},
+        accepted=accepted,
         expected={name: codec[1] for name, codec in codecs.items()},
         decoders=decoders,
         encoders=tuple((name, c[3]) for name, c in codecs.items() if c[3] is not None),
-        restore=None if decoders else _restorer(cls, tuple(codecs)),
+        line=line,
+        encode=encode,
+        decode=_compile_decoder(cls, accepted) if restorable else None,
     )
 
 
-def _restorer(cls: type[Any], order: tuple[str, ...]) -> Callable[[dict[str, Any]], Any] | None:
-    """A builder of cls, a class with no decoded field, from a checked
-    payload that holds every field; None when cls has a __post_init__,
-    whose checks must run.
+# The compiled functions name a field's value by the field's name in
+# the encoder, where callers may pass values by name, and __v<i> in the
+# decoder. Every other name in them starts with two underscores, which
+# no dataclass field name can: the class body would mangle it.
 
-    The builder makes the instance as pickle restores one: object.__new__,
-    then each value written in field order, with no frozen __setattr__
-    call. A slotted class's values go through its slot descriptors.
-    Other values go into the instance __dict__, whose keys then line up
-    with the ones __init__ sets, so the dict keeps sharing its keys.
+
+def _compiled(source: str, name: str, namespace: dict[str, Any]) -> Callable[..., Any]:
+    exec(source, namespace)
+    return namespace[name]
+
+
+def _slot_text(encode: Callable[[Any], Any] | None) -> Callable[[Any], str]:
+    """The JSON text of a field value whose class has no entry in
+    _TEXT_BY_CLASS: the field's encoder first, as dump applies it."""
+    if encode is None:
+        return json_value
+
+    def text(value: Any) -> str:
+        value = encode(value)
+        return _TEXT_BY_CLASS.get(type(value), json_value)(value)
+
+    return text
+
+
+def _compile_encoder(
+    encoders: dict[str, Callable[[Any], Any] | None]
+) -> tuple[Callable[..., str], Callable[[Any], str]]:
+    """(line, encode) for the fields of encoders, in order, each with its
+    dump encoder or None: line(*values) is the line of the instance the
+    values would build, and encode(obj) the line of obj."""
+    keys = (encode_basestring(name).replace("%", "%%") for name in encoders)
+    namespace: dict[str, Any] = {
+        "__template": "{" + ", ".join(f"{key}: %s" for key in keys) + "}",
+        "__text": _TEXT_BY_CLASS.get,
+        "__type": type,
+    }
+    slots = []
+    for i, (name, encode) in enumerate(encoders.items()):
+        namespace[f"__slot{i}"] = _slot_text(encode)
+        slots.append(f"__text(__type({name}), __slot{i})({name}),")
+    line = _compiled(
+        f"def __line({', '.join(encoders)}):\n"
+        f"    return __template % ({' '.join(slots)})\n",
+        "__line",
+        namespace,
+    )
+    encode = _compiled(
+        f"def __encode(__obj):\n"
+        f"    return __line({', '.join(f'__obj.{name}' for name in encoders)})\n",
+        "__encode",
+        namespace,
+    )
+    return line, encode
+
+
+def _compile_decoder(cls: type[Any], accepted: dict[str, frozenset[type]]) -> Callable[[Any], Any]:
+    """A function that builds cls, a class with no decoded field and no
+    __post_init__, from a payload of exactly its keys, each holding a
+    value of an accepted type, and gives None for any other payload.
+
+    The instance is made as pickle restores one: object.__new__, then
+    each value written in field order, with no frozen __setattr__ call.
+    A slotted class's values go through its slot descriptors. Other
+    values go into the instance __dict__, whose keys then line up with
+    the ones __init__ sets, so the dict keeps sharing its keys.
     """
-    if hasattr(cls, "__post_init__"):
-        return None
-    new = object.__new__
-    if vars(cls).get("__slots__"):
-        setters = tuple((name, vars(cls)[name].__set__) for name in order)
-
-        def restore(payload: dict[str, Any]) -> Any:
-            instance = new(cls)
-            for name, put in setters:
-                put(instance, payload[name])
-            return instance
-
-        return restore
-
-    def restore(payload: dict[str, Any]) -> Any:
-        instance = new(cls)
-        state = instance.__dict__
-        for name in order:
-            state[name] = payload[name]
-        return instance
-
-    return restore
+    namespace: dict[str, Any] = {"__cls": cls, "__new": object.__new__}
+    slotted = bool(vars(cls).get("__slots__"))
+    reads, checks = [], []
+    writes = [] if slotted else ["    __state = __instance.__dict__\n"]
+    for i, (name, kinds) in enumerate(accepted.items()):
+        reads.append(f"        __v{i} = __payload[{name!r}]\n")
+        tests = []
+        for j, kind in enumerate(sorted(kinds, key=lambda kind: kind is _NONE)):
+            if kind is _NONE:
+                tests.append(f"__v{i} is None")
+            else:
+                namespace[f"__kind{i}_{j}"] = kind
+                tests.append(f"type(__v{i}) is __kind{i}_{j}")
+        checks.append(f"({' or '.join(tests)})")
+        if slotted:
+            namespace[f"__put{i}"] = vars(cls)[name].__set__
+            writes.append(f"    __put{i}(__instance, __v{i})\n")
+        else:
+            writes.append(f"    __state[{name!r}] = __v{i}\n")
+    source = (
+        "def __decode(__payload):\n"
+        f"    if type(__payload) is not dict or len(__payload) != {len(accepted)}:\n"
+        "        return None\n"
+        "    try:\n"
+        f"{''.join(reads)}"
+        "    except KeyError:\n"
+        "        return None\n"
+        f"    if not ({' and '.join(checks)}):\n"
+        "        return None\n"
+        "    __instance = __new(__cls)\n"
+        f"{''.join(writes)}"
+        "    return __instance\n"
+    )
+    return _compiled(source, "__decode", namespace)
 
 
 def _codec(hint: Any, where: str) -> _Codec:

@@ -33,7 +33,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Protocol
 
-from ._schema import control_character, dump, load, read_jsonl
+from ._schema import control_character, dump, read_jsonl
 from .errors import BackendError, ConfigurationError, DataError, ScriptedLookupError
 from .prompting import GenerationParams, RenderedPrompt
 
@@ -103,10 +103,6 @@ class ModelSpec:
 
     def to_dict(self) -> dict[str, Any]:
         return dump(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ModelSpec":
-        return load(cls, payload, "model config", ConfigurationError)
 
 
 @dataclass(frozen=True)

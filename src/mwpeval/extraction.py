@@ -14,7 +14,8 @@ Rules apply in order; the first rule that produces a number wins:
 
 Each rule scans only what it needs, in that order: the marker rule
 searches from the marker on, the answer-line rule walks the lines from
-the end and scans only the last one that matches, and only the
+the end and scans only the last one that matches (and is skipped when
+the casefolded text holds no "answer"), and only the
 last-number rule scans the whole text. A rule that finds no number
 hands on to the next, so an answer line without a number does not stop
 the last-number rule. The result is the one a scan of every token
@@ -176,16 +177,20 @@ def extract(text: str) -> NumericAnswer | None:
             return _answer(token, RULE_MARKER)
 
     # A line is searched with its line break, which neither pattern can
-    # match: an answer phrase or a number ends before it.
-    end = len(text)
-    for line in reversed(text.splitlines(keepends=True)):
-        start = end - len(line)
-        if _ANSWER_LINE.search(text, start, end):
-            token = _last(_NUMBER_TOKEN.finditer(text, start, end))
-            if token is not None:
-                return _answer(token, RULE_ANSWER_LINE)
-            break
-        end = start
+    # match: an answer phrase or a number ends before it. Every answer
+    # phrase holds "answer", and each character that the case-blind
+    # pattern takes for one of its letters casefolds to that letter, so
+    # text whose casefold lacks "answer" has no answer line to walk to.
+    if "answer" in text.casefold():
+        end = len(text)
+        for line in reversed(text.splitlines(keepends=True)):
+            start = end - len(line)
+            if _ANSWER_LINE.search(text, start, end):
+                token = _last(_NUMBER_TOKEN.finditer(text, start, end))
+                if token is not None:
+                    return _answer(token, RULE_ANSWER_LINE)
+                break
+            end = start
 
     token = _last(_NUMBER_TOKEN.finditer(text))
     return None if token is None else _answer(token, RULE_LAST_NUMBER)

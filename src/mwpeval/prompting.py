@@ -177,6 +177,13 @@ class RenderedPrompt:
     text: str
     content_hash: str
 
+    @functools.cached_property
+    def text_json(self) -> str:
+        """text as a JSON string, as a record line holds it. render
+        fills it in with the encoding it hashes; it is no field, so
+        equality and repr ignore it."""
+        return json_value(self.text)
+
 
 def compute_content_hash(
     template_id: str, text: str, params: GenerationParams
@@ -185,11 +192,16 @@ def compute_content_hash(
     with sorted keys. Everything before the text is fixed per template
     and params, so it is encoded once and kept on the params object,
     which also keeps 0 and 0.0 apart: they are equal, but dump apart."""
+    return _content_hash(template_id, json_value(text), params)
+
+
+def _content_hash(template_id: str, text_json: str, params: GenerationParams) -> str:
+    """compute_content_hash from the text's JSON encoding."""
     heads = params._heads
     head = heads.get(template_id)
     if head is None:
         head = heads[template_id] = _payload_head(template_id, params)
-    return hashlib.sha256(head + (json_value(text) + "}").encode("utf-8")).hexdigest()
+    return hashlib.sha256(head + (text_json + "}").encode("utf-8")).hexdigest()
 
 
 def _payload_head(template_id: str, params: GenerationParams) -> bytes:
@@ -217,6 +229,11 @@ class TemplateRegistry:
         # Triplet field each placeholder reads at the odd ones.
         self._parts: dict[str, list[str]] = {}
         for name, template in templates.items():
+            if name not in REQUIRED_PLACEHOLDERS:
+                raise DataError(
+                    f"unknown template {name!r}; known names: "
+                    + ", ".join(sorted(REQUIRED_PLACEHOLDERS))
+                )
             if template.name != name:
                 raise DataError(f"template {template.name!r} is filed as {name!r}")
             parts = PLACEHOLDER.split(template.text)
@@ -285,10 +302,13 @@ def render(
     registry = registry or TemplateRegistry.load()
     template = registry.get(mode)
     text = registry.fill(mode, triplet)
-    return RenderedPrompt(
+    text_json = json_value(text)
+    prompt = RenderedPrompt(
         triplet_id=triplet.id,
         mode=mode,
         template_id=template.template_id,
         text=text,
-        content_hash=compute_content_hash(template.template_id, text, params),
+        content_hash=_content_hash(template.template_id, text_json, params),
     )
+    prompt.__dict__["text_json"] = text_json  # as the cached property keeps it
+    return prompt

@@ -31,7 +31,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from ._schema import (
-    dump, dump_line, json_text, load, read_json, read_jsonl, utc_now, write_atomic
+    JsonText, dump, dump_line, json_text, line_encoder, load, read_json, read_jsonl, utc_now,
+    write_atomic,
 )
 from .backends import Backend, ModelSpec, create_backend
 from .errors import BackendError, ConfigurationError, DataError, UsageError
@@ -276,8 +277,9 @@ class _RecordWriter:
         if size and os.pread(self._fd, 1, size - 1) != b"\n":
             os.write(self._fd, b"\n")
 
-    def append(self, record: RunRecord) -> None:
-        line = (record.to_json_line() + "\n").encode("utf-8")
+    def append(self, record_line: str) -> None:
+        """Append one record's line (RunRecord.to_json_line's text)."""
+        line = (record_line + "\n").encode("utf-8")
         written = os.write(self._fd, line)
         if written != len(line):
             raise OSError(
@@ -517,10 +519,14 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
             backend = built = create_backend(config.model)
 
         run_id = uuid.uuid4().hex[:12]
+        record_line = line_encoder(RunRecord)
 
         def work(cell: Cell) -> bool:
             """Render one cell, complete it and append its record. True
-            means success."""
+            means success. The record's line is encoded straight from
+            the cell's values, with the prompt text as render encoded it
+            for the content hash: it is the line of the RunRecord those
+            values build, with no RunRecord built."""
             prompt = render(*cell, config.model.params, registry)
             try:
                 result = backend.complete(prompt)
@@ -528,22 +534,25 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
                 attempts, latency = result.attempts, result.latency_ms
             except BackendError as exc:
                 response, error, attempts, latency = None, str(exc), 0, 0.0
-            record = RunRecord(
-                run_id=run_id,
-                triplet_id=prompt.triplet_id,
-                model=config.model.name,
-                **prompt.mode.record_fields,
-                template_id=prompt.template_id,
-                content_hash=prompt.content_hash,
-                prompt_text=prompt.text,
-                response_text=response,
-                error=error,
-                attempts=attempts,
-                latency_ms=latency,
-                created_at=utc_now(),
+            mode_fields = prompt.mode.record_fields  # passed by name: ** would build a dict
+            writer.append(
+                record_line(
+                    run_id=run_id,
+                    triplet_id=prompt.triplet_id,
+                    model=model_name,
+                    task=mode_fields["task"],
+                    dop=mode_fields["dop"],
+                    template_id=prompt.template_id,
+                    content_hash=prompt.content_hash,
+                    prompt_text=JsonText(prompt.text_json),
+                    response_text=response,
+                    error=error,
+                    attempts=attempts,
+                    latency_ms=latency,
+                    created_at=utc_now(),
+                )
             )
-            writer.append(record)
-            return record.error is None
+            return error is None
 
         fresh, failed = _dispatch(pending, work, config.concurrency)
 

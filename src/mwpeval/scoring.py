@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from ._schema import dump, dump_line, load, read_jsonl, write_atomic
+from ._schema import dump, dump_line, read_jsonl, write_atomic
 from .errors import DataError
 from .extraction import extract
 from .prompting import MISPAIRED, DopLevel, TaskKind, mode_for
@@ -65,11 +65,6 @@ class Outcome:
 
     def to_dict(self) -> dict[str, Any]:
         return dump(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], lineno: int | None = None) -> "Outcome":
-        where = f" at line {lineno}" if lineno is not None else ""
-        return load(cls, payload, "scored outcome", DataError, where)
 
 
 def score(

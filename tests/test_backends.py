@@ -32,6 +32,7 @@ from mwpeval import (
     create_backend,
     render,
 )
+from mwpeval._schema import load
 from mwpeval.prompting import CORRECTION_MODES, REASONING_MODE, DopLevel, TemplateRegistry
 
 from conftest import make_triplet
@@ -471,19 +472,19 @@ def test_retry_policy_delay_schedule():
 
 def test_model_spec_round_trips_through_dict():
     spec = fast_spec("http://example.invalid", auth_env="KEY")
-    assert ModelSpec.from_dict(spec.to_dict()) == spec
+    assert load(ModelSpec, spec.to_dict(), "model config", ConfigurationError) == spec
 
 
 def test_model_spec_rejects_unknown_keys():
     with pytest.raises(ConfigurationError, match="unknown model config keys"):
-        ModelSpec.from_dict({"name": "m", "endpoint": "x", "api_key": "nope"})
+        payload = {"name": "m", "endpoint": "x", "api_key": "nope"}
+        load(ModelSpec, payload, "model config", ConfigurationError)
 
 
 def test_model_spec_rejects_unknown_nested_keys():
     with pytest.raises(ConfigurationError, match="bad model config"):
-        ModelSpec.from_dict(
-            {"name": "m", "endpoint": "x", "params": {"temp": 0.5}}
-        )
+        payload = {"name": "m", "endpoint": "x", "params": {"temp": 0.5}}
+        load(ModelSpec, payload, "model config", ConfigurationError)
 
 
 def test_model_spec_never_stores_secrets():

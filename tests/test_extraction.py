@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mwpeval.extraction import (
+    _ANSWER_LINE,
     _NUMBER_TOKEN,
     _ZEROS,
     MARKER,
@@ -312,3 +313,22 @@ def test_lazy_extract_agrees_with_the_eager_rules(text):
         assert got is not None
         assert (got.value, got.raw_span, got.rule) == expected
         assert type(got.value) is Fraction
+
+
+def test_every_character_the_answer_pattern_reads_as_a_letter_of_answer_casefolds_to_it():
+    """extract walks the answer lines only when the casefolded text holds
+    "answer". That skips no answer line: each answer phrase holds
+    "answer", and every code point that the case-blind pattern takes for
+    one of its letters casefolds to exactly that letter (U+017F, the long
+    s, among them). Checked over all of Unicode."""
+    assert all("answer" in phrase for phrase in _ANSWER_LINE.pattern.split("|"))
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for letter in set("answer"):
+        taken = set(re.findall(letter, every, _ANSWER_LINE.flags))
+        assert taken >= {letter, letter.upper()}
+        assert {char: char.casefold() for char in taken} == dict.fromkeys(taken, letter)
+
+
+def test_an_answer_phrase_spelled_with_the_long_s_is_an_answer_line():
+    answer = extract("The an\u017fwer is 7\nthen 9 more")
+    assert (answer.canonical, answer.rule) == ("7", "answer-line")

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -313,6 +314,15 @@ def test_a_template_filed_under_another_key_is_refused():
         templates["reasoning"],
     )
     with pytest.raises(DataError, match="template 'correction_sp' is filed as 'reasoning'"):
+        TemplateRegistry(templates)
+
+
+def test_a_template_under_an_unknown_name_is_refused_naming_the_known_ones():
+    templates = {mode.template_name: REGISTRY.get(mode) for mode in MODES}
+    templates["extra"] = Template("extra", "extra@00000000", "{{question}}")
+    known = "correction_dop_be, correction_dop_na, correction_dop_sa, correction_sp, reasoning"
+    message = f"unknown template 'extra'; known names: {known}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         TemplateRegistry(templates)
 
 

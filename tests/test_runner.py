@@ -150,7 +150,7 @@ def test_record_mode_refuses_unknown_pairs(task, dop):
                "template_id": "t@0", "extracted": None, "success": False,
                "reason": "no-extraction"}
     with pytest.raises(DataError, match="scored outcome"):
-        Outcome.from_dict(outcome)
+        mwpeval._schema.load(Outcome, outcome, "scored outcome", DataError)
 
 
 def test_load_records_missing_file_is_empty(tmp_path):
@@ -1510,7 +1510,7 @@ def test_concurrent_appends_of_large_records_never_interleave(tmp_path):
         start.wait()
         for i in range(4):
             key = f"t{thread}-{i}"
-            writer.append(record_with(triplet_id=key, prompt_text=expected[key]))
+            writer.append(record_with(triplet_id=key, prompt_text=expected[key]).to_json_line())
 
     workers = [threading.Thread(target=append_all, args=(t,)) for t in range(8)]
     interval = sys.getswitchinterval()
@@ -1533,7 +1533,7 @@ def test_a_short_write_raises_and_leaves_a_tail_the_next_run_mends(tmp_path, mon
     path = tmp_path / "records.jsonl"
     writer = _RecordWriter(path)
     first = record_with(triplet_id="x01")
-    writer.append(first)
+    writer.append(first.to_json_line())
     write = os.write
 
     def half_written(fd, data):
@@ -1541,7 +1541,7 @@ def test_a_short_write_raises_and_leaves_a_tail_the_next_run_mends(tmp_path, mon
 
     monkeypatch.setattr(mwpeval.runner.os, "write", half_written)
     with pytest.raises(OSError, match="short write"):
-        writer.append(record_with(triplet_id="x02"))
+        writer.append(record_with(triplet_id="x02").to_json_line())
     monkeypatch.undo()
     writer.close()
     assert not path.read_bytes().endswith(b"\n")

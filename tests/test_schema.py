@@ -97,7 +97,7 @@ LOADERS = {
         None,
     ),
     "scored outcome": (
-        lambda p: Outcome.from_dict(p, 7),
+        lambda p: load(Outcome, p, "scored outcome", DataError, " at line 7"),
         outcome_payload,
         DataError,
         ("success", "false"),
@@ -111,7 +111,7 @@ LOADERS = {
         ("modes", ["sp", "dop_xx"]),
     ),
     "model config": (
-        ModelSpec.from_dict,
+        lambda p: load(ModelSpec, p, "model config", ConfigurationError),
         model_payload,
         ConfigurationError,
         ("timeout", "5"),
@@ -148,9 +148,9 @@ def test_a_post_init_refusal_names_the_line():
     payload = {**outcome_payload(), "task": "reasoning", "dop": "sp"}
     message = "the reasoning task takes no correction mode"
     with pytest.raises(DataError, match=f"^scored outcome at line 7: {message}$"):
-        Outcome.from_dict(payload, 7)
+        load(Outcome, payload, "scored outcome", DataError, " at line 7")
     with pytest.raises(DataError, match=f"^scored outcome: {message}$"):
-        Outcome.from_dict(payload)
+        load(Outcome, payload, "scored outcome", DataError)
 
 
 @pytest.mark.parametrize(
@@ -165,23 +165,24 @@ def test_unknown_enum_value_is_rejected(name):
 def test_success_string_is_not_a_boolean():
     payload = {**outcome_payload(), "success": "false"}
     with pytest.raises(DataError, match="'success' must be a boolean"):
-        Outcome.from_dict(payload)
+        load(Outcome, payload, "scored outcome", DataError)
 
 
 def test_bool_is_not_a_number():
     with pytest.raises(ConfigurationError, match="'timeout'"):
-        ModelSpec.from_dict({**model_payload(), "timeout": True})
+        load(ModelSpec, {**model_payload(), "timeout": True}, "model config", ConfigurationError)
     with pytest.raises(DataError, match="'attempts'"):
         load(RunRecord, {**record_payload(), "attempts": True}, "run record", DataError)
 
 
 def test_int_for_float_is_kept_as_given():
-    spec = ModelSpec.from_dict({**model_payload(), "timeout": 30})
+    spec = load(ModelSpec, {**model_payload(), "timeout": 30}, "model config", ConfigurationError)
     assert json.dumps(spec.to_dict()["timeout"]) == "30"
 
 
 def test_configs_take_defaults_but_data_files_do_not():
-    assert ModelSpec.from_dict(model_payload()).timeout == 120.0
+    spec = load(ModelSpec, model_payload(), "model config", ConfigurationError)
+    assert spec.timeout == 120.0
     payload = triplet_payload()
     del payload["meta"]
     with pytest.raises(DataError, match="missing required keys"):

@@ -9,6 +9,7 @@ import re
 import pytest
 
 from mwpeval import DataError, DopLevel, Quadrant, TaskKind, quadrants
+from mwpeval._schema import load
 from mwpeval.prompting import MISPAIRED, MODES, mode_for
 from mwpeval.scoring import (
     REASON_BACKEND_ERROR,
@@ -81,25 +82,25 @@ def test_near_miss_reference_is_a_mismatch():
 def test_outcome_round_trips_through_dict():
     outcome = scored("Final answer: 24", task=TaskKind.CORRECTION, dop=SP, model="m")
     payload = json.loads(json.dumps(outcome.to_dict()))
-    assert Outcome.from_dict(payload) == outcome
+    assert load(Outcome, payload, "scored outcome", DataError) == outcome
 
 
 def test_outcome_dict_schema_is_strict():
     payload = scored("Final answer: 24").to_dict()
     payload["note"] = "extra"
     with pytest.raises(DataError, match="unexpected"):
-        Outcome.from_dict(payload)
+        load(Outcome, payload, "scored outcome", DataError)
     del payload["note"]
     del payload["reason"]
     with pytest.raises(DataError, match="missing"):
-        Outcome.from_dict(payload)
+        load(Outcome, payload, "scored outcome", DataError)
 
 
 def test_unknown_reason_rejected():
     payload = scored("Final answer: 24").to_dict()
     payload["reason"] = "gut-feeling"
     with pytest.raises(DataError, match="reason"):
-        Outcome.from_dict(payload)
+        load(Outcome, payload, "scored outcome", DataError)
 
 
 @pytest.mark.parametrize("task,dop", [("reasoning", "sp"), ("correction", None)])
