@@ -27,12 +27,18 @@ one small function per direction, as dataclasses compiles ``__init__``:
 * The decoder exists for a class with no ``__post_init__`` and no
   decoded field (enum, tuple or nested dataclass), such as
   ``RunRecord`` and ``Triplet``. It checks the key set and each value's
-  exact type inline, then builds the instance as pickle restores one,
-  without its frozen ``__init__``: ``object.__new__`` and each value
-  written in field order, through the slots of a slotted class
-  (``RunRecord``) or into the instance ``__dict__`` (``Triplet``). On
-  any failure ``load`` goes on with its generic checks, so a refusal
-  and its message are the same either way.
+  exact type inline, then builds the instance by the class's restorer.
+  On any failure ``load`` goes on with its generic checks, so a
+  refusal and its message are the same either way. ``read_jsonl``
+  looks a class's table and decoder up once per file.
+
+``restorer`` compiles, for any dataclass, the function that builds an
+instance as pickle restores one, without its frozen ``__init__``:
+``object.__new__`` and each value written in field order, through the
+slots of a slotted class (``RunRecord``) or into the instance
+``__dict__`` (``Triplet``). It checks nothing, so it serves only a
+caller that has made every check itself: the decoder, ``score`` and
+``extract``.
 
 The supported annotations are ``str``, ``int``, ``float`` (an int is
 accepted and kept as given), ``bool``, ``dict``, an ``Enum``,
@@ -284,6 +290,9 @@ def read_jsonl(
     dropped with a warning and torn_tail(the byte offset where it
     starts) is called. A line after it, even a blank one, still raises.
     """
+    # cls's table and decoder, looked up once rather than by load per line
+    schema = None if cls is None else _schema(cls)
+    decode = None if schema is None else schema.decode
     with _open(path, f"{what} file", error) as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.isspace():
@@ -296,8 +305,9 @@ def read_jsonl(
                         raise error(f"invalid JSON: {exc}") from None
                     bad(lineno, exc)
                     continue
-                if cls is not None:
-                    row = load(cls, row, what, error)
+                if schema is not None:  # load(cls, row, what, error)
+                    instance = None if decode is None else decode(row)
+                    row = _load(schema, cls, row, what, error, "") if instance is None else instance
             except error as exc:
                 if torn_tail and not handle.read(1):
                     log.warning(
@@ -403,8 +413,9 @@ def _schema(cls: type[Any]) -> _Schema:
 
 # The compiled functions name a field's value by the field's name in
 # the encoder, where callers may pass values by name, and __v<i> in the
-# decoder. Every other name in them starts with two underscores, which
-# no dataclass field name can: the class body would mangle it.
+# restorer and the decoder. Every other name in them starts with two
+# underscores, which no dataclass field name can: the class body would
+# mangle it.
 
 
 def _compiled(source: str, name: str, namespace: dict[str, Any]) -> Callable[..., Any]:
@@ -456,21 +467,38 @@ def _compile_encoder(
     return line, encode
 
 
+@functools.cache
+def restorer(cls: type[Any]) -> Callable[..., Any]:
+    """cls's compiled restorer: the field values, in field order -> the
+    instance, made as pickle restores one and with no check run. Written
+    in field order, an instance __dict__ keeps sharing its keys with the
+    ones __init__ builds."""
+    names = [field.name for field in dataclasses.fields(cls)]
+    namespace: dict[str, Any] = {"__cls": cls, "__new": object.__new__}
+    if vars(cls).get("__slots__"):
+        writes = []
+        for i, name in enumerate(names):
+            namespace[f"__put{i}"] = vars(cls)[name].__set__
+            writes.append(f"    __put{i}(__instance, __v{i})\n")
+    else:
+        writes = ["    __state = __instance.__dict__\n"]
+        writes += [f"    __state[{name!r}] = __v{i}\n" for i, name in enumerate(names)]
+    source = (
+        f"def __restore({', '.join(f'__v{i}' for i in range(len(names)))}):\n"
+        "    __instance = __new(__cls)\n"
+        f"{''.join(writes)}"
+        "    return __instance\n"
+    )
+    return _compiled(source, "__restore", namespace)
+
+
 def _compile_decoder(cls: type[Any], accepted: dict[str, frozenset[type]]) -> Callable[[Any], Any]:
     """A function that builds cls, a class with no decoded field and no
     __post_init__, from a payload of exactly its keys, each holding a
-    value of an accepted type, and gives None for any other payload.
-
-    The instance is made as pickle restores one: object.__new__, then
-    each value written in field order, with no frozen __setattr__ call.
-    A slotted class's values go through its slot descriptors. Other
-    values go into the instance __dict__, whose keys then line up with
-    the ones __init__ sets, so the dict keeps sharing its keys.
-    """
-    namespace: dict[str, Any] = {"__cls": cls, "__new": object.__new__}
-    slotted = bool(vars(cls).get("__slots__"))
+    value of an accepted type, by cls's restorer, and gives None for any
+    other payload."""
+    namespace: dict[str, Any] = {"__restore": restorer(cls)}
     reads, checks = [], []
-    writes = [] if slotted else ["    __state = __instance.__dict__\n"]
     for i, (name, kinds) in enumerate(accepted.items()):
         reads.append(f"        __v{i} = __payload[{name!r}]\n")
         tests = []
@@ -481,11 +509,6 @@ def _compile_decoder(cls: type[Any], accepted: dict[str, frozenset[type]]) -> Ca
                 namespace[f"__kind{i}_{j}"] = kind
                 tests.append(f"type(__v{i}) is __kind{i}_{j}")
         checks.append(f"({' or '.join(tests)})")
-        if slotted:
-            namespace[f"__put{i}"] = vars(cls)[name].__set__
-            writes.append(f"    __put{i}(__instance, __v{i})\n")
-        else:
-            writes.append(f"    __state[{name!r}] = __v{i}\n")
     source = (
         "def __decode(__payload):\n"
         f"    if type(__payload) is not dict or len(__payload) != {len(accepted)}:\n"
@@ -496,9 +519,7 @@ def _compile_decoder(cls: type[Any], accepted: dict[str, frozenset[type]]) -> Ca
         "        return None\n"
         f"    if not ({' and '.join(checks)}):\n"
         "        return None\n"
-        "    __instance = __new(__cls)\n"
-        f"{''.join(writes)}"
-        "    return __instance\n"
+        f"    return __restore({', '.join(f'__v{i}' for i in range(len(accepted)))})\n"
     )
     return _compiled(source, "__decode", namespace)
 

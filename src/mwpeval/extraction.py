@@ -15,11 +15,15 @@ Rules apply in order; the first rule that produces a number wins:
 Each rule scans only what it needs, in that order: the marker rule
 searches from the marker on, the answer-line rule walks the lines from
 the end and scans only the last one that matches (and is skipped when
-the casefolded text holds no "answer"), and only the
-last-number rule scans the whole text. A rule that finds no number
+the casefolded text holds no "answer"), and the last-number rule finds
+the text's last digit and scans from the first character of the run of
+token characters that ends there: no token holds any other character,
+so the last token starts within that run. A rule that finds no number
 hands on to the next, so an answer line without a number does not stop
 the last-number rule. The result is the one a scan of every token
-would give, because no token spans a marker or a line break.
+would give, because no token spans a marker, a line break or a
+character outside that run, and a sign's lookbehind still reads the
+text before the scan's start.
 
 A number token is an optional sign, an optional currency symbol, then
 either comma-grouped digits ("1,000"), a decimal ("2.5"), a simple
@@ -38,7 +42,9 @@ is total on any str.
 
 Values are exact rationals (``fractions.Fraction``), so "1,000",
 "1000", "1000.0" and "$1000" all compare equal, and two answers match
-only when their values are equal.
+only when their values are equal. A NumericAnswer is slotted, and one
+that extract or parse_numeric gives is made without its frozen
+``__init__``, which checks nothing.
 """
 
 from __future__ import annotations
@@ -49,6 +55,8 @@ import unicodedata
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
+
+from ._schema import restorer
 
 MARKER = "####"
 
@@ -88,6 +96,14 @@ _NUMBER_TOKEN = re.compile(
     re.VERBOSE,
 )
 
+# Every character a number token can hold; no token holds any other.
+# The last token holds the text's last digit, as a digit after it would
+# start a token of its own, so it starts within the run of these
+# characters that ends in that digit. In the reversed text, the run is
+# the first digit and the characters of the class that follow it.
+_TOKEN_CHARS = r"-+$€£.,/ %\d"
+_TAIL_RUN = re.compile(rf"\d[{_TOKEN_CHARS}]*")
+
 _ANSWER_LINE = re.compile(r"final\s+answer|answer\s*:|the\s+answer\s+is", re.IGNORECASE)
 
 RULE_MARKER = "marker"
@@ -96,7 +112,7 @@ RULE_LAST_NUMBER = "last-number"
 RULE_LITERAL = "literal"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class NumericAnswer:
     """A canonical numeric value plus where and how it was found.
 
@@ -128,6 +144,9 @@ class NumericAnswer:
 
     def __repr__(self) -> str:
         return f"NumericAnswer({self.canonical!r}, rule={self.rule!r})"
+
+
+_new_answer = restorer(NumericAnswer)
 
 
 class ScannedNumber(NamedTuple):
@@ -192,12 +211,17 @@ def extract(text: str) -> NumericAnswer | None:
                 break
             end = start
 
-    token = _last(_NUMBER_TOKEN.finditer(text))
-    return None if token is None else _answer(token, RULE_LAST_NUMBER)
+    # No digit, no number. Otherwise the scan starts where the tail run
+    # does, and a sign there still sees the character before it.
+    tail = _TAIL_RUN.search(text[::-1])
+    if tail is None:
+        return None
+    token = _last(_NUMBER_TOKEN.finditer(text, len(text) - tail.end()))
+    return _answer(token, RULE_LAST_NUMBER)
 
 
 def _answer(match: re.Match[str], rule: str) -> NumericAnswer:
-    return NumericAnswer(_token_value(match), match.group(0), rule)
+    return _new_answer(_token_value(match), match.group(0), rule)
 
 
 def parse_numeric(text: str) -> NumericAnswer | None:

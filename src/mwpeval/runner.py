@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from ._schema import (
-    JsonText, dump, dump_line, json_text, line_encoder, load, read_json, read_jsonl, utc_now,
+    JsonText, dump, json_text, line_encoder, load, read_json, read_jsonl, utc_now,
     write_atomic,
 )
 from .backends import Backend, ModelSpec, create_backend
@@ -83,9 +83,6 @@ class RunRecord:
     attempts: int
     latency_ms: float
     created_at: str
-
-    def to_json_line(self) -> str:
-        return dump_line(self)
 
     @property
     def mode(self) -> PromptMode:
@@ -278,7 +275,7 @@ class _RecordWriter:
             os.write(self._fd, b"\n")
 
     def append(self, record_line: str) -> None:
-        """Append one record's line (RunRecord.to_json_line's text)."""
+        """Append one record's line, line_encoder(RunRecord)'s text."""
         line = (record_line + "\n").encode("utf-8")
         written = os.write(self._fd, line)
         if written != len(line):
@@ -616,9 +613,12 @@ def rescore(
     if not records_path.exists():
         raise DataError(f"no record log at {records_path}")
 
+    by_id = dataset.by_id
+
     def score_record(record: RunRecord, mode: PromptMode) -> Outcome:
+        triplet = by_id.get(record.triplet_id) or _triplet_of(record, dataset)
         return score(
-            _triplet_of(record, dataset),
+            triplet,
             record.response_text,
             mode.task,
             mode.dop,

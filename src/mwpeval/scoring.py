@@ -7,9 +7,13 @@ Backend failures score as unsuccessful with their own reason so that
 rate denominators still cover every cell.
 
 An Outcome checks what it may hold when it is built, so one that names
-no mode or gives an unknown reason exists nowhere: not from score, not
-in a scored file, not in a report. write_scored and load_scored are the
-one writer and reader of that file.
+no mode, gives an unknown reason or succeeds without a match exists
+nowhere: not from score, not in a scored file, not in a report.
+write_scored and load_scored are the one writer and reader of that
+file, and load_scored builds each outcome through those checks. score
+makes each check once, as it judges, and then fills a slotted Outcome
+without its frozen __init__, so its outcome is the one __init__ would
+build from the same values.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from ._schema import dump, dump_line, read_jsonl, write_atomic
+from ._schema import dump, dump_line, read_jsonl, restorer, write_atomic
 from .errors import DataError
 from .extraction import extract
 from .prompting import MISPAIRED, DopLevel, TaskKind, mode_for
@@ -37,7 +41,7 @@ REASONS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outcome:
     """The scored result of one evaluation cell."""
 
@@ -62,9 +66,17 @@ class Outcome:
                 f"unknown task {self.task!r}, expected one of {[task.value for task in TaskKind]}",
             )
             raise DataError(f"scored outcome: {why}")
+        if self.success != (self.reason == REASON_MATCHED):
+            raise DataError(
+                f"scored outcome: success {self.success!r} disagrees with reason "
+                f"{self.reason!r}; an outcome succeeds exactly when it is matched"
+            )
 
     def to_dict(self) -> dict[str, Any]:
         return dump(self)
+
+
+_new_outcome = restorer(Outcome)
 
 
 def score(
@@ -77,17 +89,24 @@ def score(
     template_id: str = "",
     error: str | None = None,
 ) -> Outcome:
-    """Judge one response against the triplet's reference value."""
-    extracted, reason = None, REASON_BACKEND_ERROR
+    """Judge one response against the triplet's reference value.
+
+    Outcome's checks hold by construction: the reason is one of REASONS,
+    success is reason == "matched", and the (task, dop) pair, checked
+    first, names a mode."""
+    if mode_for(task, dop) is None:
+        # Outcome refuses the pair, in its own words
+        Outcome(triplet.id, task, dop, model, template_id, None, False, REASON_BACKEND_ERROR)
+    extracted, success, reason = None, False, REASON_BACKEND_ERROR
     if error is None and response_text is not None:
         answer = extract(response_text)
         if answer is None:
             reason = REASON_NO_EXTRACTION
         else:
             extracted = answer.canonical
-            reason = REASON_MATCHED if answer == triplet.reference_value else REASON_MISMATCHED
-    success = reason == REASON_MATCHED
-    return Outcome(triplet.id, task, dop, model, template_id, extracted, success, reason)
+            success = answer.value == triplet.reference_value.value
+            reason = REASON_MATCHED if success else REASON_MISMATCHED
+    return _new_outcome(triplet.id, task, dop, model, template_id, extracted, success, reason)
 
 
 def write_scored(outcomes: Iterable[Outcome], path: str | Path) -> Path:

@@ -86,13 +86,14 @@ triplets = st.builds(
     meta=st.dictionaries(texts, json_values, max_size=3),
 )
 outcomes = st.builds(
-    lambda mode, **fields: Outcome(task=mode.task, dop=mode.dop, **fields),
+    lambda mode, reason, **fields: Outcome(
+        task=mode.task, dop=mode.dop, success=reason == "matched", reason=reason, **fields
+    ),
     mode=st.sampled_from(MODES),
     triplet_id=strings,
     model=strings,
     template_id=strings,
     extracted=st.none() | strings,
-    success=st.booleans(),
     reason=st.sampled_from(REASONS),
 )
 
@@ -115,7 +116,7 @@ def test_json_text_is_written_as_it_is(text):
     record = RunRecord("r", "t", "m", "reasoning", None, "i", "h", text, None, None, 1, 0.0, "c")
     values = [getattr(record, name) for name in _schema._schema(RunRecord).order]
     values[7] = _schema.JsonText(json_value(text))
-    assert line_encoder(RunRecord)(*values) == record.to_json_line()
+    assert line_encoder(RunRecord)(*values) == dump_line(record)
 
 
 # the decoder
@@ -293,4 +294,4 @@ def test_a_fresh_runs_line_is_the_line_of_the_record_its_values_build(
             latency_ms=0.0 if failed else reply.latency_ms,
             created_at=logged["created_at"],
         )
-        assert line == json.dumps(dump(record), ensure_ascii=False) == record.to_json_line()
+        assert line == json.dumps(dump(record), ensure_ascii=False) == dump_line(record)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mwpeval.extraction import (
     _ANSWER_LINE,
     _NUMBER_TOKEN,
+    _TOKEN_CHARS,
     _ZEROS,
     MARKER,
     NumericAnswer,
@@ -109,6 +110,15 @@ def test_sign_requires_adjacency():
     assert extract("the answer is -5").value == -5
     assert values("(-5)") == [-5]
     assert values("= -5") == [-5]
+
+
+def test_a_sign_at_the_start_of_the_last_run_still_reads_the_text_before_it():
+    # The last-number rule scans from the run of token characters that
+    # ends in the last digit, here "-5"; its sign's context is the
+    # character before that run, as in a scan of the whole text.
+    assert extract("x-5").value == 5
+    assert extract("x(-5)").value == -5
+    assert extract("a 7\nx*-5 books").value == -5
 
 
 def test_zero_denominator_not_a_fraction():
@@ -274,10 +284,11 @@ def eager_extract(text):
 
 # Answer phrases, markers and line breaks of several kinds, so a text
 # often holds several answer lines and a marker before, after or inside
-# one of them.
+# one of them, and characters a sign may follow, so a number's sign
+# often sits at the start of the last run of token characters.
 scanner_text = st.lists(
     st.one_of(
-        st.text(alphabet="0123456789٣٤٠０-+$€£.,/% abxyzé\n", max_size=12),
+        st.text(alphabet="0123456789٣٤٠０-+$€£.,/% abxyzé\n=(*:<[|^", max_size=12),
         st.sampled_from(
             ["####", "answer: ", "The answer is ", "Final answer", "final\nanswer"]
         ),
@@ -332,3 +343,21 @@ def test_every_character_the_answer_pattern_reads_as_a_letter_of_answer_casefold
 def test_an_answer_phrase_spelled_with_the_long_s_is_an_answer_line():
     answer = extract("The an\u017fwer is 7\nthen 9 more")
     assert (answer.canonical, answer.rule) == ("7", "answer-line")
+
+
+def test_the_tail_run_holds_exactly_the_characters_a_number_token_can_hold():
+    """The last-number rule scans from the start of the run of
+    _TOKEN_CHARS that ends in the text's last digit. That finds the last
+    token only if no token holds a character outside the class, and the
+    class is no wider than it needs to be. Each code point c is tried in
+    every place a token may hold a character, in "c1c1c000c/2": before a
+    digit (a sign, a currency symbol or a dot), after one (a percent
+    sign), between two (a digit, slash or dot), before a group of three
+    (a comma) and before a fraction's slash (a space). Checked over all
+    of Unicode."""
+    every = list(map(chr, range(sys.maxunicode + 1)))
+    text = "\n".join(f"{c}1{c}1{c}000{c}/2" for c in every)
+    held = set()
+    for token in _NUMBER_TOKEN.finditer(text):
+        held.update(token.group())
+    assert held == set(re.findall(f"[{_TOKEN_CHARS}]", "".join(every)))

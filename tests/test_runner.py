@@ -50,6 +50,7 @@ import mwpeval._schema
 import mwpeval.prompting
 import mwpeval.runner
 import mwpeval.triplets
+from mwpeval._schema import dump_line
 from mwpeval.prompting import CORRECTION_MODES, REASONING_MODE, TemplateRegistry, render
 from mwpeval.runner import RunRecord, _RecordWriter, _stream_records, build_cells, index_records
 
@@ -123,11 +124,11 @@ class ExplodingBackend:
 
 def test_record_round_trips():
     record = record_with()
-    assert load_line(RunRecord, record.to_json_line()) == record
+    assert load_line(RunRecord, dump_line(record)) == record
 
 
 def test_record_schema_is_strict():
-    payload = json.loads(record_with().to_json_line())
+    payload = json.loads(dump_line(record_with()))
     payload["notes"] = "hm"
     with pytest.raises(DataError, match="unexpected"):
         load_line(RunRecord, json.dumps(payload))
@@ -159,7 +160,7 @@ def test_load_records_missing_file_is_empty(tmp_path):
 
 def test_torn_final_line_is_dropped(tmp_path):
     path = tmp_path / "records.jsonl"
-    good = record_with().to_json_line()
+    good = dump_line(record_with())
     path.write_text(good + "\n" + good[: len(good) // 2], encoding="utf-8")
     records = load_records(path)
     assert len(records) == 1
@@ -167,7 +168,7 @@ def test_torn_final_line_is_dropped(tmp_path):
 
 def test_torn_middle_line_is_corruption(tmp_path):
     path = tmp_path / "records.jsonl"
-    good = record_with().to_json_line()
+    good = dump_line(record_with())
     path.write_text("{torn\n" + good + "\n", encoding="utf-8")
     with pytest.raises(DataError, match="line 1"):
         load_records(path)
@@ -175,8 +176,8 @@ def test_torn_middle_line_is_corruption(tmp_path):
 
 def test_torn_multibyte_tail_is_dropped(tmp_path):
     path = tmp_path / "records.jsonl"
-    good = record_with().to_json_line().encode()
-    wide = record_with(prompt_text="€" * 20).to_json_line().encode()
+    good = dump_line(record_with()).encode()
+    wide = dump_line(record_with(prompt_text="€" * 20)).encode()
     cut = wide.index("€".encode()) + 1  # inside the first euro sign
     path.write_bytes(good + b"\n" + wide[:cut])
     assert load_records(path) == [record_with()]
@@ -185,14 +186,14 @@ def test_torn_multibyte_tail_is_dropped(tmp_path):
 def test_line_separators_inside_strings_are_not_line_breaks(tmp_path):
     path = tmp_path / "records.jsonl"
     record = record_with(response_text="a\u2028b\u0085c #### 24")
-    path.write_text(record.to_json_line() + "\n", encoding="utf-8")
+    path.write_text(dump_line(record) + "\n", encoding="utf-8")
     assert load_records(path) == [record]
 
 
 @pytest.mark.parametrize("after", ["\n", "   \n", " \t"])
 def test_a_torn_line_followed_by_a_blank_line_is_corruption(tmp_path, after):
     path = tmp_path / "records.jsonl"
-    good = record_with().to_json_line()
+    good = dump_line(record_with())
     path.write_text(good + "\n" + good[:-5] + "\n" + after, encoding="utf-8")
     with pytest.raises(DataError, match="line 2"):
         load_records(path)
@@ -431,7 +432,7 @@ def test_a_final_json_line_that_is_no_record_is_dropped_then_cut(tmp_path, caplo
 
 
 def test_a_torn_final_record_longer_than_64_kib_is_cut(tmp_path):
-    torn = record_with(prompt_text="x" * (1 << 17)).to_json_line().encode()[:-20]
+    torn = dump_line(record_with(prompt_text="x" * (1 << 17))).encode()[:-20]
     assert len(torn) > 1 << 16
     kept, log = resume_twice_after(tmp_path, torn)
     assert log.startswith(kept) and b"x" * 100 not in log
@@ -1057,7 +1058,7 @@ def test_repeated_records_for_one_key_resolve_the_same_in_run_and_rescore(tmp_pa
         failed(error_only),
         *records[4:],
     ]
-    log.write_text("".join(r.to_json_line() + "\n" for r in rewritten), encoding="utf-8")
+    log.write_text("".join(dump_line(r) + "\n" for r in rewritten), encoding="utf-8")
 
     by_triplet = {
         o.triplet_id: o.reason for o in rescore(config.output_dir, config.dataset) if o.dop is None
@@ -1208,7 +1209,7 @@ def test_rescore_keeps_one_outcome_per_cell_identity(tmp_path):
     # would have written it: the later record wins, as it does in run()
     again = replace(first, content_hash="d" * 64, response_text="#### 99999")
     with log.open("a", encoding="utf-8") as handle:
-        handle.write(again.to_json_line() + "\n")
+        handle.write(dump_line(again) + "\n")
     outcomes = rescore(config.output_dir, config.dataset)
     assert len(outcomes) == 40
     (mine,) = [o for o in outcomes if (o.triplet_id, o.dop) == (first.triplet_id, None)]
@@ -1221,7 +1222,7 @@ def test_run_refuses_a_logged_record_with_an_unknown_task_and_dop(tmp_path):
     log = Path(config.output_dir) / "records.jsonl"
     stray = replace(load_whole_log(log)[-1], task="solve", dop=None)
     with log.open("a", encoding="utf-8") as handle:
-        handle.write(stray.to_json_line() + "\n")
+        handle.write(dump_line(stray) + "\n")
     with pytest.raises(DataError, match=r"unknown \(task, dop\) pair \('solve', None\)"):
         run(config, backend=FixedBackend())
 
@@ -1350,7 +1351,7 @@ def test_a_logged_record_of_an_unknown_triplet_is_refused(tmp_path):
     config = sp_config(tmp_path / "out")
     run(config, backend=FixedBackend())
     log = Path(config.output_dir) / "records.jsonl"
-    stray = record_with(model="fixture-model", triplet_id="nope").to_json_line() + "\n"
+    stray = dump_line(record_with(model="fixture-model", triplet_id="nope")) + "\n"
     log.write_text(stray + log.read_text(encoding="utf-8"), encoding="utf-8")
     backend = FixedBackend()
     with pytest.raises(DataError, match="unknown triplet id 'nope'"):
@@ -1510,7 +1511,7 @@ def test_concurrent_appends_of_large_records_never_interleave(tmp_path):
         start.wait()
         for i in range(4):
             key = f"t{thread}-{i}"
-            writer.append(record_with(triplet_id=key, prompt_text=expected[key]).to_json_line())
+            writer.append(dump_line(record_with(triplet_id=key, prompt_text=expected[key])))
 
     workers = [threading.Thread(target=append_all, args=(t,)) for t in range(8)]
     interval = sys.getswitchinterval()
@@ -1533,7 +1534,7 @@ def test_a_short_write_raises_and_leaves_a_tail_the_next_run_mends(tmp_path, mon
     path = tmp_path / "records.jsonl"
     writer = _RecordWriter(path)
     first = record_with(triplet_id="x01")
-    writer.append(first.to_json_line())
+    writer.append(dump_line(first))
     write = os.write
 
     def half_written(fd, data):
@@ -1541,13 +1542,13 @@ def test_a_short_write_raises_and_leaves_a_tail_the_next_run_mends(tmp_path, mon
 
     monkeypatch.setattr(mwpeval.runner.os, "write", half_written)
     with pytest.raises(OSError, match="short write"):
-        writer.append(record_with(triplet_id="x02").to_json_line())
+        writer.append(dump_line(record_with(triplet_id="x02")))
     monkeypatch.undo()
     writer.close()
     assert not path.read_bytes().endswith(b"\n")
     torn: list[int] = []
     assert list(_stream_records(path, torn.append)) == [first]
-    assert torn == [len(first.to_json_line()) + 1]
+    assert torn == [len(dump_line(first)) + 1]
     writer = _RecordWriter(path)
     writer.mend(*torn)
     writer.close()

@@ -7,9 +7,12 @@ import json
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mwpeval import DataError, DopLevel, Quadrant, TaskKind, quadrants
 from mwpeval._schema import load
+from mwpeval.extraction import extract
 from mwpeval.prompting import MISPAIRED, MODES, mode_for
 from mwpeval.scoring import (
     REASON_BACKEND_ERROR,
@@ -117,7 +120,7 @@ def test_outcome_task_and_dop_must_form_a_mode(tmp_path, task, dop):
 
 def test_a_task_string_that_names_no_task_is_refused_by_name():
     fields = dict(triplet_id="t", dop=None, model="m", template_id="x",
-                  extracted=None, success=False, reason="matched")
+                  extracted=None, success=False, reason="no-extraction")
     with pytest.raises(DataError, match="^scored outcome: unknown task 'solve'"):
         Outcome(task="solve", **fields)
     # a plain string that names a task still builds, as from a record
@@ -125,16 +128,17 @@ def test_a_task_string_that_names_no_task_is_refused_by_name():
 
 
 def test_what_an_outcome_may_hold_is_what_a_scored_file_may_hold(tmp_path):
-    # Every (task, dop) pair, every reason and one unknown reason: an
-    # outcome is built exactly when the pair names a mode and the reason
-    # is known, and every outcome built reads back from a scored file.
+    # Every (task, dop) pair, every reason and one unknown reason, each
+    # with either success: an outcome is built exactly when the pair
+    # names a mode, the reason is known and success is reason ==
+    # "matched", and every outcome built reads back from a scored file.
     built = []
     for task, dop in itertools.product(TaskKind, (None, *DopLevel)):
         names_a_mode = mode_for(task, dop) is not None
-        for reason in (*REASONS, "gut-feeling"):
+        for reason, success in itertools.product((*REASONS, "gut-feeling"), (False, True)):
             fields = dict(triplet_id=f"t-{reason}", task=task, dop=dop, model="m",
-                          template_id="x@0", extracted=None, success=False, reason=reason)
-            if names_a_mode and reason in REASONS:
+                          template_id="x@0", extracted=None, success=success, reason=reason)
+            if names_a_mode and reason in REASONS and success == (reason == REASON_MATCHED):
                 built.append(Outcome(**fields))
                 continue
             with pytest.raises(DataError, match="^scored outcome: "):
@@ -144,6 +148,76 @@ def test_what_an_outcome_may_hold_is_what_a_scored_file_may_hold(tmp_path):
                 scored("#### 2", task=task, dop=dop)
     assert len(built) == len(MODES) * len(REASONS)
     assert load_scored(write_scored(built, tmp_path / "scored.jsonl")) == built
+
+
+def built_by_init(triplet, text, task, dop, *, model, template_id, error):
+    """score's outcome as Outcome.__init__ builds it, every check run,
+    from the rules score states."""
+    extracted, reason = None, REASON_BACKEND_ERROR
+    if error is None and text is not None:
+        answer = extract(text)
+        if answer is None:
+            reason = REASON_NO_EXTRACTION
+        else:
+            extracted = answer.canonical
+            reason = REASON_MATCHED if answer == triplet.reference_value else REASON_MISMATCHED
+    return Outcome(
+        triplet.id, task, dop, model, template_id, extracted, reason == REASON_MATCHED, reason
+    )
+
+
+# Each reason's reply: a tail that ends the drawn text's last number (or
+# its lack of one) in the reference value, another value, or no number.
+REPLY_TAILS = {
+    REASON_MATCHED: st.sampled_from(["\n#### 24", " The answer is 24.", " = 24.0", " $24"]),
+    REASON_MISMATCHED: st.sampled_from(["\n#### 25", " Final answer: -24", " = 24.5", " 3/4"]),
+    REASON_NO_EXTRACTION: st.just(""),
+    REASON_BACKEND_ERROR: st.just(" 24"),
+}
+# The (task, dop) pairs score may be given: each member of both enums or
+# its plain string, and a task that names no task.
+PAIRS = [
+    (task, dop)
+    for task in (*TaskKind, *(task.value for task in TaskKind), "solve")
+    for dop in (None, *DopLevel, *(dop.value for dop in DopLevel))
+]
+
+
+@given(
+    st.sampled_from(PAIRS),
+    st.sampled_from(REASONS),
+    st.data(),
+    st.text(max_size=8),
+    st.text(max_size=8),
+)
+def test_score_gives_the_outcome_init_builds(pair, reason, data, model, template_id):
+    """For every pair and every reason, score's outcome equals the one
+    Outcome.__init__ builds from the same values, field for field and in
+    each field's exact type, and a pair that names no mode raises the
+    same message either way."""
+    task, dop = pair
+    digitless = st.text(st.characters(blacklist_categories=["Nd"]), max_size=20)
+    text = data.draw(digitless if reason == REASON_NO_EXTRACTION else st.text(max_size=20))
+    text += data.draw(REPLY_TAILS[reason])
+    error = data.draw(st.text(max_size=8)) if reason == REASON_BACKEND_ERROR else None
+    if reason == REASON_BACKEND_ERROR and data.draw(st.booleans()):
+        text = None
+    triplet = make_triplet()
+    args = (triplet, text, task, dop)
+    fields = dict(model=model, template_id=template_id, error=error)
+    if mode_for(task, dop) is None:
+        with pytest.raises(DataError) as by_init:
+            built_by_init(*args, **fields)
+        with pytest.raises(DataError, match=f"^{re.escape(str(by_init.value))}$"):
+            score(*args, **fields)
+        return
+    expected = built_by_init(*args, **fields)
+    got = score(*args, **fields)
+    assert type(got) is Outcome
+    assert got.reason == reason
+    for name in Outcome.__dataclass_fields__:
+        assert type(getattr(got, name)) is type(getattr(expected, name))
+        assert getattr(got, name) == getattr(expected, name)
 
 
 # counting into quadrants
