@@ -62,9 +62,6 @@ class RetryPolicy:
         """Upper jitter bound before retry number `attempt` (2-based)."""
         return min(self.base_delay * self.multiplier ** (attempt - 2), self.max_delay)
 
-    def to_dict(self) -> dict[str, float | int]:
-        return dump(self)
-
 
 @dataclass(frozen=True)
 class ModelSpec:

@@ -174,6 +174,9 @@ def cmd_rescore(args: argparse.Namespace) -> int:
     _refuse_same_file(
         "--output", output, "the rescore input", (log, dataset, manifest_path_for(dataset))
     )
+    # the run dir's binding and manifest: overwritten, the dir cannot resume
+    run_files = (log.parent / "config.json", log.parent / "manifest.json")
+    _refuse_same_file("--output", output, "the run dir's file", run_files)
     outcomes = rescore(log, dataset)
     path = write_scored(outcomes, args.output)
     print(f"scored {len(outcomes)} outcomes into {path}")

@@ -620,8 +620,7 @@ def rescore(
         return score(
             triplet,
             record.response_text,
-            mode.task,
-            mode.dop,
+            mode,
             model=record.model,
             template_id=record.template_id,
             error=record.error,

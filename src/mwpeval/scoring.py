@@ -10,10 +10,12 @@ An Outcome checks what it may hold when it is built, so one that names
 no mode, gives an unknown reason or succeeds without a match exists
 nowhere: not from score, not in a scored file, not in a report.
 write_scored and load_scored are the one writer and reader of that
-file, and load_scored builds each outcome through those checks. score
-makes each check once, as it judges, and then fills a slotted Outcome
-without its frozen __init__, so its outcome is the one __init__ would
-build from the same values.
+file, and load_scored builds each outcome through those checks; only
+Outcome(...) refuses a (task, dop) pair that names no mode. score
+judges one cell, named by its PromptMode, which always names a mode:
+it takes the mode's task and dop members, picks the reason as it
+judges, and fills a slotted Outcome without its frozen __init__, so
+its outcome is the one __init__ would build from the same values.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from ._schema import dump, dump_line, read_jsonl, restorer, write_atomic
+from ._schema import dump_line, read_jsonl, restorer, write_atomic
 from .errors import DataError
 from .extraction import extract
-from .prompting import MISPAIRED, DopLevel, TaskKind, mode_for
+from .prompting import MISPAIRED, DopLevel, PromptMode, TaskKind, mode_for
 from .triplets import Triplet
 
 REASON_MATCHED = "matched"
@@ -72,9 +74,6 @@ class Outcome:
                 f"{self.reason!r}; an outcome succeeds exactly when it is matched"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        return dump(self)
-
 
 _new_outcome = restorer(Outcome)
 
@@ -82,21 +81,18 @@ _new_outcome = restorer(Outcome)
 def score(
     triplet: Triplet,
     response_text: str | None,
-    task: TaskKind,
-    dop: DopLevel | None,
+    mode: PromptMode,
     *,
     model: str = "",
     template_id: str = "",
     error: str | None = None,
 ) -> Outcome:
-    """Judge one response against the triplet's reference value.
+    """Judge one response in mode's cell against the triplet's reference
+    value.
 
-    Outcome's checks hold by construction: the reason is one of REASONS,
-    success is reason == "matched", and the (task, dop) pair, checked
-    first, names a mode."""
-    if mode_for(task, dop) is None:
-        # Outcome refuses the pair, in its own words
-        Outcome(triplet.id, task, dop, model, template_id, None, False, REASON_BACKEND_ERROR)
+    Outcome's checks hold by construction: mode's task and dop name a
+    mode, the reason is one of REASONS, and success is
+    reason == "matched"."""
     extracted, success, reason = None, False, REASON_BACKEND_ERROR
     if error is None and response_text is not None:
         answer = extract(response_text)
@@ -106,7 +102,9 @@ def score(
             extracted = answer.canonical
             success = answer.value == triplet.reference_value.value
             reason = REASON_MATCHED if success else REASON_MISMATCHED
-    return _new_outcome(triplet.id, task, dop, model, template_id, extracted, success, reason)
+    return _new_outcome(
+        triplet.id, mode.task, mode.dop, model, template_id, extracted, success, reason
+    )
 
 
 def write_scored(outcomes: Iterable[Outcome], path: str | Path) -> Path:

@@ -7,6 +7,7 @@ import contextlib
 import gc
 import json
 import random
+import re
 import socket
 import ssl
 import threading
@@ -297,6 +298,7 @@ def test_http_retries_transient_statuses(chat_server):
         (429, "0", 0.0),
         (429, " 1 ", 1.0),
         (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.0),  # a date in the past
+        (429, "Wed, 21 Oct 2015 07:28:00 -0000", 0.0),  # the same, with no claim about local time
         (503, "Fri, 01 Jan 9999 00:00:00 GMT", 2.0),
     ],
 )
@@ -502,6 +504,41 @@ def test_model_spec_keeps_a_name_with_markup():
     assert fast_spec("http://example.invalid", name="R&D <7b>").name == "R&D <7b>"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("name", " ", "model name must be non-empty"),
+        ("endpoint", "", "model endpoint must be non-empty"),
+        ("timeout", 0.0, "timeout must be > 0, got 0.0"),
+        ("timeout", -1.0, "timeout must be > 0, got -1.0"),
+        ("requests_per_second", 0.0, "requests_per_second must be > 0, got 0.0"),
+    ],
+    ids=["blank-name", "empty-endpoint", "zero-timeout", "negative-timeout", "zero-rate"],
+)
+def test_model_spec_refuses_a_blank_name_or_endpoint_and_a_bound_not_above_0(
+    field, value, message
+):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        fast_spec("http://example.invalid", **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("max_attempts", 0, "max_attempts must be >= 1, got 0"),
+        ("base_delay", -1.0, "retry delays must be >= 0 and multiplier >= 1"),
+        ("max_delay", -0.5, "retry delays must be >= 0 and multiplier >= 1"),
+        ("multiplier", 0.5, "retry delays must be >= 0 and multiplier >= 1"),
+    ],
+    ids=["no-attempt", "negative-base-delay", "negative-max-delay", "shrinking-multiplier"],
+)
+def test_retry_policy_refuses_no_attempt_a_negative_delay_and_a_multiplier_below_1(
+    field, value, message
+):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        RetryPolicy(**{field: value})
+
+
 # keep-alive connections, redirects, TLS and proxies
 
 TLS_DIR = Path(__file__).parent / "data" / "tls"
@@ -652,6 +689,10 @@ def test_http_keeps_at_most_one_idle_connection_per_caller(keepalive_server, cal
     assert state["accepted"] == callers
     backend.close()
     backend.close()  # a second close does nothing
+    assert settles(state, "open", 0)
+    # a call after close works, on a connection that is then closed, not kept
+    assert backend.complete(prompt_for(make_triplet())).text == "kept"
+    assert state["accepted"] == callers + 1
     assert settles(state, "open", 0)
 
 
@@ -963,13 +1004,32 @@ def test_http_reads_a_body_the_server_ends_by_closing():
     assert (state["accepted"], sleeps) == (2, [])
 
 
-def test_http_a_short_body_is_retried_on_a_fresh_connection():
-    body = json.dumps(ok_payload("cut")).encode("utf-8")
-    short = reply_bytes(body[:20], headers=(("Content-Length", str(len(body))),))
-    with raw_server((short, True)) as (url, state):
+CUT_BODY = json.dumps(ok_payload("cut")).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [reply_bytes(CUT_BODY[:20], headers=(("Content-Length", str(len(CUT_BODY))),)), b""],
+    ids=["short-body", "no-reply"],  # no-reply: RemoteDisconnected
+)
+def test_http_a_reply_the_server_cuts_short_is_retried_on_a_fresh_connection(cut):
+    with raw_server((cut, True)) as (url, state):
         (result,), sleeps = raw_calls(url, 1)
     assert (result.text, result.attempts, len(sleeps)) == ("raw", 2, 1)
     assert state["accepted"] == 2
+
+
+def test_http_a_204_without_a_length_is_permanent_at_once():
+    # the server keeps its end open: a reader that waited for a body would time out
+    with raw_server(b"HTTP/1.1 204 No Content\r\n\r\n") as (url, state):
+        backend, sleeps = backend_for(fast_spec(url, timeout=30.0))
+        started = time.monotonic()
+        with pytest.raises(BackendError, match="permanent HTTP 204"):
+            backend.complete(SHORT_PROMPT)
+        elapsed = time.monotonic() - started
+        backend.close()
+    assert elapsed < 5.0
+    assert (len(state["requests"]), sleeps) == (1, [])
 
 
 def test_http_bytes_past_a_reply_drop_its_connection():
@@ -990,6 +1050,9 @@ def test_http_bytes_past_a_reply_drop_its_connection():
         # the server keeps its end open: read to close, each attempt would time out
         (reply_bytes(b"{}", headers=(("Content-Length", "+2"),)), "invalid Content-Length '+2'"),
         (reply_bytes(b"{}", headers=(("Content-Length", "0_2"),)), "invalid Content-Length '0_2'"),
+        (b"HTTP/2 200\r\n\r\n", "UnknownProtocol: HTTP/2"),
+        (reply_bytes(b"zz\r\n{}\r\n0\r\n\r\n", headers=(("Transfer-Encoding", "chunked"),)),
+         "IncompleteRead"),
     ],
     ids=[
         "version",
@@ -999,6 +1062,8 @@ def test_http_bytes_past_a_reply_drop_its_connection():
         "101-headers",
         "signed-length",
         "underscored-length",
+        "http-2",
+        "chunk-size-not-hex",
     ],
 )
 def test_http_a_malformed_reply_is_a_transport_failure(reply, failure):

@@ -419,6 +419,18 @@ def test_run_reports_dop_be_cells_skipped_for_a_missing_explanation(tmp_path, ca
     assert "1 dop_be cells without a brief explanation skipped" in out
 
 
+def test_a_run_with_failed_cells_warns_on_stderr_and_exits_0(tmp_path, capsys):
+    # the scripted fixture answers reasoning and sp only, so every dop_na cell fails
+    config = write_config(tmp_path, modes=["sp", "dop_na"])
+    assert main(["run", "--config", str(config)]) == 0
+    out, err = capsys.readouterr()
+    assert "60 cells, 0 cached, 40 fresh, 20 failed" in out
+    assert err == (
+        "warning: 20 cells failed; rerun the same config to keep cached cells, "
+        "or set retry_failed to requery failures\n"
+    )
+
+
 def test_pipeline_end_to_end(tmp_path, capsys):
     config = write_config(tmp_path)
 
@@ -556,21 +568,27 @@ def test_report_refuses_bad_bootstrap_flags_before_reading(tmp_path, capsys, fla
     assert not (tmp_path / "report").exists()
 
 
-@pytest.mark.parametrize("target", ["records.jsonl", "d.jsonl", "d.jsonl.manifest.json"])
+@pytest.mark.parametrize(
+    "target", ["records.jsonl", "d.jsonl", "d.jsonl.manifest.json", "config.json", "manifest.json"]
+)
 def test_rescore_refuses_an_output_that_is_one_of_its_inputs(tmp_path, capsys, target):
+    # The run dir's config.json and manifest.json are refused too: a
+    # scored file over the binding leaves a dir that cannot resume.
     dataset = tmp_path / "d.jsonl"
     assert main(["ingest", "--source", "triplets", "--input", str(FIXTURE_DATASET),
                  "--output", str(dataset)]) == 0
     config = write_config(tmp_path, dataset=str(dataset))
     assert main(["run", "--config", str(config)]) == 0
     inputs = [tmp_path / "out" / "records.jsonl", dataset, Path(f"{dataset}.manifest.json")]
-    before = [path.read_bytes() for path in inputs]
-    output = next(path for path in inputs if path.name == target)
+    run_files = [tmp_path / "out" / "config.json", tmp_path / "out" / "manifest.json"]
+    before = [path.read_bytes() for path in inputs + run_files]
+    output = next(path for path in inputs + run_files if path.name == target)
+    what = "the rescore input" if output in inputs else "the run dir's file"
     capsys.readouterr()
     assert main(["rescore", "--run", str(tmp_path / "out"), "--dataset", str(dataset),
                  "--output", str(output)]) == 1
-    assert f"--output {output} is the rescore input" in capsys.readouterr().err
-    assert [path.read_bytes() for path in inputs] == before
+    assert f"--output {output} is {what}" in capsys.readouterr().err
+    assert [path.read_bytes() for path in inputs + run_files] == before
     assert main(["run", "--config", str(config)]) == 0
     assert "40 cached, 0 fresh" in capsys.readouterr().out
 

@@ -317,6 +317,14 @@ def test_a_template_filed_under_another_key_is_refused():
         TemplateRegistry(templates)
 
 
+@pytest.mark.parametrize("missing", [mode.template_name for mode in MODES])
+def test_a_registry_without_one_of_the_five_templates_is_refused(missing):
+    templates = {mode.template_name: REGISTRY.get(mode) for mode in MODES}
+    del templates[missing]
+    with pytest.raises(DataError, match=f"^missing templates: {missing}$"):
+        TemplateRegistry(templates)
+
+
 def test_a_template_under_an_unknown_name_is_refused_naming_the_known_ones():
     templates = {mode.template_name: REGISTRY.get(mode) for mode in MODES}
     templates["extra"] = Template("extra", "extra@00000000", "{{question}}")

@@ -49,6 +49,7 @@ from mwpeval import (
 import mwpeval._schema
 import mwpeval.prompting
 import mwpeval.runner
+import mwpeval.scoring
 import mwpeval.triplets
 from mwpeval._schema import dump_line
 from mwpeval.prompting import CORRECTION_MODES, REASONING_MODE, TemplateRegistry, render
@@ -304,6 +305,8 @@ def test_config_validates_fields(tmp_path):
         sp_config(tmp_path, modes=(DopLevel.SP, DopLevel.SP))
     with pytest.raises(UsageError, match="at least one mode"):
         sp_config(tmp_path, modes=())
+    with pytest.raises(UsageError, match="^tasks must name at least one of reasoning, correction$"):
+        sp_config(tmp_path, tasks=())
 
 
 def test_config_file_round_trip(tmp_path):
@@ -969,8 +972,18 @@ def test_a_cached_rerun_and_a_rescore_look_up_each_records_mode_once(tmp_path, m
     assert (summary.cached, summary.fresh) == (100, 0)
     assert len(lookups) == logged
     lookups.clear()
+    # score takes the mode the index found; it looks up no pair of its own
+    paired = []
+    mode_for = mwpeval.scoring.mode_for
+
+    def counting_pairs(task, dop):
+        paired.append((task, dop))
+        return mode_for(task, dop)
+
+    monkeypatch.setattr(mwpeval.scoring, "mode_for", counting_pairs)
     assert len(rescore(config.output_dir, config.dataset)) == 100
     assert len(lookups) == logged
+    assert paired == []
 
 
 def test_rescore_is_deterministic_and_sorted(tmp_path):

@@ -28,6 +28,7 @@ from mwpeval import (
     ExperimentConfig,
     ModelSpec,
     Outcome,
+    PromptMode,
     RunRecord,
     TaskKind,
     Triplet,
@@ -67,8 +68,8 @@ def record_payload() -> dict:
 
 
 def outcome_payload() -> dict:
-    outcome = score(make_triplet(), "Final answer: 24", TaskKind.CORRECTION, DopLevel.SP)
-    return json.loads(json.dumps(outcome.to_dict()))
+    outcome = score(make_triplet(), "Final answer: 24", PromptMode.SP)
+    return json.loads(json.dumps(dump(outcome)))
 
 
 def model_payload() -> dict:
@@ -395,7 +396,7 @@ def first(count: int) -> Dataset:
 
 
 def outcomes(count: int) -> list[Outcome]:
-    return [score(t, "#### 24", TaskKind.REASONING, None, model="m") for t in first(count)]
+    return [score(t, "#### 24", PromptMode.REASONING, model="m") for t in first(count)]
 
 
 def cut_after(rows, count):

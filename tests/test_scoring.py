@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mwpeval import DataError, DopLevel, Quadrant, TaskKind, quadrants
-from mwpeval._schema import load
+from mwpeval import DataError, DopLevel, PromptMode, Quadrant, TaskKind, quadrants
+from mwpeval._schema import dump, load
 from mwpeval.extraction import extract
 from mwpeval.prompting import MISPAIRED, MODES, mode_for
 from mwpeval.scoring import (
@@ -28,11 +28,9 @@ from mwpeval.scoring import (
 
 from conftest import make_triplet
 
-SP = DopLevel.SP
 
-
-def scored(text, task=TaskKind.REASONING, dop=None, **kwargs):
-    return score(make_triplet(), text, task, dop, **kwargs)
+def scored(text, mode=PromptMode.REASONING, **kwargs):
+    return score(make_triplet(), text, mode, **kwargs)
 
 
 def test_matching_answer_succeeds():
@@ -75,21 +73,21 @@ def test_near_miss_reference_is_a_mismatch():
         reference_numeric="24.0000004",
         brief_explanation=None,
     )
-    close = score(triplet, "Final answer: 24.0000008", TaskKind.REASONING, None)
+    close = score(triplet, "Final answer: 24.0000008", PromptMode.REASONING)
     assert close.reason == REASON_MISMATCHED  # both exact, compared exactly
     # equal-value spellings still match exactly
-    spelled = score(triplet, "Final answer: 24.00000040", TaskKind.REASONING, None)
+    spelled = score(triplet, "Final answer: 24.00000040", PromptMode.REASONING)
     assert spelled.success
 
 
 def test_outcome_round_trips_through_dict():
-    outcome = scored("Final answer: 24", task=TaskKind.CORRECTION, dop=SP, model="m")
-    payload = json.loads(json.dumps(outcome.to_dict()))
+    outcome = scored("Final answer: 24", PromptMode.SP, model="m")
+    payload = json.loads(json.dumps(dump(outcome)))
     assert load(Outcome, payload, "scored outcome", DataError) == outcome
 
 
 def test_outcome_dict_schema_is_strict():
-    payload = scored("Final answer: 24").to_dict()
+    payload = dump(scored("Final answer: 24"))
     payload["note"] = "extra"
     with pytest.raises(DataError, match="unexpected"):
         load(Outcome, payload, "scored outcome", DataError)
@@ -100,7 +98,7 @@ def test_outcome_dict_schema_is_strict():
 
 
 def test_unknown_reason_rejected():
-    payload = scored("Final answer: 24").to_dict()
+    payload = dump(scored("Final answer: 24"))
     payload["reason"] = "gut-feeling"
     with pytest.raises(DataError, match="reason"):
         load(Outcome, payload, "scored outcome", DataError)
@@ -108,7 +106,7 @@ def test_unknown_reason_rejected():
 
 @pytest.mark.parametrize("task,dop", [("reasoning", "sp"), ("correction", None)])
 def test_outcome_task_and_dop_must_form_a_mode(tmp_path, task, dop):
-    payload = {**scored("Final answer: 24").to_dict(), "task": task, "dop": dop}
+    payload = {**dump(scored("Final answer: 24")), "task": task, "dop": dop}
     with pytest.raises(DataError, match="^scored outcome: the .* task"):
         Outcome(**{**payload, "task": TaskKind(task), "dop": dop and DopLevel(dop)})
     # Read from a file, the refusal names the path and the line.
@@ -132,6 +130,8 @@ def test_what_an_outcome_may_hold_is_what_a_scored_file_may_hold(tmp_path):
     # with either success: an outcome is built exactly when the pair
     # names a mode, the reason is known and success is reason ==
     # "matched", and every outcome built reads back from a scored file.
+    # A pair that names no mode is refused with why the task cannot
+    # take that dop.
     built = []
     for task, dop in itertools.product(TaskKind, (None, *DopLevel)):
         names_a_mode = mode_for(task, dop) is not None
@@ -145,12 +145,12 @@ def test_what_an_outcome_may_hold_is_what_a_scored_file_may_hold(tmp_path):
                 Outcome(**fields)
         if not names_a_mode:
             with pytest.raises(DataError, match=re.escape(MISPAIRED[task])):
-                scored("#### 2", task=task, dop=dop)
+                Outcome("t", task, dop, "m", "x@0", None, False, REASON_NO_EXTRACTION)
     assert len(built) == len(MODES) * len(REASONS)
     assert load_scored(write_scored(built, tmp_path / "scored.jsonl")) == built
 
 
-def built_by_init(triplet, text, task, dop, *, model, template_id, error):
+def built_by_init(triplet, text, mode, *, model, template_id, error):
     """score's outcome as Outcome.__init__ builds it, every check run,
     from the rules score states."""
     extracted, reason = None, REASON_BACKEND_ERROR
@@ -162,7 +162,7 @@ def built_by_init(triplet, text, task, dop, *, model, template_id, error):
             extracted = answer.canonical
             reason = REASON_MATCHED if answer == triplet.reference_value else REASON_MISMATCHED
     return Outcome(
-        triplet.id, task, dop, model, template_id, extracted, reason == REASON_MATCHED, reason
+        triplet.id, *mode.value, model, template_id, extracted, reason == REASON_MATCHED, reason
     )
 
 
@@ -174,47 +174,32 @@ REPLY_TAILS = {
     REASON_NO_EXTRACTION: st.just(""),
     REASON_BACKEND_ERROR: st.just(" 24"),
 }
-# The (task, dop) pairs score may be given: each member of both enums or
-# its plain string, and a task that names no task.
-PAIRS = [
-    (task, dop)
-    for task in (*TaskKind, *(task.value for task in TaskKind), "solve")
-    for dop in (None, *DopLevel, *(dop.value for dop in DopLevel))
-]
 
 
 @given(
-    st.sampled_from(PAIRS),
+    st.sampled_from(MODES),
     st.sampled_from(REASONS),
     st.data(),
     st.text(max_size=8),
     st.text(max_size=8),
 )
-def test_score_gives_the_outcome_init_builds(pair, reason, data, model, template_id):
-    """For every pair and every reason, score's outcome equals the one
-    Outcome.__init__ builds from the same values, field for field and in
-    each field's exact type, and a pair that names no mode raises the
-    same message either way."""
-    task, dop = pair
+def test_score_gives_the_outcome_init_builds(mode, reason, data, model, template_id):
+    """For every mode and every reason, score's outcome equals the one
+    Outcome.__init__ builds from the mode's (task, dop) members, field for
+    field and in each field's exact type."""
     digitless = st.text(st.characters(blacklist_categories=["Nd"]), max_size=20)
     text = data.draw(digitless if reason == REASON_NO_EXTRACTION else st.text(max_size=20))
     text += data.draw(REPLY_TAILS[reason])
     error = data.draw(st.text(max_size=8)) if reason == REASON_BACKEND_ERROR else None
     if reason == REASON_BACKEND_ERROR and data.draw(st.booleans()):
         text = None
-    triplet = make_triplet()
-    args = (triplet, text, task, dop)
+    args = (make_triplet(), text, mode)
     fields = dict(model=model, template_id=template_id, error=error)
-    if mode_for(task, dop) is None:
-        with pytest.raises(DataError) as by_init:
-            built_by_init(*args, **fields)
-        with pytest.raises(DataError, match=f"^{re.escape(str(by_init.value))}$"):
-            score(*args, **fields)
-        return
     expected = built_by_init(*args, **fields)
     got = score(*args, **fields)
     assert type(got) is Outcome
     assert got.reason == reason
+    assert (got.task, got.dop) == mode.value
     for name in Outcome.__dataclass_fields__:
         assert type(getattr(got, name)) is type(getattr(expected, name))
         assert getattr(got, name) == getattr(expected, name)
@@ -228,7 +213,7 @@ def outcome_pair(r_ok: bool, c_ok: bool) -> tuple[Outcome, Outcome]:
     c_text = "Final answer: 24" if c_ok else "Final answer: 1"
     return (
         scored(r_text),
-        scored(c_text, task=TaskKind.CORRECTION, dop=SP),
+        scored(c_text, PromptMode.SP),
     )
 
 

@@ -84,6 +84,23 @@ def test_blank_explanation_must_be_null():
     make_triplet(brief_explanation=None).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("id", "", "triplet has an empty id"),
+        ("id", " ", "triplet has an empty id"),
+        ("question", " \n", "triplet x01: question is empty"),
+        ("reference_solution", "\t", "triplet x01: reference_solution is empty"),
+        ("reference_numeric", "24 eggs",
+         "triplet x01: reference_numeric '24 eggs' is not a canonical numeric string"),
+    ],
+    ids=["empty-id", "blank-id", "blank-question", "blank-reference-solution", "non-canonical"],
+)
+def test_a_blank_field_or_a_non_canonical_reference_is_refused(field, value, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        make_triplet(**{field: value}).validate()
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(DataError, match="duplicate"):
         Dataset([make_triplet(), make_triplet()])
@@ -141,6 +158,15 @@ def test_a_sidecar_field_that_is_not_a_string_is_refused(tmp_path, field, value)
     manifest = json.loads(sidecar.read_text())
     sidecar.write_text(json.dumps({**manifest, field: value}), encoding="utf-8")
     with pytest.raises(DataError, match=f"{re.escape(str(sidecar))}: {field} must be a string"):
+        load_dataset(path)
+
+
+def test_a_sidecar_that_is_not_a_json_object_is_refused(tmp_path):
+    path = save_dataset(Dataset([make_triplet()], source="unit"), tmp_path / "set.jsonl")
+    sidecar = manifest_path_for(path)
+    sidecar.write_text(json.dumps([json.loads(sidecar.read_text())]), encoding="utf-8")
+    message = f"manifest sidecar {sidecar} is not a JSON object"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_dataset(path)
 
 
