@@ -27,6 +27,8 @@ SCRIPTED = DATA_DIR / "scripted_responses.jsonl"
 MATHDIAL = DATA_DIR / "mathdial_sample.jsonl"
 GSM8K = DATA_DIR / "gsm8k_sample.jsonl"
 GOLDEN_INGEST = DATA_DIR / "golden_ingest"
+GOLDEN_VERIFY = DATA_DIR / "golden_verify_paper.txt"
+GOLDEN_BUILTIN_REPORT = DATA_DIR / "golden_builtin_report"
 PUBLISHED = Path(mwpeval.__file__).with_name("data") / "published_results.json"
 
 
@@ -120,6 +122,11 @@ def test_verify_paper_passes_on_bundled_table(capsys):
     out = capsys.readouterr().out
     assert "all rows check out" in out
     assert out.count("ok") >= 12
+
+
+def test_verify_paper_prints_the_golden_table(capsys):
+    assert main(["verify-paper"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == GOLDEN_VERIFY.read_bytes()
 
 
 def test_verify_paper_fails_with_exit_3(tmp_path, capsys):
@@ -516,6 +523,16 @@ def test_report_from_builtin_counts(tmp_path, capsys):
     capsys.readouterr()
     csv_rows = (report_dir / "report.csv").read_text().strip().splitlines()
     assert len(csv_rows) == 1 + 12
+
+
+def test_report_from_builtin_counts_matches_the_golden_files(tmp_path, capsys):
+    report_dir = tmp_path / "report"
+    assert main(["report", "--counts", "builtin", "--out-dir", str(report_dir)]) == 0
+    capsys.readouterr()
+    golden = sorted(path.name for path in GOLDEN_BUILTIN_REPORT.iterdir())
+    assert sorted(path.name for path in report_dir.iterdir()) == golden
+    for name in golden:
+        assert (report_dir / name).read_bytes() == (GOLDEN_BUILTIN_REPORT / name).read_bytes(), name
 
 
 def test_report_requires_exactly_one_input(tmp_path, capsys):
