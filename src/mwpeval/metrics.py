@@ -55,14 +55,6 @@ class QuadrantCounts:
     def n(self) -> int:
         return self.srsc + self.sruc + self.ursc + self.uruc
 
-    def to_dict(self) -> dict[str, int]:
-        return {
-            Quadrant.SRSC.value: self.srsc,
-            Quadrant.SRUC.value: self.sruc,
-            Quadrant.URSC.value: self.ursc,
-            Quadrant.URUC.value: self.uruc,
-        }
-
 
 def quadrants(pairs: Iterable[tuple[bool, bool]]) -> QuadrantCounts:
     """Count (reasoning success, correction success) pairs per quadrant."""

@@ -2,8 +2,16 @@
 
 Everything here is deterministic: the same scored outcomes and options
 produce byte-identical Markdown, CSV, chart data and SVG, so report
-artifacts can be diffed across reruns. Rendered tables show rates after
-half-up rounding to three places; report.json keeps full precision.
+artifacts can be diffed across reruns.
+
+Each column of report.json, report.md and report.csv is declared once,
+in COLUMNS, in the order all three keep (Markdown alone moves the lead
+columns up to follow n). report.json keeps the value read at full
+precision; the column's kind decides the Markdown and CSV cells: text
+as given, "-" for None; a count as the integer; a rate by format_rate
+(half up to three places), "—" in Markdown and an empty CSV cell for
+None; an interval as "[lo, hi]", in a Markdown column shown only when
+some row has one, and as two CSV cells, _low and _high.
 """
 
 from __future__ import annotations
@@ -12,22 +20,16 @@ import csv
 import io
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Literal, Sequence
 from xml.sax.saxutils import escape
 
 from ._schema import control_character, dump, json_text, read_json, write_atomic
 from .errors import DataError, UsageError
 from .metrics import (
-    QuadrantCounts,
-    UNDEFINED_MARK,
-    bootstrap_ci,
-    check_bootstrap,
-    e_ratios,
-    format_rate,
-    quadrants,
-    rates,
-    successes_by_mode,
+    Quadrant, QuadrantCounts, bootstrap_ci, check_bootstrap, e_ratios, format_rate, quadrants,
+    rates, successes_by_mode,
 )
 from .prompting import CORRECTION_MODES, REASONING_MODE, DopLevel
 from .scoring import Outcome
@@ -41,9 +43,6 @@ class BootstrapSpec:
 
     def __post_init__(self) -> None:
         check_bootstrap(self.resamples, self.level, self.seed, UsageError)
-
-    def to_dict(self) -> dict[str, Any]:
-        return dump(self)
 
 
 @dataclass(frozen=True)
@@ -62,18 +61,60 @@ class RateReport:
     c_ci: tuple[float, float] | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "model": self.model,
-            "mode": self.mode.value if self.mode else None,
-            "n": self.counts.n,
-            "quadrants": self.counts.to_dict(),
-            "r_rate": self.r_rate,
-            "c_rate": self.c_rate,
-            "e_r": self.e_r,
-            "e_c": self.e_c,
-            "r_ci": list(self.r_ci) if self.r_ci else None,
-            "c_ci": list(self.c_ci) if self.c_ci else None,
-        }
+        payload: dict[str, Any] = {}
+        for column in COLUMNS:
+            into = payload.setdefault(column.group, {}) if column.group else payload
+            into[column.key] = column.read(self)
+        return payload
+
+
+@dataclass(frozen=True)
+class Column:
+    """One report column, for report.json, report.md and report.csv
+    alike (see the module docstring)."""
+
+    key: str
+    markdown: str
+    csv: str
+    kind: Literal["text", "count", "rate", "interval"]
+    read: Callable[[RateReport], Any]
+    group: str | None = None
+    lead: bool = False
+
+    @property
+    def csv_headers(self) -> tuple[str, ...]:
+        return (f"{self.csv}_low", f"{self.csv}_high") if self.kind == "interval" else (self.csv,)
+
+    def markdown_cell(self, value: Any) -> str:
+        if self.kind == "interval" and value is not None:
+            return f"[{format_rate(value[0])}, {format_rate(value[1])}]"
+        if self.kind in ("rate", "interval"):
+            return format_rate(value)
+        return "-" if value is None else str(value)
+
+    def csv_cells(self, value: Any) -> list[str]:
+        if value is None and self.kind in ("rate", "interval"):
+            return [""] * len(self.csv_headers)
+        if self.kind == "interval":
+            return [format_rate(bound) for bound in value]
+        return [self.markdown_cell(value)]
+
+
+COLUMNS: tuple[Column, ...] = (
+    Column("model", "Model", "model", "text", attrgetter("model")),
+    Column("mode", "Mode", "mode", "text", lambda r: r.mode.value if r.mode else None),
+    Column("n", "n", "n", "count", attrgetter("counts.n")),
+    Column(Quadrant.SRSC.value, "sR+sC", "srsc", "count", attrgetter("counts.srsc"), "quadrants"),
+    Column(Quadrant.SRUC.value, "sR+uC", "sruc", "count", attrgetter("counts.sruc"), "quadrants"),
+    Column(Quadrant.URSC.value, "uR+sC", "ursc", "count", attrgetter("counts.ursc"), "quadrants"),
+    Column(Quadrant.URUC.value, "uR+uC", "uruc", "count", attrgetter("counts.uruc"), "quadrants"),
+    Column("r_rate", "R-rate", "r_rate", "rate", attrgetter("r_rate"), lead=True),
+    Column("c_rate", "C-rate", "c_rate", "rate", attrgetter("c_rate"), lead=True),
+    Column("e_r", "E_r", "e_r", "rate", attrgetter("e_r")),
+    Column("e_c", "E_c", "e_c", "rate", attrgetter("e_c")),
+    Column("r_ci", "R-rate CI", "r_ci", "interval", attrgetter("r_ci")),
+    Column("c_ci", "C-rate CI", "c_ci", "interval", attrgetter("c_ci")),
+)
 
 
 def report_from_counts(
@@ -99,12 +140,7 @@ def build_reports(
     report artifact can show it."""
     by_model = successes_by_mode(outcomes)
     for model in by_model:
-        control = control_character(model)
-        if control is not None:
-            raise DataError(
-                f"model name {model!r} holds the control character {control!r}; "
-                "no report can show it"
-            )
+        _check_showable(model, f"model name {model!r}")
     reports: list[RateReport] = []
     for model in sorted(by_model):
         by_mode = by_model[model]
@@ -131,14 +167,19 @@ def build_reports(
     return reports
 
 
-def _mode_label(mode: DopLevel | None) -> str:
-    return mode.value if mode else "-"
+def _check_showable(text: str, what: str) -> None:
+    control = control_character(text)
+    if control is not None:
+        raise DataError(f"{what} holds the control character {control!r}; no report can show it")
 
 
-def _ci_text(ci: tuple[float, float] | None) -> str:
-    if ci is None:
-        return UNDEFINED_MARK
-    return f"[{format_rate(ci[0])}, {format_rate(ci[1])}]"
+def _markdown_columns(reports: Sequence[RateReport]) -> list[Column]:
+    """COLUMNS in Markdown order, the lead columns moved up to follow n,
+    less any interval column that no row has."""
+    shown = [c for c in COLUMNS if c.kind != "interval" or any(map(c.read, reports))]
+    rest = [c for c in shown if not c.lead]
+    at = [c.key for c in rest].index("n") + 1
+    return rest[:at] + [c for c in shown if c.lead] + rest[at:]
 
 
 def render_markdown(
@@ -146,30 +187,16 @@ def render_markdown(
 ) -> str:
     """Markdown report: metadata bullets, then one row per (model, mode).
     A `|` in a cell is written `\\|`, so it cannot split the row."""
-    with_ci = any(r.r_ci or r.c_ci for r in reports)
+    columns = _markdown_columns(reports)
     lines = ["# Solving vs correction rates", ""]
     for key in sorted(meta or {}):
         lines.append(f"- {key}: {meta[key]}")
     if meta:
         lines.append("")
-    header = [
-        "Model", "Mode", "n", "R-rate", "C-rate",
-        "sR+sC", "sR+uC", "uR+sC", "uR+uC", "E_r", "E_c",
-    ]
-    if with_ci:
-        header += ["R-rate CI", "C-rate CI"]
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "|".join(" --- " for _ in header) + "|")
+    lines.append("| " + " | ".join(column.markdown for column in columns) + " |")
+    lines.append("|" + "|".join(" --- " for _ in columns) + "|")
     for report in reports:
-        c = report.counts
-        row = [
-            report.model, _mode_label(report.mode), str(c.n),
-            format_rate(report.r_rate), format_rate(report.c_rate),
-            *map(str, (c.srsc, c.sruc, c.ursc, c.uruc)),
-            format_rate(report.e_r), format_rate(report.e_c),
-        ]
-        if with_ci:
-            row += [_ci_text(report.r_ci), _ci_text(report.c_ci)]
+        row = [column.markdown_cell(column.read(report)) for column in columns]
         lines.append("| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |")
     lines.append("")
     return "\n".join(lines)
@@ -179,25 +206,11 @@ def render_csv(reports: Sequence[RateReport]) -> str:
     """CSV with the same presentation rounding as the Markdown table;
     undefined ratios are empty cells, and a field that needs it is
     quoted."""
-    def cell(value: float | None) -> str:
-        return "" if value is None else format_rate(value)
-
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([
-        "model", "mode", "n", "srsc", "sruc", "ursc", "uruc", "r_rate", "c_rate", "e_r", "e_c",
-        "r_ci_low", "r_ci_high", "c_ci_low", "c_ci_high",
-    ])
+    writer.writerow([header for column in COLUMNS for header in column.csv_headers])
     for report in reports:
-        c = report.counts
-        r_ci = report.r_ci or (None, None)
-        c_ci = report.c_ci or (None, None)
-        row = [
-            report.model, _mode_label(report.mode),
-            *map(str, (c.n, c.srsc, c.sruc, c.ursc, c.uruc)),
-            *map(cell, (report.r_rate, report.c_rate, report.e_r, report.e_c, *r_ci, *c_ci)),
-        ]
-        writer.writerow(row)
+        writer.writerow([cell for c in COLUMNS for cell in c.csv_cells(c.read(report))])
     return out.getvalue()
 
 
@@ -212,7 +225,7 @@ def chart_data(reports: Sequence[RateReport]) -> dict[str, Any]:
             for r in reports
             if r.mode == mode
         ]
-        series.append({"mode": _mode_label(mode), "points": points})
+        series.append({"mode": mode.value if mode else "-", "points": points})
     return {"metric": "c_rate", "models": models, "series": series}
 
 
@@ -272,11 +285,15 @@ def write_report_bundle(
 ) -> dict[str, Path]:
     """Write report.json, report.md, report.csv, chart_data.json and
     chart.svg into out_dir. Each file is replaced atomically on its own,
-    not the bundle as a unit. Returns the paths."""
+    not the bundle as a unit. Returns the paths. A meta key or value
+    holding a control character is refused before any file is written:
+    in report.md it could end the line and forge one of its own."""
+    for key, value in (meta or {}).items():
+        _check_showable(f"{key}{value}", f"report meta {key!r}")
     out_dir = Path(out_dir)
     payload = {
-        "meta": dict(sorted((meta or {}).items())),
-        "bootstrap": bootstrap.to_dict() if bootstrap else None,
+        "meta": meta or {},
+        "bootstrap": dump(bootstrap) if bootstrap else None,
         "reports": [r.to_dict() for r in reports],
     }
     chart = chart_data(reports)
@@ -354,19 +371,18 @@ def load_published(path: str | Path | None = None) -> PublishedTable:
 
 @dataclass(frozen=True)
 class VerifiedRow:
-    model: str
-    n: int
+    """A published row beside the report recomputed from its counts."""
+
+    published: PublishedRow
+    computed: RateReport
     sum_ok: bool
-    printed_r: float
-    computed_r: float
     r_ok: bool
-    printed_c: float
-    computed_c: float
     c_ok: bool
-    e_r: float | None
-    e_c: float | None
-    order_ok: bool
-    note: str | None
+
+    @property
+    def order_ok(self) -> bool:
+        e_r, e_c = self.computed.e_r, self.computed.e_c
+        return e_r is not None and e_c is not None and e_r > e_c
 
     @property
     def ok(self) -> bool:
@@ -395,14 +411,15 @@ class VerificationReport:
             f"{'C printed':>10} {'C computed':>11} {'E_r':>7} {'E_c':>7} {'E_r>E_c':>8}  verdict",
         ]
         for row in self.rows:
+            published, computed = row.published, row.computed
             verdict = mark(row.ok)
-            if row.note:
-                verdict += f"  ({row.note})"
+            if published.note:
+                verdict += f"  ({published.note})"
             lines.append(
-                f"{row.model:<22} {row.n:>4}{'' if row.sum_ok else '!':<2} "
-                f"{format_rate(row.printed_r):>10} {format_rate(row.computed_r):>11} "
-                f"{format_rate(row.printed_c):>10} {format_rate(row.computed_c):>11} "
-                f"{format_rate(row.e_r):>7} {format_rate(row.e_c):>7} "
+                f"{published.model:<22} {computed.counts.n:>4}{'' if row.sum_ok else '!':<2} "
+                f"{format_rate(published.r_rate):>10} {format_rate(computed.r_rate):>11} "
+                f"{format_rate(published.c_rate):>10} {format_rate(computed.c_rate):>11} "
+                f"{format_rate(computed.e_r):>7} {format_rate(computed.e_c):>7} "
                 f"{mark(row.order_ok):>8}  {verdict}"
             )
         lines.append("")
@@ -416,24 +433,14 @@ def verify_published(path: str | Path | None = None) -> VerificationReport:
     table = load_published(path)
     verified = []
     for row in table.rows:
-        counts = row.counts
-        computed_r, computed_c = rates(counts)
-        e_r, e_c = e_ratios(counts)
+        computed = report_from_counts(row.counts, row.model)
         verified.append(
             VerifiedRow(
-                model=row.model,
-                n=counts.n,
-                sum_ok=counts.n == table.dataset_size,
-                printed_r=row.r_rate,
-                computed_r=computed_r,
-                r_ok=abs(computed_r - row.r_rate) <= table.rate_tolerance,
-                printed_c=row.c_rate,
-                computed_c=computed_c,
-                c_ok=abs(computed_c - row.c_rate) <= table.rate_tolerance,
-                e_r=e_r,
-                e_c=e_c,
-                order_ok=e_r is not None and e_c is not None and e_r > e_c,
-                note=row.note,
+                published=row,
+                computed=computed,
+                sum_ok=row.counts.n == table.dataset_size,
+                r_ok=abs(computed.r_rate - row.r_rate) <= table.rate_tolerance,
+                c_ok=abs(computed.c_rate - row.c_rate) <= table.rate_tolerance,
             )
         )
     return VerificationReport(
@@ -446,5 +453,4 @@ def verify_published(path: str | Path | None = None) -> VerificationReport:
 def published_reports(path: str | Path | None = None) -> list[RateReport]:
     """RateReports recomputed from the published quadrant counts, for
     rendering through the normal report pipeline."""
-    table = load_published(path)
-    return [report_from_counts(row.counts, row.model) for row in table.rows]
+    return [row.computed for row in verify_published(path).rows]

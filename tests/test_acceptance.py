@@ -52,16 +52,17 @@ def test_published_rates_recompute_within_tolerance():
     assert report.rate_tolerance == 0.002
     assert len(report.rows) == 12
     for row in report.rows:
-        assert row.r_ok, f"{row.model}: R {row.computed_r} vs printed {row.printed_r}"
-        assert row.c_ok, f"{row.model}: C {row.computed_c} vs printed {row.printed_c}"
+        published, computed = row.published, row.computed
+        assert row.r_ok, f"{published.model}: R {computed.r_rate} vs printed {published.r_rate}"
+        assert row.c_ok, f"{published.model}: C {computed.c_rate} vs printed {published.c_rate}"
 
-    by_model = {row.model: row for row in report.rows}
+    by_model = {row.published.model: row for row in report.rows}
     gpt4 = by_model["GPT-4-0613"]
-    assert gpt4.computed_r == (2152 + 306) / 2861
-    assert format_rate(gpt4.computed_r) == "0.859"
+    assert gpt4.computed.r_rate == (2152 + 306) / 2861
+    assert format_rate(gpt4.computed.r_rate) == "0.859"
     gpt35 = by_model["GPT-3.5-turbo"]
-    assert gpt35.computed_c == (659 + 325) / 2861
-    assert format_rate(gpt35.computed_c) == "0.344"
+    assert gpt35.computed.c_rate == (659 + 325) / 2861
+    assert format_rate(gpt35.computed.c_rate) == "0.344"
 
     assert elapsed < 1.0
 
@@ -78,7 +79,8 @@ def test_all_rows_sum_to_dataset_size():
     report = verify_published()
     assert report.dataset_size == 2861
     for row in report.rows:
-        assert row.n == 2861, f"{row.model} sums to {row.n}"
+        n = row.computed.counts.n
+        assert n == 2861, f"{row.published.model} sums to {n}"
 
 
 # 3. e_r > e_c for every model; GPT-4 values within +/-0.001 of hand-derived
@@ -87,15 +89,16 @@ def test_all_rows_sum_to_dataset_size():
 def test_conditional_ratios_order_and_values():
     report = verify_published()
     for row in report.rows:
-        assert row.e_r is not None and row.e_c is not None
-        assert row.e_r > row.e_c, f"{row.model}: e_r {row.e_r} <= e_c {row.e_c}"
+        e_r, e_c = row.computed.e_r, row.computed.e_c
+        assert e_r is not None and e_c is not None
+        assert e_r > e_c, f"{row.published.model}: e_r {e_r} <= e_c {e_c}"
 
-    gpt4 = {row.model: row for row in report.rows}["GPT-4-0613"]
-    assert gpt4.e_r == pytest.approx(0.929, abs=1e-3)
-    assert gpt4.e_c == pytest.approx(0.876, abs=1e-3)
+    gpt4 = {row.published.model: row for row in report.rows}["GPT-4-0613"]
+    assert gpt4.computed.e_r == pytest.approx(0.929, abs=1e-3)
+    assert gpt4.computed.e_c == pytest.approx(0.876, abs=1e-3)
     # the derivation pinned: 2152/(2152+165) and 2152/(2152+306)
-    assert gpt4.e_r == 2152 / 2317
-    assert gpt4.e_c == 2152 / 2458
+    assert gpt4.computed.e_r == 2152 / 2317
+    assert gpt4.computed.e_c == 2152 / 2458
 
 
 # 4. pipeline equals the hand-enumerated oracle exactly, in under 5 seconds
@@ -134,7 +137,7 @@ def test_pipeline_matches_oracle_exactly(tmp_path):
 
     oracle = json.loads((DATA_DIR / "oracle_metrics.json").read_text())
     [report] = build_reports(outcomes)
-    assert report.counts.to_dict() == oracle["quadrants"]
+    assert report.to_dict()["quadrants"] == oracle["quadrants"]
     assert report.counts.n == oracle["n"]
     assert report.r_rate == oracle["r_rate"]
     assert report.c_rate == oracle["c_rate"]

@@ -535,6 +535,18 @@ def test_report_from_builtin_counts_matches_the_golden_files(tmp_path, capsys):
         assert (report_dir / name).read_bytes() == (GOLDEN_BUILTIN_REPORT / name).read_bytes(), name
 
 
+def test_report_refuses_a_scored_file_name_that_would_forge_a_report_line(tmp_path, capsys):
+    main(["run", "--config", str(write_config(tmp_path))])
+    scored = tmp_path / "a\n- injected: 1\nb.jsonl"
+    assert main(["rescore", "--run", str(tmp_path / "out"),
+                 "--dataset", str(FIXTURE_DATASET), "--output", str(scored)]) == 0
+    report_dir = tmp_path / "report"
+    report_dir.mkdir()
+    assert main(["report", "--scored", str(scored), "--out-dir", str(report_dir)]) == 2
+    assert "report meta 'scored_file' holds the control character" in capsys.readouterr().err
+    assert list(report_dir.iterdir()) == []
+
+
 def test_report_requires_exactly_one_input(tmp_path, capsys):
     assert main(["report", "--out-dir", str(tmp_path)]) == 1
     assert main(["report", "--scored", "a", "--counts", "b",

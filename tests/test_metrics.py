@@ -37,7 +37,6 @@ def test_quadrants_partition_the_joints():
     counts = quadrants(pairs_from_counts(QuadrantCounts(8, 6, 2, 4)))
     assert counts == QuadrantCounts(8, 6, 2, 4)
     assert counts.n == 20
-    assert counts.to_dict() == {"sRsC": 8, "sRuC": 6, "uRsC": 2, "uRuC": 4}
 
 
 def test_quadrants_reject_pairs_that_are_not_two_bools():
@@ -70,6 +69,9 @@ def test_e_ratios_from_known_counts():
     e_r, e_c = e_ratios(QuadrantCounts(8, 6, 2, 4))
     assert e_r == 8 / 10
     assert e_c == 8 / 14
+    # sRsC equal to uRsC, then to sRuC: each denominator is a sum, not a difference
+    assert e_ratios(QuadrantCounts(3, 1, 3, 1)) == (0.5, 0.75)
+    assert e_ratios(QuadrantCounts(3, 3, 1, 1)) == (0.75, 0.5)
 
 
 def test_e_ratios_undefined_when_denominator_empty():
@@ -97,6 +99,8 @@ def test_bootstrap_is_deterministic_per_seed():
     other = bootstrap_ci(data, seed=8)
     assert first == second
     assert first != other
+    # no seed is seed 0, whose interval here differs from seed 1's (0.51, 0.70)
+    assert bootstrap_ci(data) == bootstrap_ci(data, seed=0) == [(0.51, 0.69)]
 
 
 def test_bootstrap_brackets_the_point_estimate():

@@ -292,6 +292,25 @@ def test_report_bundle_matches_the_golden_files(tmp_path):
         assert path.read_bytes() == (GOLDEN_DIR / path.name).read_bytes(), path.name
 
 
+def test_a_column_added_to_the_table_reaches_every_artifact(tmp_path, monkeypatch):
+    dummy = report_module.Column("dummy", "Dummy", "dummy", "count", lambda r: 2 * r.counts.n)
+    monkeypatch.setattr(report_module, "COLUMNS", report_module.COLUMNS + (dummy,))
+    paths = write_report_bundle(build_reports(sp_outcomes()), tmp_path)
+    assert json.loads(paths["json"].read_text("utf-8"))["reports"][0]["dummy"] == 40
+    header, _, row = [l for l in paths["markdown"].read_text("utf-8").splitlines() if l[:1] == "|"]
+    assert header.endswith(" | Dummy |") and row.endswith(" | 40 |")
+    header, row = paths["csv"].read_text("utf-8").splitlines()
+    assert header.endswith(",dummy") and row.endswith(",40")
+
+
+@pytest.mark.parametrize("meta", [{"scored_file": "a\n- injected: 1\nb.jsonl"}, {"digest\r": "abc"}])
+def test_report_bundle_refuses_meta_with_a_control_character(tmp_path, meta):
+    [key] = meta
+    with pytest.raises(DataError, match=re.escape(f"report meta {key!r} holds the control")):
+        write_report_bundle(build_reports(sp_outcomes()), tmp_path / "out", meta=meta)
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_json_carries_everything(tmp_path):
     reports = build_reports(sp_outcomes())
     paths = write_report_bundle(reports, tmp_path, meta={"k": "v"})

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mwpeval import DataError, DopLevel, PromptMode, Quadrant, TaskKind, quadrants
+from mwpeval import DataError, DopLevel, PromptMode, Quadrant, QuadrantCounts, TaskKind, quadrants
 from mwpeval._schema import dump, load
 from mwpeval.extraction import extract
 from mwpeval.prompting import MISPAIRED, MODES, mode_for
@@ -229,4 +229,4 @@ def outcome_pair(r_ok: bool, c_ok: bool) -> tuple[Outcome, Outcome]:
 def test_quadrant_mapping(r_ok, c_ok, quadrant):
     reasoning, correction = outcome_pair(r_ok, c_ok)
     counts = quadrants([(reasoning.success, correction.success)])
-    assert counts.to_dict() == {q.value: int(q is quadrant) for q in Quadrant}
+    assert counts == QuadrantCounts(**{q.name.lower(): int(q is quadrant) for q in Quadrant})
