@@ -33,7 +33,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Protocol
 
-from ._schema import control_character, dump, read_jsonl
+from ._schema import control_character, read_jsonl
 from .errors import BackendError, ConfigurationError, DataError, ScriptedLookupError
 from .prompting import GenerationParams, RenderedPrompt
 
@@ -97,9 +97,6 @@ class ModelSpec:
         if self.endpoint.startswith(SCRIPTED_PREFIX):
             return Path(self.endpoint[len(SCRIPTED_PREFIX):])
         return None
-
-    def to_dict(self) -> dict[str, Any]:
-        return dump(self)
 
 
 @dataclass(frozen=True)

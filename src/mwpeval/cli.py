@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from ._schema import json_text, read_json, read_jsonl, utc_now, write_atomic
+from ._schema import dump, json_text, read_json, read_jsonl, utc_now, write_atomic
 from .errors import (
     DataError,
     HarnessError,
@@ -126,7 +126,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             {
                 "kept": len(dataset),
                 "rejected": len(rejections),
-                "rejections": [r.to_dict() for r in rejections],
+                "rejections": [dump(r) for r in rejections],
             }
         ),
     )

@@ -158,9 +158,6 @@ class GenerationParams:
         # a field, so equality, hashing and dump ignore it.
         object.__setattr__(self, "_heads", {})
 
-    def to_dict(self) -> dict[str, float | int]:
-        return dump(self)
-
 
 @dataclass(frozen=True)
 class Template:
@@ -206,7 +203,7 @@ def _content_hash(template_id: str, text_json: str, params: GenerationParams) ->
 
 def _payload_head(template_id: str, params: GenerationParams) -> bytes:
     head = json.dumps(
-        {"params": params.to_dict(), "template_id": template_id},
+        {"params": dump(params), "template_id": template_id},
         sort_keys=True,
         ensure_ascii=False,
     )

@@ -116,16 +116,9 @@ class ExperimentConfig:
         if len(set(self.tasks)) != len(self.tasks) or len(set(self.modes)) != len(self.modes):
             raise UsageError("tasks and modes must not repeat")
 
-    def to_dict(self) -> dict[str, Any]:
-        return dump(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ExperimentConfig":
-        return load(cls, payload, "config", ConfigurationError)
-
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(read_json(path, "config file", UsageError))
+        return load(cls, read_json(path, "config file", UsageError), "config", ConfigurationError)
 
 
 @dataclass
@@ -290,7 +283,7 @@ class _RecordWriter:
 def _cache_identity(config: ExperimentConfig, dataset: Dataset, registry: TemplateRegistry) -> dict[str, Any]:
     return {
         "dataset_digest": dataset.digest,
-        "model": config.model.to_dict(),
+        "model": dump(config.model),
         "renderer": RENDERER,
         "template_ids": registry.template_ids(),
     }
@@ -507,7 +500,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
         pending, cached, skipped, no_explanation = build_cells(dataset, config, answered)
         total = len(pending) + cached
         # Bound only now, so a dataset that fails build_cells binds no dir.
-        bound = json_text({"config": config.to_dict(), "identity": identity})
+        bound = json_text({"config": dump(config), "identity": identity})
         if not identity_path.exists() or identity_path.read_bytes() != bound.encode("utf-8"):
             write_atomic(identity_path, bound)
         writer.mend(*torn)
@@ -559,7 +552,7 @@ def run(config: ExperimentConfig, backend: Backend | None = None) -> RunSummary:
             "tool_version": TOOL_VERSION,
             "hash_algorithm": HASH_ALGORITHM,
             "model": config.model.name,
-            "generation_params": config.model.params.to_dict(),
+            "generation_params": dump(config.model.params),
             "dataset": {
                 "path": str(config.dataset),
                 "digest": dataset.digest,

@@ -18,9 +18,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from . import __version__ as TOOL_VERSION
-from ._schema import (
-    dump, dump_line, json_text, read_json, read_jsonl, utc_now, write_atomic
-)
+from ._schema import dump_line, json_text, read_json, read_jsonl, utc_now, write_atomic
 from .errors import DataError, UsageError
 from .extraction import NumericAnswer, extract, parse_numeric, scan_numbers
 
@@ -195,9 +193,6 @@ class Rejection:
     index: int
     reason: str
     record_id: str | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return dump(self)
 
 
 def _require_text(record: dict[str, Any], key: str | None) -> str | None:

@@ -33,7 +33,7 @@ from mwpeval import (
     create_backend,
     render,
 )
-from mwpeval._schema import load
+from mwpeval._schema import dump, load
 from mwpeval.prompting import CORRECTION_MODES, REASONING_MODE, DopLevel, TemplateRegistry
 
 from conftest import make_triplet
@@ -474,7 +474,7 @@ def test_retry_policy_delay_schedule():
 
 def test_model_spec_round_trips_through_dict():
     spec = fast_spec("http://example.invalid", auth_env="KEY")
-    assert load(ModelSpec, spec.to_dict(), "model config", ConfigurationError) == spec
+    assert load(ModelSpec, dump(spec), "model config", ConfigurationError) == spec
 
 
 def test_model_spec_rejects_unknown_keys():
@@ -491,7 +491,7 @@ def test_model_spec_rejects_unknown_nested_keys():
 
 def test_model_spec_never_stores_secrets():
     spec = fast_spec("http://example.invalid", auth_env="KEY")
-    assert "s3cret" not in json.dumps(spec.to_dict())
+    assert "s3cret" not in json.dumps(dump(spec))
 
 
 @pytest.mark.parametrize("name", ["a\nb", "x\x01y", "tab\there", "del\x7f", "c1\x85"])

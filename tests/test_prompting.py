@@ -23,6 +23,7 @@ from mwpeval import (
     UsageError,
     build_reports,
 )
+from mwpeval._schema import dump
 from mwpeval.prompting import (
     ALL_DOP_LEVELS,
     CORRECTION_MODES,
@@ -142,7 +143,7 @@ def test_generation_params_validate():
         GenerationParams(temperature=-0.1)
     with pytest.raises(UsageError):
         GenerationParams(max_tokens=0)
-    assert GenerationParams().to_dict() == {"temperature": 0.0, "max_tokens": 1024}
+    assert dump(GenerationParams()) == {"temperature": 0.0, "max_tokens": 1024}
 
 
 # rendering
@@ -351,7 +352,7 @@ def hash_as_first_written(template_id: str, text: str, params: GenerationParams)
     """The content hash built from one json.dumps of the whole payload,
     as it was before the part ahead of the text was hashed once."""
     payload = json.dumps(
-        {"template_id": template_id, "text": text, "params": params.to_dict()},
+        {"template_id": template_id, "text": text, "params": dump(params)},
         sort_keys=True,
         ensure_ascii=False,
     )

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from mwpeval import (
     CompletionResult,
+    ConfigurationError,
     DataError,
     Dataset,
     DopLevel,
@@ -51,7 +52,7 @@ import mwpeval.prompting
 import mwpeval.runner
 import mwpeval.scoring
 import mwpeval.triplets
-from mwpeval._schema import dump_line
+from mwpeval._schema import dump, dump_line, load
 from mwpeval.prompting import CORRECTION_MODES, REASONING_MODE, TemplateRegistry, render
 from mwpeval.runner import RunRecord, _RecordWriter, _stream_records, build_cells, index_records
 
@@ -288,14 +289,17 @@ def test_build_cells_rejects_duplicate_prompt_content(tmp_path):
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(UsageError, match="unknown config keys"):
-        ExperimentConfig.from_dict(
-            {"dataset": "d", "model": {"name": "m", "endpoint": "e"}, "output_dir": "o", "oops": 1}
+        load(
+            ExperimentConfig,
+            {"dataset": "d", "model": {"name": "m", "endpoint": "e"}, "output_dir": "o", "oops": 1},
+            "config",
+            ConfigurationError,
         )
 
 
 def test_config_requires_dataset_model_output():
     with pytest.raises(UsageError, match="missing required key"):
-        ExperimentConfig.from_dict({"dataset": "d"})
+        load(ExperimentConfig, {"dataset": "d"}, "config", ConfigurationError)
 
 
 def test_config_validates_fields(tmp_path):
@@ -312,7 +316,7 @@ def test_config_validates_fields(tmp_path):
 def test_config_file_round_trip(tmp_path):
     config = sp_config(tmp_path / "out")
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    path.write_text(json.dumps(dump(config)), encoding="utf-8")
     assert ExperimentConfig.from_json_file(path) == config
     with pytest.raises(UsageError, match="not found"):
         ExperimentConfig.from_json_file(tmp_path / "absent.json")
@@ -1597,7 +1601,7 @@ def test_a_run_killed_at_seeded_times_resumes_to_an_unkilled_runs_results(tmp_pa
     the page cache held."""
     config = sp_config(tmp_path / "out", concurrency=concurrency)
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    config_path.write_text(json.dumps(dump(config)), encoding="utf-8")
     package_root = str(Path(mwpeval.__file__).resolve().parent.parent)
     env = {
         **os.environ,

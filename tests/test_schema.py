@@ -105,7 +105,7 @@ LOADERS = {
         ("task", "solve"),
     ),
     "config": (
-        ExperimentConfig.from_dict,
+        lambda p: load(ExperimentConfig, p, "config", ConfigurationError),
         config_payload,
         ConfigurationError,
         ("concurrency", "2"),
@@ -178,7 +178,7 @@ def test_bool_is_not_a_number():
 
 def test_int_for_float_is_kept_as_given():
     spec = load(ModelSpec, {**model_payload(), "timeout": 30}, "model config", ConfigurationError)
-    assert json.dumps(spec.to_dict()["timeout"]) == "30"
+    assert json.dumps(dump(spec)["timeout"]) == "30"
 
 
 def test_configs_take_defaults_but_data_files_do_not():
@@ -191,15 +191,18 @@ def test_configs_take_defaults_but_data_files_do_not():
 
 
 def test_nested_config_round_trips_and_names_its_part():
-    config = ExperimentConfig.from_dict(
-        {**config_payload(), "tasks": ["correction"], "modes": ["dop_na", "sp"]}
+    config = load(
+        ExperimentConfig,
+        {**config_payload(), "tasks": ["correction"], "modes": ["dop_na", "sp"]},
+        "config",
+        ConfigurationError,
     )
     assert config.tasks == (TaskKind.CORRECTION,)
     assert config.modes == (DopLevel.NA, DopLevel.SP)
-    assert ExperimentConfig.from_dict(config.to_dict()) == config
+    assert load(ExperimentConfig, dump(config), "config", ConfigurationError) == config
     bad = {**config_payload(), "model": {**model_payload(), "retry": {"max_attempts": 2.5}}}
     with pytest.raises(ConfigurationError, match="bad config: bad model: retry: 'max_attempts'"):
-        ExperimentConfig.from_dict(bad)
+        load(ExperimentConfig, bad, "config", ConfigurationError)
 
 
 # a loaded value is the value __init__ builds
